@@ -14,6 +14,7 @@ grid-certified, not continuum proofs.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -287,7 +288,11 @@ def desymmetrize_pair(
     if nm == 0.0:
         root = np.zeros_like(m)
     else:
-        root, _ = scipy.linalg.sqrtm(m, disp=False)
+        # A singular S^2 - 4P draws a LinAlgWarning; the residual check
+        # below decides whether the root is usable.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            root = scipy.linalg.sqrtm(m)
     if not np.all(np.isfinite(root)) or operator_norm(root @ root - m) > tol.residual_tol * (
         1.0 + nm
     ):

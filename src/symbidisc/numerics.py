@@ -25,9 +25,6 @@ __all__ = [
     "require_square",
     "operator_norm",
     "spectral_radius",
-    "hermitian_eigenvalues",
-    "min_eigenvalue",
-    "is_psd",
     "rotated_hermitian_part",
     "numerical_radius",
     "joint_spectrum",
@@ -90,28 +87,6 @@ def spectral_radius(m: np.ndarray) -> float:
     if m.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(m))))
-
-
-def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian symmetrization of ``h``, ascending."""
-    h = require_square(as_matrix(h))
-    if h.shape[0] == 0:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
-
-
-def min_eigenvalue(h: np.ndarray) -> float:
-    lam = hermitian_eigenvalues(h)
-    return float(lam[0]) if lam.size else 0.0
-
-
-def is_psd(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Scale-relative PSD acceptance: lambda_min >= -psd_tol * (1 + ||H||)."""
-    lam = hermitian_eigenvalues(h)
-    if lam.size == 0:
-        return True
-    scale = 1.0 + float(np.max(np.abs(lam)))
-    return float(lam[0]) >= -tol.psd_tol * scale
 
 
 def rotated_hermitian_part(a: np.ndarray, theta: float) -> np.ndarray:
