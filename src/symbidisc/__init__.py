@@ -14,7 +14,15 @@ from .numerics import (
     operator_norm,
     spectral_radius,
 )
-from .geometry import GammaPoint, RegionTag, classify_point, point_roots, symmetrize_point
+from .geometry import (
+    REGION_TAGS,
+    GammaPoint,
+    RegionTag,
+    classify_point,
+    classify_points,
+    point_roots,
+    symmetrize_point,
+)
 from .gamma_pairs import (
     NonCommutingRootError,
     NoSquareRootError,

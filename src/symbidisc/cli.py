@@ -286,7 +286,7 @@ def _cmd_variety(args) -> int:
     a = read_matrix_file(args.a_file)
     variety = DeterminantalVariety.from_matrix(a, tol)
     verdict = classify_distinguished(variety, tol, m=args.angles)
-    if args.sample:
+    if args.sample is not None:
         if not args.csv:
             raise ValueError("--sample requires --csv PATH")
         write_boundary_csv(variety, args.sample, args.csv, tol)

@@ -8,8 +8,11 @@ from its fiber by solving z^2 - s z + p = 0.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .numerics import DEFAULT_TOL, Tolerances
 
@@ -19,6 +22,8 @@ __all__ = [
     "symmetrize_point",
     "point_roots",
     "classify_point",
+    "classify_points",
+    "REGION_TAGS",
 ]
 
 
@@ -36,6 +41,11 @@ class RegionTag(Enum):
     BGAMMA_NOT_BDGAMMA = "BGAMMA_NOT_BDGAMMA"
     BDGAMMA = "BDGAMMA"
     OUTSIDE = "OUTSIDE"
+
+
+# Tag codes of ``classify_points`` index into this tuple.
+REGION_TAGS = tuple(RegionTag)
+_CODE = {tag: k for k, tag in enumerate(REGION_TAGS)}
 
 
 def symmetrize_point(z1: complex, z2: complex) -> GammaPoint:
@@ -89,3 +99,97 @@ def classify_point(pt: GammaPoint, tol: Tolerances = DEFAULT_TOL) -> RegionTag:
             return RegionTag.BDGAMMA
         return RegionTag.BGAMMA_NOT_BDGAMMA
     return RegionTag.BOUNDARY_NOT_BGAMMA
+
+
+# CPython before 3.14 promotes the float of ``float * complex`` to c + 0j
+# and multiplies as complex numbers, which can flip the sign of a zero
+# part; from 3.14 on it scales both parts (C99 Annex G).
+_SCALES_PARTS = math.copysign(1.0, (1.0 * complex(-0.0, -1.0)).real) < 0
+_DBL_MIN = np.finfo(float).tiny
+
+
+def _scale(c: float, re, im):
+    """Parts of ``c * z`` for a float c, as CPython evaluates it."""
+    if _SCALES_PARTS:
+        return c * re, c * im
+    return c * re - 0.0 * im, c * im + 0.0 * re
+
+
+def _quotient(ar, ai, br, bi):
+    """Parts of ``a / b`` by CPython's branch rule (Smith's method)."""
+    by_real = np.abs(br) >= np.abs(bi)
+    big = np.where(by_real, br, bi)
+    small = np.where(by_real, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _sqrt(re, im):
+    """Parts of ``cmath.sqrt(re + im j)`` for finite input, by CPython's
+    algorithm; numpy's complex sqrt rounds differently, e.g. at 4j."""
+    ax, ay = np.abs(re), np.abs(im)
+    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
+    up = np.ldexp(ax, 53)
+    s = np.where(
+        tiny,
+        np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27),
+        2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)),
+    )
+    d = ay / (2.0 * s)
+    zero = (re == 0) & (im == 0)
+    sq_re = np.where(zero, 0.0, np.where(re >= 0, s, d))
+    sq_im = np.where(zero, im, np.copysign(np.where(re >= 0, d, s), im))
+    return sq_re, sq_im
+
+
+def _root_parts(s, p):
+    """Parts (z1r, z1i, z2r, z2i) of the roots as ``point_roots`` computes
+    them, unsorted, for flat complex arrays s and p."""
+    sr, si, pr, pi = s.real, s.imag, p.real, p.imag
+    with np.errstate(all="ignore"):
+        fr, fi = _scale(4.0, pr, pi)
+        sq_re, sq_im = _sqrt(sr * sr - si * si - fr, sr * si + si * sr - fi)
+        plus_r, plus_i = sr + sq_re, si + sq_im
+        minus_r, minus_i = sr - sq_re, si - sq_im
+        use_plus = np.hypot(plus_r, plus_i) >= np.hypot(minus_r, minus_i)
+        z1r, z1i = _scale(0.5, np.where(use_plus, plus_r, minus_r),
+                          np.where(use_plus, plus_i, minus_i))
+        zero = (z1r == 0) & (z1i == 0)
+        z2r, z2i = _quotient(pr, pi, z1r, z1i)
+    return z1r, z1i, np.where(zero, 0.0, z2r), np.where(zero, 0.0, z2i)
+
+
+def classify_points(s, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """``classify_point`` over broadcast arrays of s and p, as int8 codes.
+
+    Code k stands for ``REGION_TAGS[k]``.  The roots are computed as
+    ``point_roots`` computes them, repeating CPython's complex arithmetic
+    step by step on real and imaginary float arrays (numpy's complex
+    multiply, divide, sqrt and abs round differently in the last bit), so
+    every tag equals the scalar one.  Points whose arithmetic leaves the finite
+    range go through ``classify_point`` itself, which also rejects
+    non-finite input.
+    """
+    s, p = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(p, dtype=complex))
+    shape = s.shape
+    s, p = s.ravel(), p.ravel()
+    z1r, z1i, z2r, z2i = _root_parts(s, p)
+    with np.errstate(all="ignore"):
+        m1, m2 = np.hypot(z1r, z1i), np.hypot(z2r, z2i)
+        gap = np.hypot(z1r - z2r, z1i - z2i)
+    band = tol.psd_tol
+    top = np.maximum(m1, m2)
+    unimodular = (np.abs(m1 - 1.0) <= band) & (np.abs(m2 - 1.0) <= band)
+    codes = np.select(
+        [top > 1.0 + band, top < 1.0 - band, unimodular & (gap <= band), unimodular],
+        [_CODE[RegionTag.OUTSIDE], _CODE[RegionTag.INTERIOR_G],
+         _CODE[RegionTag.BDGAMMA], _CODE[RegionTag.BGAMMA_NOT_BDGAMMA]],
+        _CODE[RegionTag.BOUNDARY_NOT_BGAMMA],
+    ).astype(np.int8)
+    finite = np.isfinite(s) & np.isfinite(p) & np.isfinite(gap)
+    for k in np.flatnonzero(~finite):
+        codes[k] = _CODE[classify_point(GammaPoint(complex(s[k]), complex(p[k])), tol)]
+    return codes.reshape(shape)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import GammaPoint, RegionTag, classify_point
+from .geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -51,6 +51,14 @@ __all__ = [
 # Root extraction of near-coincident unimodular fiber roots squares the
 # data error, so region tags of boundary points use this widened band.
 _BOUNDARY_BAND = 1e-7
+
+# Radius of the exit fiber p = r e^{i theta} tracked against the limit
+# fiber at |p| = 1.
+_EXIT_RADIUS = 1.0 - 1e-14
+
+_ON_BGAMMA = np.array(
+    [tag in (RegionTag.BGAMMA_NOT_BDGAMMA, RegionTag.BDGAMMA) for tag in REGION_TAGS]
+)
 
 
 @dataclass(frozen=True)
@@ -134,6 +142,21 @@ def _boundary_grid(variety: DeterminantalVariety, m: int):
     return thetas, half[:, None] * mu
 
 
+def _boundary_points(variety: DeterminantalVariety, m: int):
+    """Boundary grid arrays: thetas (m,), s (m, n) and p = e^{i theta} (m,).
+
+    An empty (0 x 0) representation gives one point s = 0 per angle.
+    """
+    if m < 1:
+        raise ValueError("sample count must be positive")
+    if variety.dim == 0:
+        thetas = 2.0 * math.pi * np.arange(m) / m
+        svals = np.zeros((m, 1), dtype=complex)
+    else:
+        thetas, svals = _boundary_grid(variety, m)
+    return thetas, svals, np.exp(1j * thetas)
+
+
 def boundary_sample(variety: DeterminantalVariety, m: int) -> list[GammaPoint]:
     """Variety points over m uniformly spaced unimodular values of p.
 
@@ -142,18 +165,12 @@ def boundary_sample(variety: DeterminantalVariety, m: int) -> list[GammaPoint]:
     exactly.  An empty (0 x 0) representation emits the degenerate
     convention points (0, e^{i theta}) used by the von Neumann report.
     """
-    if m < 1:
-        raise ValueError("sample count must be positive")
-    thetas = 2.0 * math.pi * np.arange(m) / m
-    if variety.dim == 0:
-        return [GammaPoint(0j, complex(np.exp(1j * t))) for t in thetas]
-    thetas, svals = _boundary_grid(variety, m)
-    pts = []
-    for k, t in enumerate(thetas):
-        p = complex(np.exp(1j * t))
-        for s in svals[k]:
-            pts.append(GammaPoint(complex(s), p))
-    return pts
+    _, svals, phases = _boundary_points(variety, m)
+    return [
+        GammaPoint(s, p)
+        for row, p in zip(svals.tolist(), phases.tolist())
+        for s in row
+    ]
 
 
 def boundary_rows(
@@ -161,19 +178,18 @@ def boundary_rows(
 ) -> list[BoundaryRow]:
     """Boundary samples with region tags (widened classification band)."""
     band = replace(tol, psd_tol=max(tol.psd_tol, _BOUNDARY_BAND))
-    rows = []
+    thetas, svals, phases = _boundary_points(variety, m)
+    codes = classify_points(svals, phases[:, None], band).tolist()
+    plist = phases.tolist()
     if variety.dim == 0:
-        for pt in boundary_sample(variety, m):
-            theta = math.atan2(pt.p.imag, pt.p.real) % (2.0 * math.pi)
-            rows.append(BoundaryRow(theta, pt.s, pt.p, classify_point(pt, band)))
-        return rows
-    thetas, svals = _boundary_grid(variety, m)
-    for k, t in enumerate(thetas):
-        p = complex(np.exp(1j * t))
-        for s in svals[k]:
-            pt = GammaPoint(complex(s), p)
-            rows.append(BoundaryRow(float(t), pt.s, pt.p, classify_point(pt, band)))
-    return rows
+        thetas = [math.atan2(p.imag, p.real) % (2.0 * math.pi) for p in plist]
+    else:
+        thetas = thetas.tolist()
+    return [
+        BoundaryRow(t, s, p, REGION_TAGS[c])
+        for t, row, p, row_codes in zip(thetas, svals.tolist(), plist, codes)
+        for s, c in zip(row, row_codes)
+    ]
 
 
 def write_boundary_csv(
@@ -199,12 +215,17 @@ def classify_distinguished(
     Certified outcomes come from the two decidable criteria: numerical
     radius strictly below 1 (distinguished), or a unimodular eigenvalue
     of A (not distinguished, witnessed by the exit point (eigenvalue, 0)).
-    Otherwise boundary fibers are approached along p = r e^{i theta} with
-    64 radii accumulating at r = 1, the limit fiber is classified, and
-    the verdict is empirical only: DISTINGUISHED_EMPIRICAL when every
-    sampled closure point with |p| = 1 lies on the distinguished
-    boundary, INCONCLUSIVE (never a certificate) otherwise.
+    Otherwise the limit fiber over |p| = 1 is sampled at m angles and its
+    region tags alone give the verdict, which is empirical only:
+    DISTINGUISHED_EMPIRICAL when every sampled closure point lies on the
+    distinguished boundary, INCONCLUSIVE (never a certificate) otherwise,
+    witnessed by the first point off it in angle-major order.
+    ``track_gap`` reports how far the limit fiber lies from the fiber at
+    the single radius p = (1 - 1e-14) e^{i theta}: the worst over angles
+    of the distance from a limit eigenvalue to that fiber.
     """
+    if m < 1:
+        raise ValueError("sample count must be positive")
     a = variety.A
     n = variety.dim
     if n == 0:
@@ -229,33 +250,22 @@ def classify_distinguished(
             witness=GammaPoint(alpha, 0j),
         )
 
-    # Exit-point sampling: fibers along p = r e^{i theta} for 64 radii
-    # accumulating at r = 1, tracked against the limit fiber.
     thetas, limit = _boundary_grid(variety, m)
-    radii = 1.0 - np.logspace(-6.0, -14.0, 64)
     phases = np.exp(1j * thetas)
-    per_radius = np.empty(len(radii))
-    for j, r in enumerate(radii):
-        fiber = np.linalg.eigvals(a + (r * phases)[:, None, None] * a.conj().T)
-        # worst over angles of the limit eigenvalues' distance into the fiber
-        dist = np.abs(limit[:, :, None] - fiber[:, None, :]).min(axis=2)
-        per_radius[j] = dist.max()
-    track_gap = float(per_radius[-1])
+    fiber = np.linalg.eigvals(a + (_EXIT_RADIUS * phases)[:, None, None] * a.conj().T)
+    track_gap = float(np.abs(limit[:, :, None] - fiber[:, None, :]).min(axis=2).max())
     band = replace(tol, psd_tol=max(tol.psd_tol, _BOUNDARY_BAND))
-    s_max = 0.0
-    for k, t in enumerate(thetas):
-        p = complex(np.exp(1j * t))
-        for s in limit[k]:
-            pt = GammaPoint(complex(s), p)
-            s_max = max(s_max, abs(pt.s))
-            tag = classify_point(pt, band)
-            if tag not in (RegionTag.BGAMMA_NOT_BDGAMMA, RegionTag.BDGAMMA):
-                return DistinguishedVerdict(
-                    DistinguishedStatus.INCONCLUSIVE,
-                    "sampled closure point off the distinguished boundary",
-                    witness=pt,
-                    track_gap=track_gap,
-                )
+    off = ~_ON_BGAMMA[classify_points(limit, phases[:, None], band)]
+    if off.any():
+        k, j = np.unravel_index(int(np.argmax(off)), off.shape)
+        return DistinguishedVerdict(
+            DistinguishedStatus.INCONCLUSIVE,
+            "sampled closure point off the distinguished boundary",
+            witness=GammaPoint(complex(limit[k, j]), complex(phases[k])),
+            track_gap=track_gap,
+        )
+    # hypot, not np.abs: it rounds as abs() on a Python complex does
+    s_max = float(np.max(np.hypot(limit.real, limit.imag)))
     return DistinguishedVerdict(
         DistinguishedStatus.DISTINGUISHED_EMPIRICAL,
         f"all sampled closure points at {m} angles on the distinguished boundary",

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +125,30 @@ class TestVarietyCommand:
     def test_sample_without_csv_is_an_error(self, tmp_path):
         path = _write(tmp_path / "A.json", [[0.5]])
         assert main(["variety", path, "--sample", "16"]) == 2
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_non_positive_sample_is_an_error(self, tmp_path, count):
+        path = _write(tmp_path / "A.json", [[0.5]])
+        out_csv = tmp_path / "b.csv"
+        assert main(["variety", path, "--sample", count, "--csv", str(out_csv)]) == 2
+        assert not out_csv.exists()
+
+    def test_zero_angles_is_an_error(self, tmp_path):
+        a = np.zeros((3, 3), complex)
+        a[0, 1] = 2.0
+        path = _write(tmp_path / "A.json", a)
+        assert main(["variety", path, "--angles", "0"]) == 2
+
+    def test_golden_report_and_csv(self, tmp_path):
+        # a radius-one matrix: report and CSV recorded with the per-point
+        # implementation must come out byte for byte
+        data = Path(__file__).parent / "data"
+        rep, out_csv = tmp_path / "report.json", tmp_path / "b.csv"
+        code = main(["variety", str(data / "variety_A.json"), "--angles", "256",
+                     "--sample", "64", "--csv", str(out_csv), "--out", str(rep)])
+        assert code == 0
+        assert rep.read_bytes() == (data / "variety_report.json").read_bytes()
+        assert out_csv.read_bytes() == (data / "variety_boundary.csv").read_bytes()
 
 
 class TestVnCommand:

@@ -1,10 +1,13 @@
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symbidisc.geometry import GammaPoint, RegionTag, classify_point, point_roots
 from symbidisc.numerics import Tolerances, numerical_radius
+from symbidisc import varieties
 from symbidisc.varieties import (
     BivarPolynomial,
     DeterminantalVariety,
@@ -233,3 +236,70 @@ def test_cached_radius_matches_recomputation():
     a = _rand(rng, 4)
     v = DeterminantalVariety.from_matrix(a)
     assert abs(v.nr - numerical_radius(a)) <= 1e-10
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("dim", [0, 2])
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_non_positive_counts_rejected(self, dim, m, tmp_path):
+        v = DeterminantalVariety.from_matrix(np.eye(dim, dtype=complex) * 0.5)
+        for call in (
+            lambda: classify_distinguished(v, m=m),
+            lambda: boundary_rows(v, m),
+            lambda: boundary_sample(v, m),
+            lambda: write_boundary_csv(v, m, tmp_path / "b.csv"),
+        ):
+            with pytest.raises(ValueError, match="sample count must be positive"):
+                call()
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_radius_one_branch_rejects_zero_angles(self):
+        v = DeterminantalVariety.from_matrix(example_one_matrix())
+        with pytest.raises(ValueError, match="sample count must be positive"):
+            classify_distinguished(v, m=0)
+
+
+def test_exit_radius_is_the_last_radius_of_the_old_ladder():
+    assert varieties._EXIT_RADIUS == 1.0 - np.logspace(-6.0, -14.0, 64)[-1]
+
+
+def _cx(pair):
+    return complex(pair[0], pair[1])
+
+
+# Verdicts, 16-angle boundary rows and 8-angle boundary samples recorded
+# with the per-point implementation (a classify_point call per boundary
+# point, 64 exit radii) for seeded certified, planted, radius-one,
+# inconclusive and empty representations.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "variety_golden.json").read_text())
+
+
+@pytest.mark.parametrize("rec", GOLDEN, ids=[f"{r['name']}-{k}" for k, r in enumerate(GOLDEN)])
+def test_golden_outputs(rec):
+    n = len(rec["A"])
+    a = np.array([[_cx(z) for z in row] for row in rec["A"]], dtype=complex).reshape(n, n)
+    v = DeterminantalVariety.from_matrix(a)
+    d = classify_distinguished(v, m=64)
+    assert d.status.value == rec["status"]
+    assert d.criterion == rec["criterion"]
+    assert d.s_margin == rec["s_margin"]
+    assert d.track_gap == rec["track_gap"]
+    want_witness = rec["witness"] and GammaPoint(_cx(rec["witness"][0]), _cx(rec["witness"][1]))
+    assert d.witness == want_witness
+    got_rows = [(r.theta, r.s, r.p, r.tag.value) for r in boundary_rows(v, 16)]
+    assert got_rows == [(t, _cx(s), _cx(p), tag) for t, s, p, tag in rec["rows"]]
+    got_sample = [(pt.s, pt.p) for pt in boundary_sample(v, 8)]
+    assert got_sample == [(_cx(s), _cx(p)) for s, p in rec["sample"]]
+
+
+def test_inconclusive_witness_is_first_off_boundary_point():
+    a = np.zeros((2, 2), complex)
+    a[0, 1] = 3.0
+    v = DeterminantalVariety.from_matrix(a)
+    band = Tolerances(psd_tol=1e-7)
+    first = next(
+        GammaPoint(r.s, r.p)
+        for r in boundary_rows(v, 32, band)
+        if r.tag not in (RegionTag.BGAMMA_NOT_BDGAMMA, RegionTag.BDGAMMA)
+    )
+    assert classify_distinguished(v, m=32).witness == first
