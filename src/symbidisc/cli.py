@@ -63,10 +63,11 @@ def matrix_to_doc(m: np.ndarray) -> dict:
 
 
 def matrix_from_doc(doc: dict) -> np.ndarray:
+    """Matrix of a JSON document; ``ValueError`` for any malformed document."""
     try:
         rows, cols = int(doc["rows"]), int(doc["cols"])
-        data = doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        data = list(doc["data"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
@@ -74,9 +75,12 @@ def matrix_from_doc(doc: dict) -> np.ndarray:
         raise ValueError(
             f"matrix document has {len(data)} entries, expected {rows * cols}"
         )
-    flat = np.array(
-        [complex(float(re), float(im)) for re, im in data], dtype=complex
-    )
+    try:
+        flat = np.array(
+            [complex(float(re), float(im)) for re, im in data], dtype=complex
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed matrix entry: {exc}") from exc
     return as_matrix(flat.reshape(rows, cols))
 
 
@@ -95,18 +99,24 @@ def poly_from_doc(doc: dict) -> MatrixPolynomial:
     try:
         k = int(doc["block_dim"])
         terms = doc["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed polynomial document: {exc}") from exc
     if k < 1 or not terms:
         raise ValueError("polynomial needs block_dim >= 1 and at least one term")
-    deg_s = max(int(t["i"]) for t in terms)
-    deg_p = max(int(t["j"]) for t in terms)
-    coeffs = np.zeros((deg_s + 1, deg_p + 1, k, k), dtype=complex)
-    for t in terms:
-        m = matrix_from_doc(t["matrix"])
+    try:
+        parsed = [(int(t["i"]), int(t["j"]), matrix_from_doc(t["matrix"])) for t in terms]
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed polynomial term: {exc!r}") from exc
+    for i, j, m in parsed:
+        if min(i, j) < 0:
+            raise ValueError("term degrees must be nonnegative")
         if m.shape != (k, k):
             raise ValueError(f"term matrix shape {m.shape} does not match block_dim")
-        coeffs[int(t["i"]), int(t["j"])] += m
+    deg_s = max(i for i, _, _ in parsed)
+    deg_p = max(j for _, j, _ in parsed)
+    coeffs = np.zeros((deg_s + 1, deg_p + 1, k, k), dtype=complex)
+    for i, j, m in parsed:
+        coeffs[i, j] += m
     return MatrixPolynomial.from_coeffs(coeffs)
 
 

@@ -21,13 +21,14 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .geometry import GammaPoint, RegionTag, classify_point
+from .geometry import ON_BGAMMA, classify_points
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
     joint_spectrum,
     operator_norm,
+    require_commuting,
     require_square,
     spectral_radius,
 )
@@ -96,21 +97,13 @@ def make_operator_pair(s, p, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
         raise ValueError(f"shape mismatch: S {s.shape} vs P {p.shape}")
     if s.shape[0] == 0:
         raise ValueError("pair must have positive dimension")
-    ns, np_ = operator_norm(s), operator_norm(p)
-    defect = operator_norm(s @ p - p @ s)
-    if defect > tol.residual_tol * (1.0 + ns * np_):
-        raise ValueError(
-            f"pair does not commute: ||SP-PS|| = {defect:.3e} exceeds tolerance"
-        )
+    ns, np_, defect = require_commuting(s, p, tol, ("S", "P"))
     return OperatorPair(s.copy(), p.copy(), defect, ns, np_)
 
 
 def rho_pencil(pair: OperatorPair) -> np.ndarray:
     """2(I - P*P) - (S - S*P) - (S* - P*S), symmetrized on return."""
-    s, p = pair.S, pair.P
-    eye = np.eye(pair.dim)
-    r = 2.0 * (eye - p.conj().T @ p) - (s - s.conj().T @ p) - (s.conj().T - p.conj().T @ s)
-    return 0.5 * (r + r.conj().T)
+    return _pencil_stack(pair.S, pair.P, np.ones(1))[0]
 
 
 def _pencil_stack(s: np.ndarray, p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -144,12 +137,16 @@ def _disc_grid(tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     return radii, np.exp(1j * thetas)
 
 
-def _pencil_sweep(pair: OperatorPair, tol: Tolerances):
-    """Sweep the closed-disc grid; returns (margin, all_psd, witness).
+def check_gamma_contraction(
+    pair: OperatorPair, tol: Tolerances = DEFAULT_TOL
+) -> PairVerdict:
+    """Grid-certified test that the closed symmetrized bidisc is a spectral set.
 
-    The sweep walks radius by radius to keep the batched eigenvalue
-    problems at a bounded memory footprint; the min-reduction order is
-    deterministic.
+    Evaluates the pencil at every alpha of the polar grid over the closed
+    unit disc (radius 1 included).  ``margin`` is the smallest sampled
+    eigenvalue and the witness records where it is attained.  The sweep
+    walks radius by radius to keep the batched eigenvalue problems at a
+    bounded memory footprint; the min-reduction order is deterministic.
     """
     radii, phases = _disc_grid(tol)
     margin = math.inf
@@ -170,19 +167,6 @@ def _pencil_sweep(pair: OperatorPair, tol: Tolerances):
         _pencil_stack(pair.S, pair.P, np.array([best_alpha]))[0]
     )
     witness = PencilWitness(best_alpha, vec[:, 0], float(lam[0]))
-    return margin, all_psd, witness
-
-
-def check_gamma_contraction(
-    pair: OperatorPair, tol: Tolerances = DEFAULT_TOL
-) -> PairVerdict:
-    """Grid-certified test that the closed symmetrized bidisc is a spectral set.
-
-    Evaluates the pencil at every alpha of the polar grid over the closed
-    unit disc (radius 1 included).  ``margin`` is the smallest sampled
-    eigenvalue and the witness records where it is attained.
-    """
-    margin, all_psd, witness = _pencil_sweep(pair, tol)
     return PairVerdict(all_psd, margin, witness)
 
 
@@ -192,8 +176,7 @@ def strictness_constant(pair: OperatorPair, tol: Tolerances = DEFAULT_TOL) -> fl
     The pair is strict exactly when the returned constant exceeds
     ``psd_tol``.
     """
-    margin, _, _ = _pencil_sweep(pair, tol)
-    return margin
+    return check_gamma_contraction(pair, tol).margin
 
 
 def check_gamma_isometry(
@@ -222,11 +205,8 @@ def check_gamma_isometry(
         # Fiber-root extraction halves precision near coincident roots, so
         # the band for this consistency check is widened beyond psd_tol.
         band = replace(tol, psd_tol=max(tol.psd_tol, 1e-6))
-        for sv, pv in joint_spectrum(s, p, tol):
-            tag = classify_point(GammaPoint(sv, pv), band)
-            if tag not in (RegionTag.BGAMMA_NOT_BDGAMMA, RegionTag.BDGAMMA):
-                ok = False
-                break
+        sv, pv = np.array(joint_spectrum(s, p, tol)).T
+        ok = bool(ON_BGAMMA[classify_points(sv, pv, band)].all())
     return PairVerdict(ok, -worst)
 
 
@@ -259,14 +239,9 @@ def symmetrize_pair(t1, t2, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
     t2 = require_square(as_matrix(t2), "T2")
     if t1.shape != t2.shape:
         raise ValueError(f"shape mismatch: {t1.shape} vs {t2.shape}")
-    n1, n2 = operator_norm(t1), operator_norm(t2)
+    n1, n2, _ = require_commuting(t1, t2, tol, ("T1", "T2"))
     if max(n1, n2) > 1.0 + tol.psd_tol:
         raise ValueError("inputs must be contractions within tolerance")
-    defect = operator_norm(t1 @ t2 - t2 @ t1)
-    if defect > tol.residual_tol * (1.0 + n1 * n2):
-        raise ValueError(
-            f"inputs do not commute: ||T1T2-T2T1|| = {defect:.3e}"
-        )
     return make_operator_pair(t1 + t2, t1 @ t2, tol)
 
 
@@ -299,11 +274,11 @@ def desymmetrize_pair(
         raise NoSquareRootError(
             "S^2 - 4P has no square root on the principal branch"
         )
-    nr = operator_norm(root)
-    if operator_norm(root @ s - s @ root) > tol.residual_tol * (1.0 + nr * pair.s_norm):
-        raise NonCommutingRootError("principal root does not commute with S")
-    if operator_norm(root @ p - p @ root) > tol.residual_tol * (1.0 + nr * pair.p_norm):
-        raise NonCommutingRootError("principal root does not commute with P")
+    try:
+        require_commuting(root, s, tol, ("R", "S"))
+        require_commuting(root, p, tol, ("R", "P"))
+    except ValueError as exc:
+        raise NonCommutingRootError(f"principal root R: {exc}") from exc
     t1 = 0.5 * (s + root)
     t2 = 0.5 * (s - root)
     if operator_norm(t1 @ t2 - p) > tol.residual_tol * (1.0 + pair.p_norm):

@@ -24,6 +24,7 @@ __all__ = [
     "classify_point",
     "classify_points",
     "REGION_TAGS",
+    "ON_BGAMMA",
 ]
 
 
@@ -46,6 +47,11 @@ class RegionTag(Enum):
 # Tag codes of ``classify_points`` index into this tuple.
 REGION_TAGS = tuple(RegionTag)
 _CODE = {tag: k for k, tag in enumerate(REGION_TAGS)}
+
+# Indexed by tag code: True for the tags of points on the distinguished boundary.
+ON_BGAMMA = np.array(
+    [tag in (RegionTag.BGAMMA_NOT_BDGAMMA, RegionTag.BDGAMMA) for tag in REGION_TAGS]
+)
 
 
 def symmetrize_point(z1: complex, z2: complex) -> GammaPoint:

@@ -23,9 +23,10 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "require_square",
+    "require_commuting",
     "operator_norm",
     "spectral_radius",
-    "rotated_hermitian_part",
+    "rotated_eigvalsh",
     "numerical_radius",
     "joint_spectrum",
 ]
@@ -50,8 +51,9 @@ class Tolerances:
     grid_radial: int = 21
 
     def __post_init__(self):
-        if min(self.psd_tol, self.rank_tol, self.residual_tol) < 0:
-            raise ValueError("tolerances must be nonnegative")
+        tols = (self.psd_tol, self.rank_tol, self.residual_tol)
+        if not all(0 <= t < math.inf for t in tols):
+            raise ValueError("tolerances must be finite and nonnegative")
         if min(self.grid_angular, self.grid_radial) < 2:
             raise ValueError("grid sizes must be at least 2")
 
@@ -89,10 +91,38 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def rotated_hermitian_part(a: np.ndarray, theta: float) -> np.ndarray:
-    """(e^{i theta} A + e^{-i theta} A*) / 2."""
-    w = np.exp(1j * theta)
-    return 0.5 * (w * a + np.conj(w) * a.conj().T)
+def rotated_eigvalsh(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of w A + conj(w) A* for each unimodular w, ascending.
+
+    Batched over a 1-d array ``w``: the result has shape (len(w), n).
+    With Y = w A the matrix is Y + Y*, since conj(w) conj(a) rounds to
+    the exact conjugate of w a; it is Hermitian entry by entry.  The
+    product is taken on flattened rows: numpy rounds a complex product
+    whose operands have only unit dimensions differently (the 1 x 1
+    case at a single w), and rows give the bits of ``w * A`` for every
+    size.
+    """
+    n = a.shape[0]
+    y = (w[:, None] * a.reshape(1, -1)).reshape(-1, n, n)
+    return np.linalg.eigvalsh(y + np.conj(y.transpose(0, 2, 1)))
+
+
+def require_commuting(
+    a: np.ndarray, b: np.ndarray, tol: Tolerances, names: tuple[str, str]
+) -> tuple[float, float, float]:
+    """Norms ||A||, ||B|| and the commutator defect ||AB - BA||.
+
+    Raises ``ValueError`` when the defect exceeds
+    ``residual_tol * (1 + ||A|| ||B||)``; ``names`` label A and B in it.
+    """
+    norm_a, norm_b = operator_norm(a), operator_norm(b)
+    defect = operator_norm(a @ b - b @ a)
+    if defect > tol.residual_tol * (1.0 + norm_a * norm_b):
+        x, y = names
+        raise ValueError(
+            f"{x} and {y} do not commute: ||{x}{y}-{y}{x}|| = {defect:.3e} exceeds tolerance"
+        )
+    return norm_a, norm_b, defect
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -119,13 +149,6 @@ def _golden_max(fn, lo: float, hi: float, width_tol: float = 1e-12) -> float:
     return best
 
 
-def _top_rotated_eigs(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of the rotated Hermitian part, batched over thetas."""
-    w = np.exp(1j * thetas)[:, None, None]
-    stack = 0.5 * (w * a + np.conj(w) * np.conj(a.T))
-    return np.linalg.eigvalsh(stack)[:, -1]
-
-
 def numerical_radius(a, tol: Tolerances = DEFAULT_TOL) -> float:
     """Numerical radius via an angular sweep with local refinement.
 
@@ -140,12 +163,12 @@ def numerical_radius(a, tol: Tolerances = DEFAULT_TOL) -> float:
     if n == 0 or not a.any():
         return 0.0
     thetas = np.linspace(0.0, 2.0 * math.pi, tol.grid_angular, endpoint=False)
-    vals = _top_rotated_eigs(a, thetas)
+    vals = 0.5 * rotated_eigvalsh(a, np.exp(1j * thetas))[:, -1]
     k = int(np.argmax(vals))
     spacing = 2.0 * math.pi / tol.grid_angular
 
     def objective(t: float) -> float:
-        return float(np.linalg.eigvalsh(rotated_hermitian_part(a, t))[-1])
+        return float(0.5 * rotated_eigvalsh(a, np.exp([1j * t]))[0, -1])
 
     refined = _golden_max(objective, thetas[k] - spacing, thetas[k] + spacing)
     return max(float(vals[k]), refined, 0.0)
@@ -178,12 +201,7 @@ def joint_spectrum(
     n = s.shape[0]
     if n == 0:
         return []
-    ns, np_ = operator_norm(s), operator_norm(p)
-    defect = operator_norm(s @ p - p @ s)
-    if defect > tol.residual_tol * (1.0 + ns * np_):
-        raise ValueError(
-            f"matrices do not commute: ||SP-PS|| = {defect:.3e} exceeds tolerance"
-        )
+    ns, np_, _ = require_commuting(s, p, tol, ("S", "P"))
 
     def attempt(base: np.ndarray):
         _, z = scipy.linalg.schur(base, output="complex")

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points
+from .geometry import ON_BGAMMA, REGION_TAGS, GammaPoint, RegionTag, classify_points
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -31,6 +31,7 @@ from .numerics import (
     numerical_radius,
     operator_norm,
     require_square,
+    rotated_eigvalsh,
 )
 
 __all__ = [
@@ -55,10 +56,6 @@ _BOUNDARY_BAND = 1e-7
 # Radius of the exit fiber p = r e^{i theta} tracked against the limit
 # fiber at |p| = 1.
 _EXIT_RADIUS = 1.0 - 1e-14
-
-_ON_BGAMMA = np.array(
-    [tag in (RegionTag.BGAMMA_NOT_BDGAMMA, RegionTag.BDGAMMA) for tag in REGION_TAGS]
-)
 
 
 @dataclass(frozen=True)
@@ -114,9 +111,7 @@ def fiber_at_p(variety: DeterminantalVariety, p: complex) -> np.ndarray:
     p = complex(p)
     if abs(abs(p) - 1.0) <= 1e-12:
         half = np.exp(0.5j * math.atan2(p.imag, p.real))
-        herm = np.conj(half) * a + half * a.conj().T
-        mu = np.linalg.eigvalsh(0.5 * (herm + herm.conj().T))
-        return half * mu
+        return half * rotated_eigvalsh(a, np.conj([half]))[0]
     return np.linalg.eigvals(a + p * a.conj().T)
 
 
@@ -132,28 +127,18 @@ def variety_membership(
 
 
 def _boundary_grid(variety: DeterminantalVariety, m: int):
-    """Fibers over p = e^{i theta_k}: (thetas, s-values of shape (m, n))."""
-    a = variety.A
-    thetas = 2.0 * math.pi * np.arange(m) / m
-    half = np.exp(0.5j * thetas)
-    stack = np.conj(half)[:, None, None] * a + half[:, None, None] * a.conj().T
-    stack = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
-    mu = np.linalg.eigvalsh(stack)
-    return thetas, half[:, None] * mu
-
-
-def _boundary_points(variety: DeterminantalVariety, m: int):
-    """Boundary grid arrays: thetas (m,), s (m, n) and p = e^{i theta} (m,).
+    """Fibers over m unimodular p: thetas (m,), s (m, n) and p = e^{i theta} (m,).
 
     An empty (0 x 0) representation gives one point s = 0 per angle.
     """
     if m < 1:
         raise ValueError("sample count must be positive")
+    thetas = 2.0 * math.pi * np.arange(m) / m
     if variety.dim == 0:
-        thetas = 2.0 * math.pi * np.arange(m) / m
         svals = np.zeros((m, 1), dtype=complex)
     else:
-        thetas, svals = _boundary_grid(variety, m)
+        half = np.exp(0.5j * thetas)
+        svals = half[:, None] * rotated_eigvalsh(variety.A, np.conj(half))
     return thetas, svals, np.exp(1j * thetas)
 
 
@@ -165,7 +150,7 @@ def boundary_sample(variety: DeterminantalVariety, m: int) -> list[GammaPoint]:
     exactly.  An empty (0 x 0) representation emits the degenerate
     convention points (0, e^{i theta}) used by the von Neumann report.
     """
-    _, svals, phases = _boundary_points(variety, m)
+    _, svals, phases = _boundary_grid(variety, m)
     return [
         GammaPoint(s, p)
         for row, p in zip(svals.tolist(), phases.tolist())
@@ -178,7 +163,7 @@ def boundary_rows(
 ) -> list[BoundaryRow]:
     """Boundary samples with region tags (widened classification band)."""
     band = replace(tol, psd_tol=max(tol.psd_tol, _BOUNDARY_BAND))
-    thetas, svals, phases = _boundary_points(variety, m)
+    thetas, svals, phases = _boundary_grid(variety, m)
     codes = classify_points(svals, phases[:, None], band).tolist()
     plist = phases.tolist()
     if variety.dim == 0:
@@ -233,7 +218,7 @@ def classify_distinguished(
             DistinguishedStatus.DISTINGUISHED_CERTIFIED, "empty representation"
         )
     if variety.nr < 1.0 - tol.psd_tol:
-        _, svals = _boundary_grid(variety, m)
+        _, svals, _ = _boundary_grid(variety, m)
         s_margin = 2.0 - float(np.max(np.abs(svals)))
         return DistinguishedVerdict(
             DistinguishedStatus.DISTINGUISHED_CERTIFIED,
@@ -250,12 +235,11 @@ def classify_distinguished(
             witness=GammaPoint(alpha, 0j),
         )
 
-    thetas, limit = _boundary_grid(variety, m)
-    phases = np.exp(1j * thetas)
+    _, limit, phases = _boundary_grid(variety, m)
     fiber = np.linalg.eigvals(a + (_EXIT_RADIUS * phases)[:, None, None] * a.conj().T)
     track_gap = float(np.abs(limit[:, :, None] - fiber[:, None, :]).min(axis=2).max())
     band = replace(tol, psd_tol=max(tol.psd_tol, _BOUNDARY_BAND))
-    off = ~_ON_BGAMMA[classify_points(limit, phases[:, None], band)]
+    off = ~ON_BGAMMA[classify_points(limit, phases[:, None], band)]
     if off.any():
         k, j = np.unravel_index(int(np.argmax(off)), off.shape)
         return DistinguishedVerdict(

@@ -138,16 +138,10 @@ def _boundary(variety: DeterminantalVariety, m: int) -> tuple[np.ndarray, np.nda
     fiber over ``p[t]``.
 
     ``s`` has shape (n, m), angles last, so that elementwise work on the
-    grid runs along contiguous rows.  A 0 x 0 representation yields the
-    convention points (0, e^{i theta}).
+    grid runs along contiguous rows.
     """
-    if variety.dim == 0:
-        thetas = 2.0 * math.pi * np.arange(m) / m
-        s = np.zeros((1, m), dtype=complex)
-    else:
-        thetas, s = _boundary_grid(variety, m)
-        s = np.ascontiguousarray(s.T)
-    return np.exp(1j * thetas), s
+    _, s, p = _boundary_grid(variety, m)
+    return p, np.ascontiguousarray(s.T)
 
 
 @dataclass(frozen=True)

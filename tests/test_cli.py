@@ -80,6 +80,40 @@ class TestCheckCommand:
         p = _write(tmp_path / "P.json", [[0.0]])
         assert main(["check", str(bad), p]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_two(self, tmp_path, value):
+        # margin -4: a tolerance that compares false must not accept it
+        s = _write(tmp_path / "S.json", 3.0 * np.eye(2))
+        p = _write(tmp_path / "P.json", np.zeros((2, 2)))
+        assert main(["check", s, p, "--tol-psd", value]) == 2
+
+
+_GOOD = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
+_POLY = {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": _GOOD}]}
+
+
+@pytest.mark.parametrize(
+    "matrix, poly, code",
+    [
+        (_GOOD, _POLY, 0),
+        ({"rows": 1, "cols": 2, "data": [1, 2]}, _POLY, 2),
+        ({"rows": 1, "cols": 1, "data": None}, _POLY, 2),
+        ({"rows": 1, "cols": 1, "data": [[None, 0]]}, _POLY, 2),
+        (_GOOD, {"block_dim": 1, "terms": [{"j": 0, "matrix": _GOOD}]}, 2),
+        # a negative index would silently add to the highest-degree coefficient
+        (_GOOD, {"block_dim": 1, "terms": _POLY["terms"] + [{"i": -1, "j": 0, "matrix": _GOOD}]}, 2),
+    ],
+    ids=["well-formed", "data-not-pairs", "data-null", "entry-null", "term-without-i",
+         "negative-degree"],
+)
+def test_json_document_exit_code(tmp_path, capsys, matrix, poly, code):
+    (tmp_path / "S.json").write_text(json.dumps(matrix))
+    (tmp_path / "f.json").write_text(json.dumps(poly))
+    p = _write(tmp_path / "P.json", [[0.0]])
+    args = ["vn", str(tmp_path / "S.json"), p, "--poly", str(tmp_path / "f.json"), "--m", "8"]
+    assert main(args) == code
+    capsys.readouterr()
+
 
 class TestFundopCommand:
     def test_scalar(self, scalar_pair_files, capsys):

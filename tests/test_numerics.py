@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from symbidisc.numerics import (
     joint_spectrum,
     numerical_radius,
     operator_norm,
+    rotated_eigvalsh,
 )
 
 from _oracles import norm_sweep_oracle, nr_grid_oracle
@@ -28,6 +33,12 @@ class TestTolerances:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Tolerances(psd_tol=-1e-9)
+
+    @pytest.mark.parametrize("field", ["psd_tol", "rank_tol", "residual_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(**{field: value})
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
@@ -89,6 +100,40 @@ class TestNumericalRadius:
         for _ in range(10):
             a = _rand(rng, int(rng.integers(1, 6)))
             assert numerical_radius(a) >= nr_grid_oracle(a, m=20000) - 1e-10
+
+
+class TestRotatedEigvalsh:
+    def test_matches_dense_eigensolve(self):
+        rng = np.random.default_rng(18)
+        for n in range(1, 7):
+            a = _rand(rng, n)
+            w = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+            got = rotated_eigvalsh(a, w)
+            want = [np.linalg.eigvalsh(x * a + np.conj(x) * a.conj().T) for x in w]
+            assert got.shape == (5, n)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * operator_norm(a))
+
+    def test_single_angle_rounds_as_the_scalar_product(self):
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 3):
+            for _ in range(50):
+                a = _rand(rng, n)
+                w = np.exp(1j * rng.uniform(0, 2 * np.pi))
+                want = np.linalg.eigvalsh(w * a + np.conj(w) * a.conj().T)
+                assert np.array_equal(rotated_eigvalsh(a, np.array([w]))[0], want)
+
+
+# numerical_radius of seeded matrices (dimensions 1-6, scales 1e-100 to
+# 1e100, rescaled to radius one, and four structured cases), recorded by
+# repr with the implementation that kept its own copies of the rotated
+# eigensolve.
+KERNEL_GOLDEN = json.loads((Path(__file__).parent / "data" / "kernel_golden.json").read_text())
+
+
+@pytest.mark.parametrize("rec", KERNEL_GOLDEN["records"], ids=lambda r: r["name"])
+def test_numerical_radius_golden_bits(rec):
+    a = np.array([[complex(*z) for z in row] for row in rec["A"]], dtype=complex)
+    assert repr(numerical_radius(a)) == rec["nr"]
 
 
 class TestJointSpectrum:

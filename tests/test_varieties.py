@@ -292,6 +292,19 @@ def test_golden_outputs(rec):
     assert got_sample == [(_cx(s), _cx(p)) for s, p in rec["sample"]]
 
 
+# Fibers of the same seeded matrices as numerical_radius's golden test
+# (tests/data/kernel_golden.json) at four unimodular p, recorded by repr.
+KERNEL_GOLDEN = json.loads((Path(__file__).parent / "data" / "kernel_golden.json").read_text())
+
+
+@pytest.mark.parametrize("rec", KERNEL_GOLDEN["records"], ids=lambda r: r["name"])
+def test_unimodular_fiber_golden_bits(rec):
+    a = np.array([[_cx(z) for z in row] for row in rec["A"]], dtype=complex)
+    v = DeterminantalVariety.from_matrix(a)
+    got = [[repr(s) for s in fiber_at_p(v, _cx(p)).tolist()] for p in KERNEL_GOLDEN["p"]]
+    assert got == rec["fibers"]
+
+
 def test_inconclusive_witness_is_first_off_boundary_point():
     a = np.zeros((2, 2), complex)
     a[0, 1] = 3.0
