@@ -387,6 +387,8 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.dim < 1:
+        raise ValueError("--dim must be at least 1")
     tol = _tol_from_args(args)
     rng = rng_from_seed(args.seed)
     manifest = {"kind": args.kind, "seed": args.seed}

@@ -51,16 +51,15 @@ class DefectData:
     """Defect operator of a contraction together with a defect-space basis.
 
     ``D`` is the PSD square root of I - P*P on the full space, ``basis``
-    holds orthonormal columns spanning the defect space (eigenvalues of
-    I - P*P above ``rank_tol``), and ``eigenvalues``/``vectors`` keep the
-    full Hermitian eigendecomposition for pseudo-inversion.
+    holds orthonormal eigenvector columns spanning the defect space
+    (eigenvalues of I - P*P above ``rank_tol``), and ``eigenvalues`` are
+    all eigenvalues of I - P*P, ascending and clamped at 0.
     """
 
     D: np.ndarray
     basis: np.ndarray
     rank: int
     eigenvalues: np.ndarray
-    vectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def defect_operator(p, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     lam = np.clip(lam, 0.0, None)
     d = (u * np.sqrt(lam)) @ u.conj().T
     keep = lam > tol.rank_tol
-    return DefectData(d, u[:, keep], int(np.count_nonzero(keep)), lam, u)
+    return DefectData(d, u[:, keep], int(np.count_nonzero(keep)), lam)
 
 
 def solve_fundamental(
@@ -95,12 +94,12 @@ def solve_fundamental(
 ) -> FundamentalOperator:
     """Solve S - S*P = D X D on the defect space of P.
 
-    The solution is D^+ (S - S*P) D^+ compressed to the defect basis,
-    where D^+ is the eigenvalue-cutoff pseudoinverse of the defect
-    operator.  The residual of the reconstructed equation is recomputed
-    and must stay below ``residual_tol`` times a norm scale, otherwise
-    the equation is unsolvable at the detected rank (the pair is not a
-    member pair, or the rank cutoff misfired).
+    On the defect basis U, with kept eigenvalues lambda of I - P*P, D is
+    U diag(sqrt(lambda)) U*, so the solution is F = W*(S - S*P)W with
+    W = U diag(lambda)^{-1/2}.  The residual of the reconstructed equation
+    must stay below ``residual_tol`` times a norm scale, otherwise the
+    equation is unsolvable at the detected rank (the pair is not a member
+    pair, or the rank cutoff misfired).
 
     With ``contraction_verified=True`` the numerical-radius bound
     nr <= 1 + psd_tol is enforced and its violation raises
@@ -108,9 +107,8 @@ def solve_fundamental(
     """
     dd = defect_operator(pair.P, tol)
     rhs = pair.S - pair.S.conj().T @ pair.P
-    inv = np.where(dd.eigenvalues > tol.rank_tol, 1.0 / np.sqrt(np.clip(dd.eigenvalues, tol.rank_tol, None)), 0.0)
-    dpinv = (dd.vectors * inv) @ dd.vectors.conj().T
-    f = dd.basis.conj().T @ (dpinv @ rhs @ dpinv) @ dd.basis
+    w = dd.basis / np.sqrt(dd.eigenvalues[dd.eigenvalues > tol.rank_tol])
+    f = w.conj().T @ rhs @ w
     recon = dd.D @ (dd.basis @ f @ dd.basis.conj().T) @ dd.D
     scale = 1.0 + pair.s_norm * (1.0 + pair.p_norm)
     residual = operator_norm(rhs - recon)

@@ -2,7 +2,7 @@
 
 The central object is the Hermitian pencil
 
-    rho(S, P) = 2(I - P*P) - (S - S*P) - (S* - P*S),
+    rho(S, P) = Y + Y*,    Y = (I - P*P) - (S - S*P),
 
 which is positive semidefinite at every disc parameter alpha (applied to
 the scaled pair (alpha S, alpha^2 P)) exactly when the pair has the
@@ -102,39 +102,25 @@ def make_operator_pair(s, p, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
 
 
 def rho_pencil(pair: OperatorPair) -> np.ndarray:
-    """2(I - P*P) - (S - S*P) - (S* - P*S), symmetrized on return."""
-    return _pencil_stack(pair.S, pair.P, np.ones(1))[0]
+    """2(I - P*P) - (S - S*P) - (S* - P*S), the pencil at alpha = 1."""
+    return _radius_pencils(pair)(1.0, np.ones(1))[0]
 
 
-def _pencil_stack(s: np.ndarray, p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """rho(alpha S, alpha^2 P) stacked along the first axis.
+def _radius_pencils(pair: OperatorPair):
+    """Builder (r, w) -> rho(alpha S, alpha^2 P) at alpha = r w, stacked over w.
 
-    Expanding the pencil at the scaled pair gives, with r = |alpha|,
-
-        2 I - 2 r^4 P*P - (alpha S + conj(alpha) S*)
-            + r^2 (alpha S*P + conj(alpha) P*S),
-
-    which is assembled vectorized over alpha.
+    The pencil is Y + Y* with Y = C_r - w B_r, C_r = I - r^4 P*P and
+    B_r = r (S - r^2 S*P), so it is Hermitian entry by entry.
     """
-    n = s.shape[0]
-    a = alphas.reshape(-1, 1, 1)
-    r2 = (np.abs(alphas) ** 2).reshape(-1, 1, 1)
-    sh = s.conj().T
-    mpp = p.conj().T @ p
-    msp = sh @ p
-    out = (
-        2.0 * np.eye(n)
-        - 2.0 * r2**2 * mpp
-        - (a * s + np.conj(a) * sh)
-        + r2 * (a * msp + np.conj(a) * msp.conj().T)
-    )
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+    eye = np.eye(pair.dim)
+    mpp = pair.P.conj().T @ pair.P
+    msp = pair.S.conj().T @ pair.P
 
+    def pencils(r: float, w: np.ndarray) -> np.ndarray:
+        y = (eye - r**4 * mpp) - w[:, None, None] * (r * (pair.S - r * r * msp))
+        return y + np.conj(y.transpose(0, 2, 1))
 
-def _disc_grid(tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    radii = np.linspace(0.0, 1.0, tol.grid_radial)
-    thetas = np.linspace(0.0, 2.0 * math.pi, tol.grid_angular, endpoint=False)
-    return radii, np.exp(1j * thetas)
+    return pencils
 
 
 def check_gamma_contraction(
@@ -148,13 +134,13 @@ def check_gamma_contraction(
     walks radius by radius to keep the batched eigenvalue problems at a
     bounded memory footprint; the min-reduction order is deterministic.
     """
-    radii, phases = _disc_grid(tol)
+    pencils = _radius_pencils(pair)
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, tol.grid_angular, endpoint=False))
     margin = math.inf
-    best_alpha = 0j
+    best_r, best_w = 0.0, phases[:1]
     all_psd = True
-    for r in radii:
-        alphas = r * phases
-        lam = np.linalg.eigvalsh(_pencil_stack(pair.S, pair.P, alphas))
+    for r in np.linspace(0.0, 1.0, tol.grid_radial):
+        lam = np.linalg.eigvalsh(pencils(r, phases))
         lmin = lam[:, 0]
         scale = 1.0 + np.max(np.abs(lam), axis=1)
         if np.any(lmin < -tol.psd_tol * scale):
@@ -162,11 +148,9 @@ def check_gamma_contraction(
         k = int(np.argmin(lmin))
         if float(lmin[k]) < margin:
             margin = float(lmin[k])
-            best_alpha = complex(alphas[k])
-    lam, vec = np.linalg.eigh(
-        _pencil_stack(pair.S, pair.P, np.array([best_alpha]))[0]
-    )
-    witness = PencilWitness(best_alpha, vec[:, 0], float(lam[0]))
+            best_r, best_w = r, phases[k : k + 1]
+    lam, vec = np.linalg.eigh(pencils(best_r, best_w)[0])
+    witness = PencilWitness(complex(best_r * best_w[0]), vec[:, 0], float(lam[0]))
     return PairVerdict(all_psd, margin, witness)
 
 

@@ -81,7 +81,7 @@ def point_roots(pt: GammaPoint) -> tuple[complex, complex]:
         roots = (0j, 0j)
     else:
         roots = (big, p / big)
-    return tuple(sorted(roots, key=lambda z: (abs(z), cmath.phase(z))))
+    return tuple(sorted(roots, key=lambda z: (abs(z), math.atan2(z.imag, z.real))))
 
 
 def classify_point(pt: GammaPoint, tol: Tolerances = DEFAULT_TOL) -> RegionTag:
@@ -165,7 +165,7 @@ def _root_parts(s, p):
                           np.where(use_plus, plus_i, minus_i))
         zero = (z1r == 0) & (z1i == 0)
         z2r, z2i = _quotient(pr, pi, z1r, z1i)
-    return z1r, z1i, np.where(zero, 0.0, z2r), np.where(zero, 0.0, z2i)
+    return tuple(np.where(zero, 0.0, x) for x in (z1r, z1i, z2r, z2i))
 
 
 def classify_points(s, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -77,7 +77,7 @@ class TruncatedModel:
 
     ``T`` and ``V`` act on N blocks of defect-space coordinates of P*;
     ``W`` embeds the original space into the block space and is isometric
-    up to ``tail`` = ||P*^N|| (||W*W - I|| = tail^2 exactly in
+    up to ``tail`` = ||P^N|| = ||P*^N|| (||W*W - I|| = tail^2 exactly in
     arithmetic).
     """
 
@@ -118,13 +118,14 @@ def build_model(
     n = n_blocks if n_blocks is not None else 8
     if n < 1:
         raise ValueError("block count must be positive")
-    while _tail_norm(pair.P, n) > _TAIL_TARGET:
+    tail = _tail_norm(pair.P, n)
+    while tail > _TAIL_TARGET:
         if n >= _MAX_LEVEL:
             raise ValueError(
-                f"tail {_tail_norm(pair.P, n):.3e} above target at the "
-                f"level cap {_MAX_LEVEL}"
+                f"tail {tail:.3e} above target at the level cap {_MAX_LEVEL}"
             )
         n = min(2 * n, _MAX_LEVEL)
+        tail = _tail_norm(pair.P, n)
 
     adjoint = make_operator_pair(pair.S.conj().T, pair.P.conj().T, tol)
     fund = solve_fundamental(adjoint, tol)
@@ -143,7 +144,6 @@ def build_model(
         blocks.append(bs.conj().T @ cur)
         cur = cur @ p_adj
     w = np.vstack(blocks)
-    tail = _tail_norm(p_adj, n)
     return TruncatedModel(n, t, v, w, tail, k, fund)
 
 

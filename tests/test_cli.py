@@ -273,3 +273,10 @@ class TestGenCommand:
         assert code == 0
         f = read_matrix_file(str(tmp_path / "f-F.json"))
         assert f.shape == (2, 2)
+
+    @pytest.mark.parametrize("kind", ["fhat", "symmetrized", "strict"])
+    def test_non_positive_dim_is_an_error(self, tmp_path, capsys, kind):
+        code = main(["gen", kind, "--dim", "0", "--prefix", str(tmp_path / "g")])
+        assert code == 2
+        assert "--dim" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@ import pytest
 
 from symbidisc.gamma_pairs import (
     NoSquareRootError,
+    _radius_pencils,
     check_gamma_contraction,
     check_gamma_isometry,
     check_pure,
@@ -14,6 +15,7 @@ from symbidisc.gamma_pairs import (
 )
 from symbidisc.generators import (
     random_commuting_contractions,
+    random_model_pair,
     random_strict_pair,
     random_symmetrized_pair,
     rng_from_seed,
@@ -48,6 +50,28 @@ class TestRhoPencil:
         pair = random_symmetrized_pair(rng, 4)
         r = rho_pencil(pair)
         assert np.linalg.norm(r - r.conj().T) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["symmetrized", "model", "strict"])
+    def test_sweep_pencil_is_rho_of_the_scaled_pair(self, family):
+        # the sweep's pencil at alpha = r w is rho(alpha S, alpha^2 P), and
+        # it is Hermitian exactly, not only to rounding
+        rng = rng_from_seed(38)
+        make = {
+            "symmetrized": lambda: random_symmetrized_pair(rng, 3),
+            "model": lambda: random_model_pair(rng),
+            "strict": lambda: random_strict_pair(rng, 4, 0.8),
+        }[family]
+        phases = np.exp(1j * np.array([0.0, 0.7, 2.0, 4.5]))
+        for _ in range(3):
+            pair = make()
+            pencils = _radius_pencils(pair)
+            for r in (0.0, 0.35, 0.8, 1.0):
+                stack = pencils(r, phases)
+                assert np.array_equal(stack, np.conj(stack.transpose(0, 2, 1)))
+                for w, got in zip(phases, stack):
+                    alpha = r * w
+                    scaled = make_operator_pair(alpha * pair.S, alpha**2 * pair.P)
+                    assert np.max(np.abs(got - rho_pencil(scaled))) <= 1e-13
 
 
 class TestCheckGammaContraction:

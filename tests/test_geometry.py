@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbidisc.geometry import (
@@ -212,6 +212,10 @@ class TestClassifyPoints:
         st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4),
         st.sampled_from(BANDS),
     )
+    # the argument of the root 2 + 5e-324j underflows in atan2
+    @example([2.0, 5e-324, 0.0, 0.0], 1e-9)
+    # s = -5e-324 rounds the larger root to a signed zero
+    @example([-5e-324, 0.0, 0.0, 0.0], 1e-9)
     def test_random_points_match_scalar(self, parts, band):
         tol = Tolerances(psd_tol=band)
         s = np.array([complex(parts[0], parts[1])])
