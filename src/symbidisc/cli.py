@@ -163,7 +163,6 @@ def _tol_from_args(args) -> Tolerances:
         rank_tol=args.tol_rank,
         residual_tol=args.tol_residual,
         grid_angular=args.grid_angular,
-        grid_radial=args.grid_radial,
     )
 
 
@@ -172,7 +171,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol-rank", type=float, default=1e-10)
     sub.add_argument("--tol-residual", type=float, default=1e-8)
     sub.add_argument("--grid-angular", type=int, default=1024)
-    sub.add_argument("--grid-radial", type=int, default=21)
     sub.add_argument("--out", default=None, help="write the JSON report here")
 
 
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s_file")
     p.add_argument("p_file")
     p.add_argument("--refine", action="count", default=0,
-                   help="double the certification grid (repeatable)")
+                   help="double the circle grid (repeatable)")
     _common_flags(p)
 
     p = subs.add_parser("fundop", help="solve the fundamental equation")
@@ -245,11 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args) -> int:
     tol = _tol_from_args(args)
     for _ in range(args.refine):
-        tol = replace(
-            tol,
-            grid_angular=2 * tol.grid_angular,
-            grid_radial=2 * tol.grid_radial,
-        )
+        tol = replace(tol, grid_angular=2 * tol.grid_angular)
     pair = _load_pair(args, tol)
     verdict = check_gamma_contraction(pair, tol)
     c = verdict.margin  # the sweep minimum doubles as the strictness constant

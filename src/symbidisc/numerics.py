@@ -40,8 +40,8 @@ class Tolerances:
     accepted as PSD iff its smallest eigenvalue is at least
     ``-psd_tol * (1 + ||H||)``), ``rank_tol`` is the eigenvalue cutoff for
     rank decisions, ``residual_tol`` bounds acceptable equation residuals,
-    and the two grid sizes control the angular/radial resolution of
-    parameter sweeps over the closed unit disc.
+    and ``grid_angular`` counts the phases of angular sweeps.  The library
+    no longer reads ``grid_radial``; it stays for outside callers.
     """
 
     psd_tol: float = 1e-9
@@ -54,7 +54,7 @@ class Tolerances:
         tols = (self.psd_tol, self.rank_tol, self.residual_tol)
         if not all(0 <= t < math.inf for t in tols):
             raise ValueError("tolerances must be finite and nonnegative")
-        if min(self.grid_angular, self.grid_radial) < 2:
+        if self.grid_angular < 2:
             raise ValueError("grid sizes must be at least 2")
 
 

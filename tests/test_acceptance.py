@@ -118,7 +118,7 @@ def test_criterion_2_fundamental_operator_suite():
 def test_criterion_3_strictness_bound():
     started = time.perf_counter()
     rng = rng_from_seed(1003)
-    tol = Tolerances(grid_angular=4096, grid_radial=11)
+    tol = Tolerances(grid_angular=4096)
     scales = (0.5, 0.8, 0.95)
     min_c, worst_gap = np.inf, -np.inf
     for k in range(100):
@@ -138,7 +138,7 @@ def test_criterion_3_strictness_bound():
 def test_criterion_4_converse_construction():
     started = time.perf_counter()
     rng = rng_from_seed(1004)
-    tol = Tolerances(grid_angular=512, grid_radial=11)
+    tol = Tolerances(grid_angular=512)
     ok = True
     detail = ""
     worst_resid, worst_sv = 0.0, 0.0

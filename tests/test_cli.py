@@ -49,7 +49,7 @@ class TestCheckCommand:
     def test_member_pair_exits_zero(self, tmp_path, capsys):
         s = _write(tmp_path / "S.json", np.zeros((2, 2)))
         p = _write(tmp_path / "P.json", np.zeros((2, 2)))
-        code = main(["check", s, p, "--grid-angular", "64", "--grid-radial", "5"])
+        code = main(["check", s, p, "--grid-angular", "64"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["gamma_contraction"] is True
@@ -59,15 +59,28 @@ class TestCheckCommand:
     def test_non_member_exits_one(self, tmp_path):
         s = _write(tmp_path / "S.json", [[3.0]])
         p = _write(tmp_path / "P.json", [[0.0]])
-        assert main(["check", s, p, "--grid-angular", "64", "--grid-radial", "5"]) == 1
+        assert main(["check", s, p, "--grid-angular", "64"]) == 1
+
+    def test_radius_above_two_exits_one(self, tmp_path, capsys):
+        # s = conj(s) p with |p| = 1 passes the circle; r(S) = 2.0025 refutes it
+        s = _write(tmp_path / "S.json", [[2.0025 * np.exp(0.35j)]])
+        p = _write(tmp_path / "P.json", [[np.exp(0.7j)]])
+        assert main(["check", s, p]) == 1
+        assert json.loads(capsys.readouterr().out)["gamma_contraction"] is False
 
     def test_refine_doubles_grid(self, tmp_path, capsys):
         s = _write(tmp_path / "S.json", np.zeros((2, 2)))
         p = _write(tmp_path / "P.json", np.zeros((2, 2)))
-        code = main(["check", s, p, "--grid-angular", "32", "--grid-radial", "3",
-                     "--refine", "--refine"])
+        code = main(["check", s, p, "--grid-angular", "32", "--refine", "--refine"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["gamma_contraction"] is True
+
+    def test_grid_radial_flag_is_gone(self, tmp_path):
+        s = _write(tmp_path / "S.json", np.zeros((2, 2)))
+        p = _write(tmp_path / "P.json", np.zeros((2, 2)))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", s, p, "--grid-radial", "5"])
+        assert exc.value.code == 2
 
     def test_shape_mismatch_exits_two(self, tmp_path):
         s = _write(tmp_path / "S.json", np.zeros((2, 2)))
@@ -118,7 +131,7 @@ def test_json_document_exit_code(tmp_path, capsys, matrix, poly, code):
 class TestFundopCommand:
     def test_scalar(self, scalar_pair_files, capsys):
         s, p = scalar_pair_files
-        code = main(["fundop", s, p, "--grid-angular", "64", "--grid-radial", "5"])
+        code = main(["fundop", s, p, "--grid-angular", "64"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["rank"] == 1
@@ -210,7 +223,7 @@ class TestVnCommand:
     def test_random_batch_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["vn", "--random", "3", "--seed", "7", "--m", "128",
-                "--grid-angular", "64", "--grid-radial", "5"]
+                "--grid-angular", "64"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -242,7 +255,7 @@ class TestGenCommand:
         code = main(
             ["gen", "strict", "--seed", "3", "--dim", "3", "--r", "0.9",
              "--prefix", str(tmp_path / "pair"),
-             "--grid-angular", "128", "--grid-radial", "5"]
+             "--grid-angular", "128"]
         )
         manifest = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -259,7 +272,7 @@ class TestGenCommand:
         assert code == 0
         code = main(
             ["check", str(tmp_path / "g-S.json"), str(tmp_path / "g-P.json"),
-             "--grid-angular", "128", "--grid-radial", "5"]
+             "--grid-angular", "128"]
         )
         capsys.readouterr()
         assert code == 0

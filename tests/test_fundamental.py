@@ -17,7 +17,7 @@ from symbidisc.generators import (
 )
 from symbidisc.numerics import Tolerances, numerical_radius, operator_norm
 
-COARSE = Tolerances(grid_angular=128, grid_radial=9)
+COARSE = Tolerances(grid_angular=128)
 
 
 def _scalar_pair(s, p):

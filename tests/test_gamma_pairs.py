@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbidisc.gamma_pairs import (
     NoSquareRootError,
-    _radius_pencils,
+    _circle_pencils,
     check_gamma_contraction,
     check_gamma_isometry,
     check_pure,
@@ -13,24 +15,31 @@ from symbidisc.gamma_pairs import (
     strictness_constant,
     symmetrize_pair,
 )
+from symbidisc.fundamental import truncated_model_from_F
 from symbidisc.generators import (
     random_commuting_contractions,
+    random_fhat,
     random_model_pair,
     random_strict_pair,
     random_symmetrized_pair,
+    random_unitary,
     rng_from_seed,
 )
-from symbidisc.numerics import Tolerances, operator_norm
+from symbidisc.numerics import Tolerances, numerical_radius, operator_norm
 
 from _oracles import pencil_min_oracle
 
-# Coarse sweep for bulk property tests; verdicts are grid-certified at any
-# configured resolution.
-COARSE = Tolerances(grid_angular=128, grid_radial=9)
+# Coarse circle grid for bulk property tests; verdicts are grid verdicts
+# at any configured resolution.
+COARSE = Tolerances(grid_angular=128)
 
 
 def _scalar_pair(s, p):
     return make_operator_pair(np.array([[s]], complex), np.array([[p]], complex))
+
+
+def _conjugated(pair, u):
+    return make_operator_pair(u.conj().T @ pair.S @ u, u.conj().T @ pair.P @ u)
 
 
 class TestRhoPencil:
@@ -53,8 +62,8 @@ class TestRhoPencil:
 
     @pytest.mark.parametrize("family", ["symmetrized", "model", "strict"])
     def test_sweep_pencil_is_rho_of_the_scaled_pair(self, family):
-        # the sweep's pencil at alpha = r w is rho(alpha S, alpha^2 P), and
-        # it is Hermitian exactly, not only to rounding
+        # the sweep's pencil at the phase w is rho(w S, w^2 P), and it is
+        # Hermitian exactly, not only to rounding
         rng = rng_from_seed(38)
         make = {
             "symmetrized": lambda: random_symmetrized_pair(rng, 3),
@@ -64,14 +73,11 @@ class TestRhoPencil:
         phases = np.exp(1j * np.array([0.0, 0.7, 2.0, 4.5]))
         for _ in range(3):
             pair = make()
-            pencils = _radius_pencils(pair)
-            for r in (0.0, 0.35, 0.8, 1.0):
-                stack = pencils(r, phases)
-                assert np.array_equal(stack, np.conj(stack.transpose(0, 2, 1)))
-                for w, got in zip(phases, stack):
-                    alpha = r * w
-                    scaled = make_operator_pair(alpha * pair.S, alpha**2 * pair.P)
-                    assert np.max(np.abs(got - rho_pencil(scaled))) <= 1e-13
+            stack = _circle_pencils(pair)(phases)
+            assert np.array_equal(stack, np.conj(stack.transpose(0, 2, 1)))
+            for w, got in zip(phases, stack):
+                scaled = make_operator_pair(w * pair.S, w**2 * pair.P)
+                assert np.max(np.abs(got - rho_pencil(scaled))) <= 1e-13
 
 
 class TestCheckGammaContraction:
@@ -112,7 +118,7 @@ class TestCheckGammaContraction:
     def test_margin_matches_dense_oracle(self):
         rng = rng_from_seed(34)
         pair = random_symmetrized_pair(rng, 3)
-        got = check_gamma_contraction(pair, Tolerances(grid_angular=2048, grid_radial=41)).margin
+        got = check_gamma_contraction(pair, Tolerances(grid_angular=2048)).margin
         want = pencil_min_oracle(pair.S, pair.P)
         assert abs(got - want) <= 1e-4
 
@@ -135,6 +141,118 @@ class TestCheckGammaContraction:
             lhs = 4 * (np.eye(pair.dim) - pair.P.conj().T @ pair.P)
             rhs = rho_pencil(neg) + rho_pencil(pair)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(lhs))
+
+    @pytest.mark.parametrize("s, p", [(2.0025 * np.exp(0.35j), np.exp(0.7j)), (3, 1)])
+    def test_radius_above_two_on_the_circle_rejected(self, s, p):
+        # s = conj(s) p with |p| = 1 makes the circle pencil vanish at every
+        # phase; only r(S) > 2 refutes the pair
+        verdict = check_gamma_contraction(_scalar_pair(s, p))
+        assert abs(verdict.margin) <= 1e-14
+        assert not verdict.is_member
+
+    def test_gamma_unitaries_are_members(self):
+        # r(S) = 2 exactly, up to the rounding of r(S)
+        u = np.diag(np.exp(1j * np.array([0.3, 1.9, -2.4])))
+        v = random_unitary(rng_from_seed(40), 3)
+        for s, p in (
+            (2 * np.eye(3), np.eye(3)),
+            (2 * u, u @ u),
+            (v.conj().T @ (2 * u) @ v, v.conj().T @ (u @ u) @ v),
+        ):
+            verdict = check_gamma_contraction(make_operator_pair(s, p))
+            assert verdict.is_member
+            assert abs(verdict.margin) <= 1e-12
+
+    def test_witness_ignores_rounding_ties(self):
+        # a non-strict pair's circle minimum is 0 to rounding at many
+        # phases; a unitary change of basis moves the rounding, not the
+        # witness
+        rng = rng_from_seed(11)
+        done = 0
+        while done < 24:
+            pair = random_model_pair(rng)
+            verdict = check_gamma_contraction(pair)
+            if verdict.margin > 1e-9:
+                continue
+            moved = _conjugated(pair, random_unitary(rng, pair.dim))
+            assert check_gamma_contraction(moved).witness.alpha == verdict.witness.alpha
+            done += 1
+
+
+def _scaled_family_pairs(seed, count):
+    """Seeded pairs of the three families, each as (t S, t^2 P) with
+    t in [0.8, 1.15].  Symmetrized pairs come from contractions whose
+    larger norm is 1 and model pairs from an F of numerical radius 1, so
+    that t > 1 often leaves the domain."""
+    rng = rng_from_seed(seed)
+
+    def symmetrized():
+        t1, t2 = random_commuting_contractions(rng, int(rng.integers(1, 5)))
+        c = max(operator_norm(t1), operator_norm(t2))
+        return symmetrize_pair(t1 / c, t2 / c)
+
+    def model():
+        f = random_fhat(rng, int(rng.integers(1, 3)))
+        return truncated_model_from_F(f / numerical_radius(f), int(rng.integers(1, 3)))
+
+    make = (symmetrized, model, lambda: random_strict_pair(rng, int(rng.integers(1, 5)), 0.95))
+    for k in range(count):
+        pair = make[k % 3]()
+        t = rng.uniform(0.8, 1.15)
+        yield make_operator_pair(t * pair.S, t * t * pair.P)
+
+
+def _scalar(parts):
+    return complex(parts[0], parts[1]), complex(parts[2], parts[3])
+
+
+_SCALAR_PARTS = st.tuples(
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-1.2, 1.2), st.floats(-1.2, 1.2)
+)
+
+
+class TestCircleCriterion:
+    @settings(max_examples=200, deadline=None)
+    @given(_SCALAR_PARTS)
+    def test_scalar_margin_is_the_closed_form(self, parts):
+        s, p = _scalar(parts)
+        w = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, COARSE.grid_angular, endpoint=False))
+        want = np.min(2 * (1 - abs(p) ** 2) - 2 * np.real(w * (s - s.conjugate() * p)))
+        got = check_gamma_contraction(_scalar_pair(s, p), COARSE).margin
+        assert abs(got - want) <= 1e-13 * (1 + abs(s)) * (1 + abs(p)) ** 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SCALAR_PARTS)
+    def test_scalar_verdict_is_the_exact_test(self, parts):
+        # (s, p) lies in the closed symmetrized bidisc iff |s| <= 2 and
+        # |s - conj(s) p| <= 1 - |p|^2; the grid decides it outside a band
+        s, p = _scalar(parts)
+        gap = min(2 - abs(s), 1 - abs(p) ** 2 - abs(s - s.conjugate() * p))
+        if abs(gap) <= 1e-4:
+            return
+        assert check_gamma_contraction(_scalar_pair(s, p)).is_member == (gap > 0)
+
+    def test_unitary_conjugation_invariance(self):
+        rng = rng_from_seed(41)
+        for pair in _scaled_family_pairs(42, 30):
+            a = check_gamma_contraction(pair, COARSE)
+            b = check_gamma_contraction(_conjugated(pair, random_unitary(rng, pair.dim)), COARSE)
+            assert a.is_member == b.is_member
+            assert abs(a.margin - b.margin) <= 1e-12 * (1 + pair.s_norm) * (1 + pair.p_norm) ** 2
+
+    def test_verdict_agrees_with_disc_oracle(self):
+        # outside a band around margin 0 the circle verdict equals the
+        # sign of the closed-disc minimum
+        checked = members = 0
+        for pair in _scaled_family_pairs(43, 30):
+            verdict = check_gamma_contraction(pair, COARSE)
+            disc = pencil_min_oracle(pair.S, pair.P, n_r=11, n_t=COARSE.grid_angular)
+            if min(abs(disc), abs(verdict.margin)) <= 1e-6:
+                continue
+            assert verdict.is_member == (disc > 0)
+            checked += 1
+            members += verdict.is_member
+        assert checked >= 25 and 3 <= members <= checked - 3
 
 
 class TestStrictness:
