@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -187,11 +187,8 @@ def check_gamma_isometry(
         and rs <= 2.0 + tol.psd_tol
     )
     if ok and pair.dim:
-        # Fiber-root extraction halves precision near coincident roots, so
-        # the band for this consistency check is widened beyond psd_tol.
-        band = replace(tol, psd_tol=max(tol.psd_tol, 1e-6))
         sv, pv = np.array(joint_spectrum(s, p, tol)).T
-        ok = bool(ON_BGAMMA[classify_points(sv, pv, band)].all())
+        ok = bool(ON_BGAMMA[classify_points(sv, pv, tol)].all())
     return PairVerdict(ok, -worst)
 
 

@@ -1,8 +1,18 @@
 """Point geometry of the symmetrized bidisc.
 
 The symmetrization map pi(z1, z2) = (z1 + z2, z1 z2) sends the closed
-bidisc onto the closed symmetrized bidisc; a point (s, p) is recovered
+bidisc onto the closed symmetrized bidisc Γ; a point (s, p) is recovered
 from its fiber by solving z^2 - s z + p = 0.
+
+Region tags need no roots.  By Agler-Young (J. Geom. Anal. 2004),
+
+    (s, p) in Γ   iff  |s| <= 2  and  |s - conj(s) p| <= 1 - |p|^2,
+    (s, p) in bΓ  iff  |p| = 1,  |s| <= 2  and  s = conj(s) p,
+
+where bΓ = pi(torus) is the distinguished boundary; its diagonal
+pi(z, z) is the set of points with s^2 = 4p on bΓ.  ``classify_points``
+evaluates these moduli directly, so a tag keeps the full precision of
+(s, p) even where the two roots coincide.
 """
 
 from __future__ import annotations
@@ -53,6 +63,9 @@ ON_BGAMMA = np.array(
     [tag in (RegionTag.BGAMMA_NOT_BDGAMMA, RegionTag.BDGAMMA) for tag in REGION_TAGS]
 )
 
+# Relative rounding allowance of the diagonal test |s^2 - 4p| = |z1 - z2|^2.
+_DIAGONAL_EPS = 64 * np.finfo(float).eps
+
 
 def symmetrize_point(z1: complex, z2: complex) -> GammaPoint:
     """Image of (z1, z2) under the symmetrization map."""
@@ -84,118 +97,51 @@ def point_roots(pt: GammaPoint) -> tuple[complex, complex]:
     return tuple(sorted(roots, key=lambda z: (abs(z), math.atan2(z.imag, z.real))))
 
 
-def classify_point(pt: GammaPoint, tol: Tolerances = DEFAULT_TOL) -> RegionTag:
-    """Locate a point relative to the symmetrized bidisc.
-
-    Classification runs on the fiber roots with an absolute band of
-    ``psd_tol`` on the root moduli: strictly inside the open region, on
-    the distinguished boundary (both roots unimodular), on its diagonal
-    subset (coincident unimodular roots), elsewhere on the topological
-    boundary, or outside.
-    """
-    z1, z2 = point_roots(pt)
-    band = tol.psd_tol
-    m1, m2 = abs(z1), abs(z2)
-    if max(m1, m2) > 1.0 + band:
-        return RegionTag.OUTSIDE
-    if max(m1, m2) < 1.0 - band:
-        return RegionTag.INTERIOR_G
-    if abs(m1 - 1.0) <= band and abs(m2 - 1.0) <= band:
-        if abs(z1 - z2) <= band:
-            return RegionTag.BDGAMMA
-        return RegionTag.BGAMMA_NOT_BDGAMMA
-    return RegionTag.BOUNDARY_NOT_BGAMMA
-
-
-# CPython before 3.14 promotes the float of ``float * complex`` to c + 0j
-# and multiplies as complex numbers, which can flip the sign of a zero
-# part; from 3.14 on it scales both parts (C99 Annex G).
-_SCALES_PARTS = math.copysign(1.0, (1.0 * complex(-0.0, -1.0)).real) < 0
-_DBL_MIN = np.finfo(float).tiny
-
-
-def _scale(c: float, re, im):
-    """Parts of ``c * z`` for a float c, as CPython evaluates it."""
-    if _SCALES_PARTS:
-        return c * re, c * im
-    return c * re - 0.0 * im, c * im + 0.0 * re
-
-
-def _quotient(ar, ai, br, bi):
-    """Parts of ``a / b`` by CPython's branch rule (Smith's method)."""
-    by_real = np.abs(br) >= np.abs(bi)
-    big = np.where(by_real, br, bi)
-    small = np.where(by_real, bi, br)
-    ratio = small / big
-    denom = big + small * ratio
-    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
-
-
-def _sqrt(re, im):
-    """Parts of ``cmath.sqrt(re + im j)`` for finite input, by CPython's
-    algorithm; numpy's complex sqrt rounds differently, e.g. at 4j."""
-    ax, ay = np.abs(re), np.abs(im)
-    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
-    up = np.ldexp(ax, 53)
-    s = np.where(
-        tiny,
-        np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27),
-        2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)),
-    )
-    d = ay / (2.0 * s)
-    zero = (re == 0) & (im == 0)
-    sq_re = np.where(zero, 0.0, np.where(re >= 0, s, d))
-    sq_im = np.where(zero, im, np.copysign(np.where(re >= 0, d, s), im))
-    return sq_re, sq_im
-
-
-def _root_parts(s, p):
-    """Parts (z1r, z1i, z2r, z2i) of the roots as ``point_roots`` computes
-    them, unsorted, for flat complex arrays s and p."""
-    sr, si, pr, pi = s.real, s.imag, p.real, p.imag
-    with np.errstate(all="ignore"):
-        fr, fi = _scale(4.0, pr, pi)
-        sq_re, sq_im = _sqrt(sr * sr - si * si - fr, sr * si + si * sr - fi)
-        plus_r, plus_i = sr + sq_re, si + sq_im
-        minus_r, minus_i = sr - sq_re, si - sq_im
-        use_plus = np.hypot(plus_r, plus_i) >= np.hypot(minus_r, minus_i)
-        z1r, z1i = _scale(0.5, np.where(use_plus, plus_r, minus_r),
-                          np.where(use_plus, plus_i, minus_i))
-        zero = (z1r == 0) & (z1i == 0)
-        z2r, z2i = _quotient(pr, pi, z1r, z1i)
-    return tuple(np.where(zero, 0.0, x) for x in (z1r, z1i, z2r, z2i))
-
-
 def classify_points(s, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """``classify_point`` over broadcast arrays of s and p, as int8 codes.
+    """Region tags of the points (s, p) over broadcast arrays, as int8 codes.
 
-    Code k stands for ``REGION_TAGS[k]``.  The roots are computed as
-    ``point_roots`` computes them, repeating CPython's complex arithmetic
-    step by step on real and imaginary float arrays (numpy's complex
-    multiply, divide, sqrt and abs round differently in the last bit), so
-    every tag equals the scalar one.  Points whose arithmetic leaves the finite
-    range go through ``classify_point`` itself, which also rejects
-    non-finite input.
+    Code k stands for ``REGION_TAGS[k]``.  With b = ``tol.psd_tol``,
+    a = |s|, q = |p|, d = |s - conj(s) p| and g = d - (1 - q^2), each
+    band is absolute in the (s, p) coordinates:
+
+    - OUTSIDE: a > 2 + 2b (s is a sum of two roots) or g > b, which
+      holds whenever q > 1 + b since g >= q^2 - 1;
+    - INTERIOR_G: g < -b, which forces a < 2 - 2 sqrt(b) since
+      d >= a (1 - q);
+    - on bΓ: |q - 1| <= b and d <= b, and then BDGAMMA when
+      |s^2 - 4p| <= 64 eps (a^2 + 4q), else BGAMMA_NOT_BDGAMMA;
+    - BOUNDARY_NOT_BGAMMA otherwise.
+
+    The diagonal test is at rounding level, not a band: on bΓ,
+    s^2 - 4p = (z1 - z2)^2, so a band b on the root gap would be b^2 in
+    (s, p), below rounding for any b < 1e-7.  The computed s^2 and 4p
+    each carry a few ulps of a^2 and 4q, so the test accepts exactly the
+    points whose root gap rounding cannot resolve: up to about
+    sqrt(512 eps) = 3.4e-7 on |s| = 2.  On finite points whose products
+    overflow, g is +inf, so they are OUTSIDE.  Non-finite input raises
+    ``ValueError``.
     """
     s, p = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(p, dtype=complex))
-    shape = s.shape
-    s, p = s.ravel(), p.ravel()
-    z1r, z1i, z2r, z2i = _root_parts(s, p)
+    if not (np.isfinite(s).all() and np.isfinite(p).all()):
+        raise ValueError("points must be finite")
+    b = tol.psd_tol
     with np.errstate(all="ignore"):
-        m1, m2 = np.hypot(z1r, z1i), np.hypot(z2r, z2i)
-        gap = np.hypot(z1r - z2r, z1i - z2i)
-    band = tol.psd_tol
-    top = np.maximum(m1, m2)
-    unimodular = (np.abs(m1 - 1.0) <= band) & (np.abs(m2 - 1.0) <= band)
-    codes = np.select(
-        [top > 1.0 + band, top < 1.0 - band, unimodular & (gap <= band), unimodular],
+        a, q = np.abs(s), np.abs(p)
+        d = np.abs(s - np.conj(s) * p)
+        g = d - (1.0 - q * q)
+        on_bgamma = (np.abs(q - 1.0) <= b) & (d <= b)
+        diagonal = np.abs(s * s - 4.0 * p) <= _DIAGONAL_EPS * (a * a + 4.0 * q)
+    return np.select(
+        [(a > 2.0 + 2.0 * b) | (g > b),
+         g < -b,
+         on_bgamma & diagonal,
+         on_bgamma],
         [_CODE[RegionTag.OUTSIDE], _CODE[RegionTag.INTERIOR_G],
          _CODE[RegionTag.BDGAMMA], _CODE[RegionTag.BGAMMA_NOT_BDGAMMA]],
         _CODE[RegionTag.BOUNDARY_NOT_BGAMMA],
     ).astype(np.int8)
-    finite = np.isfinite(s) & np.isfinite(p) & np.isfinite(gap)
-    for k in np.flatnonzero(~finite):
-        codes[k] = _CODE[classify_point(GammaPoint(complex(s[k]), complex(p[k])), tol)]
-    return codes.reshape(shape)
+
+
+def classify_point(pt: GammaPoint, tol: Tolerances = DEFAULT_TOL) -> RegionTag:
+    """Region tag of one point: ``classify_points`` applied to (pt.s, pt.p)."""
+    return REGION_TAGS[int(classify_points(pt.s, pt.p, tol))]

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,10 +48,6 @@ __all__ = [
     "classify_distinguished",
     "symmetrize_bidisc_variety",
 ]
-
-# Root extraction of near-coincident unimodular fiber roots squares the
-# data error, so region tags of boundary points use this widened band.
-_BOUNDARY_BAND = 1e-7
 
 # Radius of the exit fiber p = r e^{i theta} tracked against the limit
 # fiber at |p| = 1.
@@ -91,8 +87,7 @@ class DistinguishedVerdict:
     track_gap: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class BoundaryRow:
+class BoundaryRow(NamedTuple):
     theta: float
     s: complex
     p: complex
@@ -161,10 +156,9 @@ def boundary_sample(variety: DeterminantalVariety, m: int) -> list[GammaPoint]:
 def boundary_rows(
     variety: DeterminantalVariety, m: int, tol: Tolerances = DEFAULT_TOL
 ) -> list[BoundaryRow]:
-    """Boundary samples with region tags (widened classification band)."""
-    band = replace(tol, psd_tol=max(tol.psd_tol, _BOUNDARY_BAND))
+    """Boundary samples with their region tags."""
     thetas, svals, phases = _boundary_grid(variety, m)
-    codes = classify_points(svals, phases[:, None], band).tolist()
+    codes = classify_points(svals, phases[:, None], tol).tolist()
     plist = phases.tolist()
     if variety.dim == 0:
         thetas = [math.atan2(p.imag, p.real) % (2.0 * math.pi) for p in plist]
@@ -238,8 +232,7 @@ def classify_distinguished(
     _, limit, phases = _boundary_grid(variety, m)
     fiber = np.linalg.eigvals(a + (_EXIT_RADIUS * phases)[:, None, None] * a.conj().T)
     track_gap = float(np.abs(limit[:, :, None] - fiber[:, None, :]).min(axis=2).max())
-    band = replace(tol, psd_tol=max(tol.psd_tol, _BOUNDARY_BAND))
-    off = ~ON_BGAMMA[classify_points(limit, phases[:, None], band)]
+    off = ~ON_BGAMMA[classify_points(limit, phases[:, None], tol)]
     if off.any():
         k, j = np.unravel_index(int(np.argmax(off)), off.shape)
         return DistinguishedVerdict(

@@ -1,11 +1,19 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the library's own code paths: dense grids with
-no refinement, direct eigenvalue formulas, and raw polynomial
-arithmetic.
+no refinement, direct eigenvalue formulas, raw polynomial arithmetic and
+exact rational arithmetic.  The root-based region rule is the one
+exception: it is built on the public ``point_roots``.
 """
 
+from fractions import Fraction
+
 import numpy as np
+
+from symbidisc.geometry import GammaPoint, RegionTag, point_roots
+
+# The relative rounding allowance of the diagonal test in classify_points.
+DIAGONAL_EPS = 64 * np.finfo(float).eps
 
 
 def nr_grid_oracle(a, m=100000):
@@ -66,3 +74,63 @@ def poly_eval_oracle(coeffs, z, w):
         for j in range(coeffs.shape[1]):
             out = out + coeffs[i, j] * np.asarray(z) ** i * np.asarray(w) ** j
     return out
+
+
+def root_region_tag(s, p, band):
+    """Region tag from the roots of z^2 - s z + p with an absolute band on
+    the root moduli and on the root gap.
+
+    Root extraction loses half the digits near coincident roots, so this
+    rule is only a reference for points whose roots are well apart.
+    """
+    z1, z2 = point_roots(GammaPoint(complex(s), complex(p)))
+    m1, m2 = abs(z1), abs(z2)
+    if max(m1, m2) > 1.0 + band:
+        return RegionTag.OUTSIDE
+    if max(m1, m2) < 1.0 - band:
+        return RegionTag.INTERIOR_G
+    if abs(m1 - 1.0) <= band and abs(m2 - 1.0) <= band:
+        if abs(z1 - z2) <= band:
+            return RegionTag.BDGAMMA
+        return RegionTag.BGAMMA_NOT_BDGAMMA
+    return RegionTag.BOUNDARY_NOT_BGAMMA
+
+
+def _sqrt_gt(x2, y):
+    """sqrt(x2) > y for rationals x2 >= 0 and y."""
+    return y < 0 or x2 > y * y
+
+
+def _sqrt_lt(x2, y):
+    """sqrt(x2) < y for rationals x2 >= 0 and y."""
+    return y > 0 and x2 < y * y
+
+
+def exact_region_tag(s, p, band, diagonal=DIAGONAL_EPS):
+    """The root-free band rule of ``classify_points`` in exact arithmetic.
+
+    Every quantity is a rational function of the binary values of s, p,
+    ``band`` and ``diagonal``; the moduli a = |s|, q = |p| and
+    d = |s - conj(s) p| enter only through comparisons, which are decided
+    by squaring.
+    """
+    sr, si, pr, pi_ = (Fraction(float(x)) for x in (s.real, s.imag, p.real, p.imag))
+    b, k = Fraction(band), Fraction(diagonal)
+    a2 = sr * sr + si * si
+    q2 = pr * pr + pi_ * pi_
+    dr = sr - (sr * pr + si * pi_)
+    di = si - (sr * pi_ - si * pr)
+    d2 = dr * dr + di * di
+    c = 1 - q2
+    if _sqrt_gt(a2, 2 + 2 * b) or _sqrt_gt(d2, c + b):
+        return RegionTag.OUTSIDE
+    if _sqrt_lt(d2, c - b):
+        return RegionTag.INTERIOR_G
+    if _sqrt_lt(q2, 1 - b) or _sqrt_gt(q2, 1 + b) or _sqrt_gt(d2, b):
+        return RegionTag.BOUNDARY_NOT_BGAMMA
+    # |s^2 - 4p| <= k (a^2 + 4q), squared twice to clear both roots
+    er, ei = sr * sr - si * si - 4 * pr, 2 * sr * si - 4 * pi_
+    w = (er * er + ei * ei) / (k * k) - a2 * a2 - 16 * q2
+    if w <= 0 or w * w <= 64 * a2 * a2 * q2:
+        return RegionTag.BDGAMMA
+    return RegionTag.BGAMMA_NOT_BDGAMMA

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbidisc.fundamental import (
     ResidualTooLargeError,
@@ -175,6 +177,23 @@ class TestTruncatedModel:
                 np.linalg.svd(f, compute_uv=False),
                 atol=1e-10,
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5))
+    def test_solve_fundamental_round_trips(self, seed, dim, blocks):
+        # the solved F is the input in another orthonormal basis of the
+        # defect space: same spectrum, singular values and numerical radius
+        f = random_fhat(rng_from_seed(seed), dim)
+        fund = solve_fundamental(truncated_model_from_F(f, blocks))
+        assert fund.F.shape == f.shape
+        got, want = np.linalg.eigvals(fund.F), np.linalg.eigvals(f)
+        assert np.abs(got[:, None] - want[None, :]).min(axis=0).max() <= 1e-8
+        assert np.abs(want[:, None] - got[None, :]).min(axis=0).max() <= 1e-8
+        assert np.allclose(
+            np.linalg.svd(fund.F, compute_uv=False), np.linalg.svd(f, compute_uv=False),
+            rtol=0.0, atol=1e-12,
+        )
+        assert abs(fund.nr - numerical_radius(f)) <= 1e-9
 
     def test_rejects_large_radius(self):
         with pytest.raises(ValueError, match="radius"):

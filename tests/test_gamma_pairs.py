@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from symbidisc.gamma_pairs import (
     NoSquareRootError,
+    NonCommutingRootError,
     _circle_pencils,
     check_gamma_contraction,
     check_gamma_isometry,
@@ -24,8 +25,9 @@ from symbidisc.generators import (
     random_symmetrized_pair,
     random_unitary,
     rng_from_seed,
+    scaled_pair,
 )
-from symbidisc.numerics import Tolerances, numerical_radius, operator_norm
+from symbidisc.numerics import DEFAULT_TOL, Tolerances, numerical_radius, operator_norm
 
 from _oracles import pencil_min_oracle
 
@@ -232,6 +234,15 @@ class TestCircleCriterion:
             return
         assert check_gamma_contraction(_scalar_pair(s, p)).is_member == (gap > 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, exclude_min=True))
+    def test_membership_is_monotone_under_scaling(self, seed, r):
+        # (r S, r^2 P) samples the pencil on the circle |alpha| = r, inside
+        # the disc that membership of (S, P) covers
+        *_, pair = _scaled_family_pairs(seed, 1 + seed % 3)
+        if check_gamma_contraction(pair, COARSE).is_member:
+            assert check_gamma_contraction(scaled_pair(pair, r), COARSE).is_member
+
     def test_unitary_conjugation_invariance(self):
         rng = rng_from_seed(41)
         for pair in _scaled_family_pairs(42, 30):
@@ -300,6 +311,15 @@ class TestCheckGammaIsometry:
         pair = random_strict_pair(rng, 3, 0.8)
         assert not check_gamma_isometry(pair).is_member
 
+    def test_shared_eigenvalue_at_the_default_band(self):
+        # U1 and U2 share the eigenvalues e^{0.7i} and e^{-0.4i}, so the
+        # joint spectrum of (U1 + U2, U1 U2) holds two points of the
+        # diagonal of bΓ, where the fiber roots coincide
+        u = random_unitary(rng_from_seed(40), 3)
+        u1 = u @ np.diag(np.exp(1j * np.array([0.7, 2.5, -0.4]))) @ u.conj().T
+        u2 = u @ np.diag(np.exp(1j * np.array([0.7, -1.3, -0.4]))) @ u.conj().T
+        assert check_gamma_isometry(symmetrize_pair(u1, u2), DEFAULT_TOL).is_member
+
 
 class TestCheckPure:
     def test_zero(self):
@@ -364,20 +384,16 @@ class TestDesymmetrizePair:
         with pytest.raises(NoSquareRootError):
             desymmetrize_pair(pair)
 
-    def test_roundtrip_on_random_symmetrized_pairs(self):
-        rng = rng_from_seed(39)
-        done = 0
-        for _ in range(40):
-            t1, t2 = random_commuting_contractions(rng, int(rng.integers(2, 5)))
-            pair = symmetrize_pair(t1, t2)
-            try:
-                u1, u2 = desymmetrize_pair(pair)
-            except ValueError:
-                continue
-            back_s = u1 + u2
-            back_p = u1 @ u2
-            scale = 1 + operator_norm(pair.S) + operator_norm(pair.P)
-            assert operator_norm(back_s - pair.S) <= 1e-8 * scale
-            assert operator_norm(back_p - pair.P) <= 1e-8 * scale
-            done += 1
-        assert done >= 30
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_roundtrip_on_random_symmetrized_pairs(self, seed, dim):
+        pair = random_symmetrized_pair(rng_from_seed(seed), dim)
+        try:
+            t1, t2 = desymmetrize_pair(pair)
+        except (NoSquareRootError, NonCommutingRootError):
+            reject()
+        tol = DEFAULT_TOL.residual_tol
+        assert operator_norm(t1 @ t2 - t2 @ t1) <= tol * (1 + operator_norm(t1) * operator_norm(t2))
+        assert operator_norm(t1 + t2 - pair.S) <= tol * (1 + pair.s_norm)
+        assert operator_norm(t1 @ t2 - pair.P) <= tol * (1 + pair.p_norm)
+

@@ -309,10 +309,21 @@ def test_inconclusive_witness_is_first_off_boundary_point():
     a = np.zeros((2, 2), complex)
     a[0, 1] = 3.0
     v = DeterminantalVariety.from_matrix(a)
-    band = Tolerances(psd_tol=1e-7)
     first = next(
         GammaPoint(r.s, r.p)
-        for r in boundary_rows(v, 32, band)
+        for r in boundary_rows(v, 32)
         if r.tag not in (RegionTag.BGAMMA_NOT_BDGAMMA, RegionTag.BDGAMMA)
     )
     assert classify_distinguished(v, m=32).witness == first
+
+
+def test_example_one_boundary_is_on_bgamma_at_the_default_band():
+    # the fiber of [[0,2],[0,0]] (+) 0 over |p| = 1 is {+-2 sqrt(p), 0}:
+    # every point lies on bΓ, and the +-2 sqrt(p) branches on its diagonal
+    rows = boundary_rows(DeterminantalVariety.from_matrix(example_one_matrix()), 4096)
+    assert len(rows) == 12288
+    on_diagonal = [abs(r.s) > 1 for r in rows]
+    assert sum(on_diagonal) == 8192
+    assert [r.tag for r in rows] == [
+        RegionTag.BDGAMMA if d else RegionTag.BGAMMA_NOT_BDGAMMA for d in on_diagonal
+    ]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbidisc import von_neumann
 from symbidisc.gamma_pairs import make_operator_pair
@@ -69,10 +71,11 @@ class TestCupTransform:
         f = MatrixPolynomial.scalar([[0, 1j]])
         assert np.allclose(cup_transform(f).coeffs[0, 1, 0, 0], -1j)
 
-    def test_involution(self):
-        rng = rng_from_seed(64)
-        f = random_matrix_polynomial(rng)
-        assert np.allclose(cup_transform(cup_transform(f)).coeffs, f.coeffs)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(1, 3))
+    def test_involution(self, seed, degree, block):
+        f = random_matrix_polynomial(rng_from_seed(seed), degree, block)
+        assert np.array_equal(cup_transform(cup_transform(f)).coeffs, f.coeffs)
 
     def test_defining_identity(self):
         rng = rng_from_seed(65)
