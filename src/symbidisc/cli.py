@@ -288,7 +288,7 @@ def _cmd_fundop(args) -> int:
 def _cmd_variety(args) -> int:
     tol = _tol_from_args(args)
     a = read_matrix_file(args.a_file)
-    variety = DeterminantalVariety.from_matrix(a, tol)
+    variety = DeterminantalVariety.from_matrix(a)
     verdict = classify_distinguished(variety, tol, m=args.angles)
     if args.sample is not None:
         if not args.csv:
@@ -328,6 +328,8 @@ def _vn_single_report(rep) -> dict:
 def _cmd_vn(args) -> int:
     tol = _tol_from_args(args)
     if args.random is not None:
+        if args.random < 1:
+            raise ValueError("--random must be at least 1")
         rng = rng_from_seed(args.seed)
         reports = []
         for idx in range(args.random):
@@ -346,8 +348,8 @@ def _cmd_vn(args) -> int:
             "seed": args.seed,
             "count": len(reports),
             "all_hold": all_hold,
-            "min_ratio": min(ratios) if ratios else None,
-            "max_ratio": max(ratios) if ratios else None,
+            "min_ratio": min(ratios),
+            "max_ratio": max(ratios),
         }
         _emit(report, args.out)
         return EXIT_OK if all_hold else EXIT_INVARIANT

@@ -117,7 +117,7 @@ def solve_fundamental(
             f"fundamental equation residual {residual:.3e} exceeds tolerance "
             f"at defect rank {dd.rank}"
         )
-    nr = numerical_radius(f, tol) if dd.rank else 0.0
+    nr = numerical_radius(f)
     if contraction_verified and nr > 1.0 + tol.psd_tol:
         raise FundamentalBoundError(
             f"numerical radius {nr:.12f} exceeds 1 on a verified member pair"
@@ -141,7 +141,7 @@ def truncated_model_from_F(
     fhat = require_square(as_matrix(fhat), "coefficient matrix")
     if n_blocks < 1:
         raise ValueError("block count must be positive")
-    nr = numerical_radius(fhat, tol)
+    nr = numerical_radius(fhat)
     if nr > 1.0 + tol.psd_tol:
         raise ValueError(f"numerical radius {nr:.12f} exceeds 1")
     k = fhat.shape[0]

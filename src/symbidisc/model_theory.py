@@ -158,8 +158,11 @@ def dilation_check(
     Returns the maximum residual over 0 <= m <= m_max, 0 <= n <= n_max,
     together with the co-isometric extension residuals ||W P* - V* W||
     and ||W S* - T* W|| and the reporting bound
-    C * tail, C = (1 + ||S||) (1 + m_max + n_max).
+    C * tail, C = (1 + ||S||) (1 + m_max + n_max).  Negative power
+    bounds raise ``ValueError``: they would check no power at all.
     """
+    if m_max < 0 or n_max < 0:
+        raise ValueError("power bounds must be nonnegative")
     if model.W.shape[1] != pair.dim:
         raise ValueError("model and pair dimensions do not match")
     w = model.W

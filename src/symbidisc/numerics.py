@@ -4,8 +4,8 @@ All matrices are plain ``numpy.ndarray`` objects with complex128 entries.
 Standard decompositions (Hermitian eigenvalues, Schur, SVD) are delegated
 to numpy/scipy; the two nonstandard operations implemented here are
 
-* ``numerical_radius`` -- extremal-eigenvalue sweep over a rotation angle
-  with golden-section refinement, and
+* ``numerical_radius`` -- the level-set iteration of Mengi and Overton;
+  the result is attained, so a lower bound, and
 * ``joint_spectrum`` -- joint eigenvalues of a commuting pair through
   simultaneous unitary triangularization.
 """
@@ -40,8 +40,10 @@ class Tolerances:
     accepted as PSD iff its smallest eigenvalue is at least
     ``-psd_tol * (1 + ||H||)``), ``rank_tol`` is the eigenvalue cutoff for
     rank decisions, ``residual_tol`` bounds acceptable equation residuals,
-    and ``grid_angular`` counts the phases of angular sweeps.  The library
-    no longer reads ``grid_radial``; it stays for outside callers.
+    and ``grid_angular`` counts the phases of the membership circle of
+    ``check_gamma_contraction``; the numerical radius reads no tolerance.
+    The library no longer reads ``grid_radial``; it stays for outside
+    callers.
     """
 
     psd_tol: float = 1e-9
@@ -125,53 +127,39 @@ def require_commuting(
     return norm_a, norm_b, defect
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def numerical_radius(a) -> float:
+    """Numerical radius by the level-set iteration of Mengi and Overton.
 
-
-def _golden_max(fn, lo: float, hi: float, width_tol: float = 1e-12) -> float:
-    """Golden-section maximization; returns the best value seen."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    best = max(f1, f2)
-    for _ in range(200):
-        if hi - lo <= width_tol:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = fn(x1)
-        best = max(best, f1, f2)
-    return best
-
-
-def numerical_radius(a, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Numerical radius via an angular sweep with local refinement.
-
-    Maximizes lambda_max((e^{i theta} A + e^{-i theta} A*)/2) on a uniform
-    grid of ``tol.grid_angular`` angles, then refines around the best
-    bracket by golden-section search.  The result dominates every sampled
-    grid value, so it is exact for matrices whose rotated Hermitian part
-    has constant top eigenvalue.
+    With H_theta = (e^{i theta} A + e^{-i theta} A*)/2, the angles where
+    lambda_max(H_theta) = l are arguments of unimodular eigenvalues z of
+    the pencil [[0, I], [-A*, 2l I]] - z [[I, 0], [0, A]].  From the best
+    quarter turn, l rises to the best lambda_max at the cyclic midpoints
+    of the angles of all finite z, until none raises it.  No z is dropped
+    for lying off the circle: a tangency is a double eigenvalue that
+    rounding moves off it.  A is scaled by a power of two (exactly) for
+    the pencil.  The quarter turns give l > 0, so a common null vector of
+    A and A* cannot make the pencil singular.  The result is attained, so
+    a lower bound.
     """
-    a = require_square(as_matrix(a))
+    a = np.ascontiguousarray(require_square(as_matrix(a)))
     n = a.shape[0]
     if n == 0 or not a.any():
         return 0.0
-    thetas = np.linspace(0.0, 2.0 * math.pi, tol.grid_angular, endpoint=False)
-    vals = 0.5 * rotated_eigvalsh(a, np.exp(1j * thetas))[:, -1]
-    k = int(np.argmax(vals))
-    spacing = 2.0 * math.pi / tol.grid_angular
-
-    def objective(t: float) -> float:
-        return float(0.5 * rotated_eigvalsh(a, np.exp([1j * t]))[0, -1])
-
-    refined = _golden_max(objective, thetas[k] - spacing, thetas[k] + spacing)
-    return max(float(vals[k]), refined, 0.0)
+    parts = a.view(float)
+    exp = int(np.frexp(np.abs(parts).max())[1])
+    b = np.ldexp(parts, -exp).view(complex)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    right = np.block([[eye, zero], [zero, b]])
+    level = float(0.5 * rotated_eigvalsh(a, np.array([1, 1j, -1, -1j]))[:, -1].max())
+    while True:
+        left = np.block([[zero, eye], [-b.conj().T, np.ldexp(2.0 * level, -exp) * eye]])
+        z = scipy.linalg.eigvals(left, right, check_finite=False)
+        theta = np.sort(np.angle(z[np.isfinite(z)]))
+        mid = 0.5 * (theta + np.append(theta[1:], theta[:1] + 2.0 * math.pi))
+        best = float(0.5 * rotated_eigvalsh(a, np.exp(1j * mid))[:, -1].max(initial=-math.inf))
+        if not best > level:
+            return level
+        level = best
 
 
 def _strict_lower_norm(m: np.ndarray) -> float:

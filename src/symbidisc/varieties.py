@@ -62,9 +62,9 @@ class DeterminantalVariety:
     nr: float
 
     @classmethod
-    def from_matrix(cls, a, tol: Tolerances = DEFAULT_TOL) -> "DeterminantalVariety":
+    def from_matrix(cls, a) -> "DeterminantalVariety":
         a = require_square(as_matrix(a), "A")
-        return cls(a.copy(), numerical_radius(a, tol))
+        return cls(a.copy(), numerical_radius(a))
 
     @property
     def dim(self) -> int:

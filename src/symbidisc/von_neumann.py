@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fundamental import FundamentalOperator, solve_fundamental
+from .fundamental import solve_fundamental
 from .gamma_pairs import OperatorPair
 from .geometry import GammaPoint
 from .numerics import DEFAULT_TOL, Tolerances, operator_norm
@@ -103,20 +103,15 @@ def cup_transform(f: MatrixPolynomial) -> MatrixPolynomial:
 
 
 def lambda_variety(
-    pair: OperatorPair,
-    tol: Tolerances = DEFAULT_TOL,
-    fund: Optional[FundamentalOperator] = None,
+    pair: OperatorPair, tol: Tolerances = DEFAULT_TOL
 ) -> DeterminantalVariety:
     """Determinantal variety attached to a member pair.
 
     With F the fundamental operator, the representing matrix is F, so
     that det(A + p A* - s I) = det(F + p F* - s I).  A zero-rank defect
-    (P unitary) yields the degenerate 0 x 0 representation.  The
-    variety's numerical radius is ``fund.nr``, so a supplied ``fund``
-    should have been solved with the same ``tol``.
+    (P unitary) yields the degenerate 0 x 0 representation.
     """
-    if fund is None:
-        fund = solve_fundamental(pair, tol)
+    fund = solve_fundamental(pair, tol)
     return DeterminantalVariety(fund.F.copy(), fund.nr)
 
 

@@ -234,6 +234,11 @@ class TestVnCommand:
     def test_missing_inputs_is_an_error(self):
         assert main(["vn"]) == 2
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_random_batch_is_an_error(self, count, capsys):
+        assert main(["vn", "--random", count]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestModelCommand:
     def test_scalar_model(self, scalar_pair_files, capsys):
@@ -248,6 +253,12 @@ class TestModelCommand:
         s = _write(tmp_path / "S.json", [[2.0]])
         p = _write(tmp_path / "P.json", [[1.0]])
         assert main(["model", s, p]) == 2
+
+    @pytest.mark.parametrize("flag", ["--mmax", "--nmax"])
+    def test_negative_power_bound_exits_two(self, scalar_pair_files, capsys, flag):
+        s, p = scalar_pair_files
+        assert main(["model", s, p, flag, "-1"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestGenCommand:

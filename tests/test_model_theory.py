@@ -179,3 +179,10 @@ class TestDilationCheck:
         model = build_model(pair, 8)
         with pytest.raises(ValueError, match="dimension"):
             dilation_check(model, other)
+
+    @pytest.mark.parametrize("m_max, n_max", [(-1, 3), (3, -1)])
+    def test_rejects_negative_power_bounds(self, m_max, n_max):
+        pair = _scalar_pair(1, 0.25)
+        model = build_model(pair, 8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            dilation_check(model, pair, m_max, n_max)
