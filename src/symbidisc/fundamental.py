@@ -14,6 +14,7 @@ as the solution attached to an explicit finite pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,12 +65,18 @@ class DefectData:
 
 @dataclass(frozen=True)
 class FundamentalOperator:
-    """Solution of the fundamental equation in defect-space coordinates."""
+    """Solution of the fundamental equation in defect-space coordinates.
+
+    ``nr``, the numerical radius of F, is solved on first read and kept.
+    """
 
     F: np.ndarray
     residual: float
-    nr: float
     defect: DefectData
+
+    @cached_property
+    def nr(self) -> float:
+        return numerical_radius(self.F)
 
 
 def defect_operator(p, tol: Tolerances = DEFAULT_TOL) -> DefectData:
@@ -101,9 +108,10 @@ def solve_fundamental(
     equation is unsolvable at the detected rank (the pair is not a member
     pair, or the rank cutoff misfired).
 
-    With ``contraction_verified=True`` the numerical-radius bound
-    nr <= 1 + psd_tol is enforced and its violation raises
-    ``FundamentalBoundError``.
+    Only with ``contraction_verified=True`` is the numerical radius
+    solved here: the bound nr <= 1 + psd_tol is enforced and its
+    violation raises ``FundamentalBoundError``.  Otherwise ``nr`` is
+    solved on first read.
     """
     dd = defect_operator(pair.P, tol)
     rhs = pair.S - pair.S.conj().T @ pair.P
@@ -117,12 +125,12 @@ def solve_fundamental(
             f"fundamental equation residual {residual:.3e} exceeds tolerance "
             f"at defect rank {dd.rank}"
         )
-    nr = numerical_radius(f)
-    if contraction_verified and nr > 1.0 + tol.psd_tol:
+    fund = FundamentalOperator(f, residual, dd)
+    if contraction_verified and fund.nr > 1.0 + tol.psd_tol:
         raise FundamentalBoundError(
-            f"numerical radius {nr:.12f} exceeds 1 on a verified member pair"
+            f"numerical radius {fund.nr:.12f} exceeds 1 on a verified member pair"
         )
-    return FundamentalOperator(f, residual, nr, dd)
+    return fund
 
 
 def truncated_model_from_F(

@@ -199,15 +199,16 @@ def check_pure(p, tol: Tolerances = DEFAULT_TOL) -> bool:
     P^n with n <= 512 (computed by repeated squaring) has norm <= 1e-8.
     """
     p = require_square(as_matrix(p), "P")
-    if operator_norm(p) > 1.0 + tol.psd_tol:
+    norm = operator_norm(p)
+    if norm > 1.0 + tol.psd_tol:
         raise ValueError("P is not a contraction within tolerance")
     if p.shape[0] == 0:
         return True
     if spectral_radius(p) <= 1.0 - tol.rank_tol:
         return True
-    q = p.copy()
-    if operator_norm(q) <= 1e-8:
+    if norm <= 1e-8:
         return True
+    q = p
     for _ in range(9):  # powers 2, 4, ..., 512
         q = q @ q
         if operator_norm(q) <= 1e-8:

@@ -110,14 +110,17 @@ def build_model(
     """Truncated dilation model of a pure member pair.
 
     The truncation level is doubled until ||P^N|| <= 1e-8 (starting from
-    the requested level, default 8), capped at 4096; exceeding the cap
-    raises.  Requires P pure.
+    the requested level, default 8), capped at 4096; a requested level
+    above the cap, or a tail still above target at the cap, raises.
+    Requires P pure.
     """
     if not check_pure(pair.P, tol):
         raise ValueError("P is not pure; the truncated model does not apply")
     n = n_blocks if n_blocks is not None else 8
     if n < 1:
         raise ValueError("block count must be positive")
+    if n > _MAX_LEVEL:
+        raise ValueError(f"block count {n} exceeds the level cap {_MAX_LEVEL}")
     tail = _tail_norm(pair.P, n)
     while tail > _TAIL_TARGET:
         if n >= _MAX_LEVEL:
@@ -167,17 +170,18 @@ def dilation_check(
         raise ValueError("model and pair dimensions do not match")
     w = model.W
     wh = w.conj().T
-    max_res = 0.0
+    residuals = []
     t_pow = np.eye(model.T.shape[0], dtype=complex)
     for m in range(m_max + 1):
         s_pow = np.linalg.matrix_power(pair.S, m)
-        tv = t_pow.copy()
+        tv = t_pow
         for nn in range(n_max + 1):
             target = s_pow @ np.linalg.matrix_power(pair.P, nn)
-            res = operator_norm(wh @ tv @ w - target)
-            max_res = max(max_res, res)
+            residuals.append(wh @ tv @ w - target)
             tv = tv @ model.V
         t_pow = t_pow @ model.T
+    # the largest singular value over one batched SVD is the largest residual norm
+    max_res = float(np.linalg.svd(np.stack(residuals), compute_uv=False).max())
     shift_res = operator_norm(w @ pair.P.conj().T - model.V.conj().T @ w)
     symbol_res = operator_norm(w @ pair.S.conj().T - model.T.conj().T @ w)
     bound = (1.0 + pair.s_norm) * (1.0 + m_max + n_max) * model.tail

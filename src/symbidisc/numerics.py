@@ -80,10 +80,14 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value; 0 for an empty matrix."""
+    """Largest singular value; 0 for an empty matrix.
+
+    The first of the descending singular values: the same SVD that
+    ``np.linalg.norm(m, 2)`` runs, without its axis handling.
+    """
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def spectral_radius(m: np.ndarray) -> float:

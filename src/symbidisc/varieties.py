@@ -19,6 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -56,15 +57,21 @@ _EXIT_RADIUS = 1.0 - 1e-14
 
 @dataclass(frozen=True)
 class DeterminantalVariety:
-    """Matrix representation of {(s, p) : det(A + p A* - s I) = 0}."""
+    """Matrix representation of {(s, p) : det(A + p A* - s I) = 0}.
+
+    ``nr``, the numerical radius of A, is solved on first read and kept.
+    """
 
     A: np.ndarray
-    nr: float
 
     @classmethod
     def from_matrix(cls, a) -> "DeterminantalVariety":
         a = require_square(as_matrix(a), "A")
-        return cls(a.copy(), numerical_radius(a))
+        return cls(a.copy())
+
+    @cached_property
+    def nr(self) -> float:
+        return numerical_radius(self.A)
 
     @property
     def dim(self) -> int:

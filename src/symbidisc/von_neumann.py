@@ -109,10 +109,11 @@ def lambda_variety(
 
     With F the fundamental operator, the representing matrix is F, so
     that det(A + p A* - s I) = det(F + p F* - s I).  A zero-rank defect
-    (P unitary) yields the degenerate 0 x 0 representation.
+    (P unitary) yields the degenerate 0 x 0 representation.  The numerical
+    radius of F is solved only if the variety's ``nr`` is read.
     """
     fund = solve_fundamental(pair, tol)
-    return DeterminantalVariety(fund.F.copy(), fund.nr)
+    return DeterminantalVariety(fund.F.copy())
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,9 @@ def _boundary(variety: DeterminantalVariety, m: int) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class _PairState:
-    """What the right-hand side needs from a pair: its variety (F and the
-    numerical radius) and the boundary grid at the requested m."""
+    """What the right-hand side needs from a pair: its variety (F alone;
+    the numerical radius is never solved here) and the boundary grid at
+    the requested m."""
 
     variety: DeterminantalVariety
     p: np.ndarray

@@ -66,6 +66,24 @@ def pencil_min_oracle(s, p, n_r=41, n_t=2048):
     return best
 
 
+def dilation_residual_oracle(model, pair, m_max, n_max):
+    """max ||W* T^m V^n W - S^m P^n|| over the powers, one two-norm per
+    power, as the per-power loop took it."""
+    w = model.W
+    wh = w.conj().T
+    best = 0.0
+    t_pow = np.eye(model.T.shape[0], dtype=complex)
+    for m in range(m_max + 1):
+        s_pow = np.linalg.matrix_power(pair.S, m)
+        tv = t_pow.copy()
+        for n in range(n_max + 1):
+            res = wh @ tv @ w - s_pow @ np.linalg.matrix_power(pair.P, n)
+            best = max(best, float(np.linalg.norm(res, 2)))
+            tv = tv @ model.V
+        t_pow = t_pow @ model.T
+    return best
+
+
 def poly_eval_oracle(coeffs, z, w):
     """Direct double-loop evaluation of sum c[i,j] z^i w^j."""
     coeffs = np.asarray(coeffs, dtype=complex)

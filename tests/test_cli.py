@@ -254,6 +254,11 @@ class TestModelCommand:
         p = _write(tmp_path / "P.json", [[1.0]])
         assert main(["model", s, p]) == 2
 
+    def test_level_above_the_cap_exits_two(self, scalar_pair_files, capsys):
+        s, p = scalar_pair_files
+        assert main(["model", s, p, "--level", "4097"]) == 2
+        assert "level cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--mmax", "--nmax"])
     def test_negative_power_bound_exits_two(self, scalar_pair_files, capsys, flag):
         s, p = scalar_pair_files

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbidisc.fundamental import (
+    FundamentalBoundError,
     ResidualTooLargeError,
     defect_operator,
     solve_fundamental,
@@ -206,3 +207,34 @@ class TestTruncatedModel:
 
 def test_numerical_radius_of_empty_is_zero():
     assert numerical_radius(np.zeros((0, 0))) == 0.0
+
+
+class TestRadiusOnRead:
+    def test_solved_once_on_first_read(self, radius_solves):
+        pair = random_symmetrized_pair(rng_from_seed(82), 3)
+        fund = solve_fundamental(pair)
+        assert radius_solves == []
+        first = fund.nr
+        assert fund.nr is first
+        assert len(radius_solves) == 1
+        assert repr(first) == repr(numerical_radius(fund.F))
+
+    def test_each_solve_starts_unsolved(self, radius_solves):
+        pair = random_symmetrized_pair(rng_from_seed(83), 2)
+        radii = [solve_fundamental(pair).nr for _ in range(2)]
+        assert len(radius_solves) == 2
+        assert radii[0] == radii[1]
+
+    def test_verified_pair_solves_it_for_the_bound(self, radius_solves):
+        fund = solve_fundamental(_scalar_pair(1.0, 0.25), contraction_verified=True)
+        assert len(radius_solves) == 1
+        assert abs(fund.nr - 0.8) <= 1e-12  # F = (1 - 0.25) / (1 - 0.25**2)
+        assert len(radius_solves) == 1
+
+    def test_bound_violation_raises_on_a_verified_pair(self):
+        with pytest.raises(FundamentalBoundError, match="exceeds 1"):
+            solve_fundamental(_scalar_pair(1.9, 0.0), contraction_verified=True)
+
+    def test_bound_is_not_checked_unverified(self):
+        fund = solve_fundamental(_scalar_pair(1.9, 0.0))
+        assert abs(fund.nr - 1.9) <= 1e-12

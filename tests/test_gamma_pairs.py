@@ -16,7 +16,7 @@ from symbidisc.gamma_pairs import (
     strictness_constant,
     symmetrize_pair,
 )
-from symbidisc.fundamental import truncated_model_from_F
+from symbidisc.fundamental import solve_fundamental, truncated_model_from_F
 from symbidisc.generators import (
     random_commuting_contractions,
     random_fhat,
@@ -181,27 +181,55 @@ class TestCheckGammaContraction:
             done += 1
 
 
-def _scaled_family_pairs(seed, count):
-    """Seeded pairs of the three families, each as (t S, t^2 P) with
-    t in [0.8, 1.15].  Symmetrized pairs come from contractions whose
-    larger norm is 1 and model pairs from an F of numerical radius 1, so
-    that t > 1 often leaves the domain."""
-    rng = rng_from_seed(seed)
-
-    def symmetrized():
+def _family_pair(rng, family):
+    """A pair of family 0 (symmetrized), 1 (model) or 2 (strict).
+    Symmetrized pairs come from contractions whose larger norm is 1 and
+    model pairs from an F of numerical radius 1, so that scaling by
+    t > 1 often leaves the domain."""
+    if family == 0:
         t1, t2 = random_commuting_contractions(rng, int(rng.integers(1, 5)))
         c = max(operator_norm(t1), operator_norm(t2))
         return symmetrize_pair(t1 / c, t2 / c)
-
-    def model():
+    if family == 1:
         f = random_fhat(rng, int(rng.integers(1, 3)))
         return truncated_model_from_F(f / numerical_radius(f), int(rng.integers(1, 3)))
+    return random_strict_pair(rng, int(rng.integers(1, 5)), 0.95)
 
-    make = (symmetrized, model, lambda: random_strict_pair(rng, int(rng.integers(1, 5)), 0.95))
+
+def _scaled_family_pairs(seed, count):
+    """Seeded pairs of the three families in turn, each as (t S, t^2 P)
+    with t in [0.8, 1.15]."""
+    rng = rng_from_seed(seed)
     for k in range(count):
-        pair = make[k % 3]()
+        pair = _family_pair(rng, k % 3)
         t = rng.uniform(0.8, 1.15)
         yield make_operator_pair(t * pair.S, t * t * pair.P)
+
+
+# At a phase h from the maximizing one, lambda_max(H) >= omega cos(h), so
+# at 8192 phases a negative window of the circle is missed only when
+# omega(F) < 1 / cos(pi / 8192) = 1 + 7.4e-8.  The default 1024 phases
+# can miss one up to 1 + 4.7e-6, beyond the skipped band of 1e-6.
+ROW_SIGN_TOL = Tolerances(grid_angular=8192)
+
+
+def _row_margin_and_radius(seed, family, t, r):
+    """Margin of row r of (t S, t^2 P) and omega(F_r).
+
+    F_r is the fundamental operator of the scaled pair (r t S, r^2 t^2 P),
+    and its circle pencil is D (2I - w F_r - conj(w) F_r*) D with
+    D = (I - r^4 t^4 P*P)^{1/2} invertible, so the two should give the
+    same sign.  Returns None when the draw has ||t^2 P|| >= 1 or
+    omega(F_r) within 1e-6 of 1.
+    """
+    pair = _family_pair(rng_from_seed(seed), family)
+    if t * t * pair.p_norm >= 1.0:
+        return None
+    scaled = scaled_pair(make_operator_pair(t * pair.S, t * t * pair.P), r)
+    nr = solve_fundamental(scaled).nr
+    if abs(1.0 - nr) < 1e-6:
+        return None
+    return check_gamma_contraction(scaled, ROW_SIGN_TOL).margin, nr
 
 
 def _scalar(parts):
@@ -242,6 +270,30 @@ class TestCircleCriterion:
         *_, pair = _scaled_family_pairs(seed, 1 + seed % 3)
         if check_gamma_contraction(pair, COARSE).is_member:
             assert check_gamma_contraction(scaled_pair(pair, r), COARSE).is_member
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(0, 2),
+        st.floats(0.8, 1.2), st.floats(0.3, 0.99),
+    )
+    def test_row_sign_is_the_sign_of_one_minus_omega(self, seed, family, t, r):
+        got = _row_margin_and_radius(seed, family, t, r)
+        if got is None:
+            reject()
+        margin, nr = got
+        assert (margin > 0) == (nr < 1)
+
+    def test_row_sign_on_both_sides(self):
+        signs = set()
+        for seed in range(4):
+            for family in range(3):
+                for t, r in ((0.8, 0.3), (1.0, 0.9), (1.2, 0.99)):
+                    got = _row_margin_and_radius(seed, family, t, r)
+                    if got is not None:
+                        margin, nr = got
+                        assert (margin > 0) == (nr < 1)
+                        signs.add(nr < 1)
+        assert signs == {True, False}
 
     def test_unitary_conjugation_invariance(self):
         rng = rng_from_seed(41)

@@ -4,9 +4,18 @@ import scipy.linalg
 
 from symbidisc.fundamental import truncated_model_from_F
 from symbidisc.gamma_pairs import make_operator_pair, symmetrize_pair
-from symbidisc.generators import random_commuting_contractions, random_fhat, rng_from_seed
+from symbidisc.gamma_pairs import check_pure
+from symbidisc.generators import (
+    random_commuting_contractions,
+    random_fhat,
+    random_strict_pair,
+    random_symmetrized_pair,
+    rng_from_seed,
+)
 from symbidisc.model_theory import build_model, characteristic_coeffs, dilation_check
 from symbidisc.numerics import operator_norm
+
+from _oracles import dilation_residual_oracle
 
 
 def _scalar_pair(s, p):
@@ -127,6 +136,17 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="pure"):
             build_model(_scalar_pair(2, 1))
 
+    def test_rejects_level_above_the_cap(self):
+        # raised before any block is built: a dense model at this level
+        # would not fit in memory for larger pairs
+        with pytest.raises(ValueError, match="level cap"):
+            build_model(_scalar_pair(1, 0.25), 4097)
+
+    def test_solves_no_numerical_radius(self, radius_solves):
+        pair = _random_pure_pair(rng_from_seed(78), 3)
+        dilation_check(build_model(pair), pair)
+        assert radius_solves == []
+
     def test_reproduces_converse_construction(self):
         # model of a pair built from a known matrix is unitarily
         # equivalent to it on the embedded subspace; the intertwiner is
@@ -186,3 +206,28 @@ class TestDilationCheck:
         model = build_model(pair, 8)
         with pytest.raises(ValueError, match="nonnegative"):
             dilation_check(model, pair, m_max, n_max)
+
+
+def _family_pure_pairs(seed, count):
+    """Seeded pure pairs of the symmetrized, model and strict families."""
+    rng = rng_from_seed(seed)
+    make = (
+        lambda: random_symmetrized_pair(rng, int(rng.integers(1, 6))),
+        lambda: truncated_model_from_F(random_fhat(rng, int(rng.integers(1, 4))), int(rng.integers(1, 6))),
+        lambda: random_strict_pair(rng, int(rng.integers(1, 6)), rng.uniform(0.5, 0.95)),
+    )
+    out = []
+    while len(out) < count:
+        pair = make[len(out) % 3]()
+        if check_pure(pair.P):
+            out.append(pair)
+    return out
+
+
+class TestBatchedResiduals:
+    @pytest.mark.parametrize("m_max, n_max", [(0, 0), (3, 3), (1, 4)])
+    def test_max_residual_equals_the_per_power_loop(self, m_max, n_max):
+        for pair in _family_pure_pairs(79, 24):
+            model = build_model(pair)
+            got = dilation_check(model, pair, m_max, n_max).max_residual
+            assert got == dilation_residual_oracle(model, pair, m_max, n_max)

@@ -70,6 +70,18 @@ class TestTolerances:
             Tolerances(grid_angular=1)
 
 
+class TestOperatorNorm:
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_equals_numpy_two_norm(self, scale):
+        rng = np.random.default_rng(13)
+        for n in range(9):
+            for shape in ((n, n), (n, n + 1), (n + 1, n)):
+                real = rng.standard_normal(shape)
+                for m in (scale * real, scale * (real + 1j * rng.standard_normal(shape))):
+                    want = float(np.linalg.norm(m, 2)) if m.size else 0.0
+                    assert repr(operator_norm(m)) == repr(want)
+
+
 class TestNumericalRadius:
     def test_single_offdiagonal_entry_two(self):
         a = np.zeros((3, 3), complex)

@@ -16,8 +16,14 @@ from symbidisc.generators import (
     rng_from_seed,
 )
 from symbidisc.geometry import GammaPoint
-from symbidisc.numerics import Tolerances, operator_norm
-from symbidisc.varieties import DistinguishedStatus, classify_distinguished, fiber_at_p, variety_membership
+from symbidisc.numerics import Tolerances, numerical_radius, operator_norm
+from symbidisc.varieties import (
+    DeterminantalVariety,
+    DistinguishedStatus,
+    classify_distinguished,
+    fiber_at_p,
+    variety_membership,
+)
 from symbidisc.von_neumann import (
     MatrixPolynomial,
     cup_transform,
@@ -126,6 +132,30 @@ class TestLambdaVariety:
             assert v.nr < 1
             verdict = classify_distinguished(v)
             assert verdict.status == DistinguishedStatus.DISTINGUISHED_CERTIFIED
+
+
+class TestRadiusOnRead:
+    def test_report_and_variety_solve_no_radius(self, radius_solves, monkeypatch):
+        monkeypatch.setattr(von_neumann, "_memo", None)
+        rng = rng_from_seed(67)
+        pairs = [random_symmetrized_pair(rng, 3), random_model_pair(rng),
+                 random_strict_pair(rng, 3, 0.8)]
+        polys = [random_matrix_polynomial(rng) for _ in pairs]
+        radius_solves.clear()  # the model family's generator solves one
+        for f, pair in zip(polys, pairs):
+            vn_report(f, pair, m=64)
+            lambda_variety(pair)
+        assert radius_solves == []
+
+    def test_variety_radius_is_solved_once_on_first_read(self, radius_solves):
+        rng = rng_from_seed(68)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        v = DeterminantalVariety.from_matrix(a)
+        assert radius_solves == []
+        first = v.nr
+        assert v.nr is first
+        assert len(radius_solves) == 1
+        assert repr(first) == repr(numerical_radius(a))
 
 
 class TestVnReport:
