@@ -36,7 +36,7 @@ from .generators import (
     rng_from_seed,
 )
 from .model_theory import build_model, dilation_check
-from .numerics import Tolerances, as_matrix
+from .numerics import DEFAULT_TOL, Tolerances, as_matrix
 from .varieties import DeterminantalVariety, classify_distinguished, write_boundary_csv
 from .von_neumann import MatrixPolynomial, vn_report
 
@@ -125,22 +125,15 @@ def read_poly_file(path: str) -> MatrixPolynomial:
         return poly_from_doc(json.load(fh))
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+def _complex_pair(x):
+    """``json.dumps`` hook: a complex number as ``[re, im]``, nothing else."""
     if isinstance(x, complex):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return _jsonable(list(x))
-    return x
+        return [x.real, x.imag]
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def dumps(report: dict) -> str:
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, default=_complex_pair, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -157,20 +150,26 @@ def _emit(report: dict, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Tolerance flag -> Tolerances field; default and type are DEFAULT_TOL's.
+_TOL_FLAGS = {
+    "--tol-psd": "psd_tol",
+    "--tol-rank": "rank_tol",
+    "--tol-residual": "residual_tol",
+    "--grid-angular": "grid_angular",
+}
+_TOLS = ("--tol-psd", "--tol-rank", "--tol-residual")  # the flags without the grid
+
+
 def _tol_from_args(args) -> Tolerances:
-    return Tolerances(
-        psd_tol=args.tol_psd,
-        rank_tol=args.tol_rank,
-        residual_tol=args.tol_residual,
-        grid_angular=args.grid_angular,
-    )
+    given = {f: getattr(args, f) for f in _TOL_FLAGS.values() if hasattr(args, f)}
+    return replace(DEFAULT_TOL, **given)
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-psd", type=float, default=1e-9)
-    sub.add_argument("--tol-rank", type=float, default=1e-10)
-    sub.add_argument("--tol-residual", type=float, default=1e-8)
-    sub.add_argument("--grid-angular", type=int, default=1024)
+def _common_flags(sub: argparse.ArgumentParser, *tol_flags: str) -> None:
+    """The tolerance flags a subcommand reads, plus ``--out``."""
+    for flag in tol_flags:
+        default = getattr(DEFAULT_TOL, _TOL_FLAGS[flag])
+        sub.add_argument(flag, dest=_TOL_FLAGS[flag], type=type(default), default=default)
     sub.add_argument("--out", default=None, help="write the JSON report here")
 
 
@@ -190,21 +189,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("check", help="membership, strictness, purity, isometry")
     p.add_argument("s_file")
     p.add_argument("p_file")
-    p.add_argument("--refine", action="count", default=0,
-                   help="double the circle grid (repeatable)")
-    _common_flags(p)
+    _common_flags(p, *_TOL_FLAGS)
 
     p = subs.add_parser("fundop", help="solve the fundamental equation")
     p.add_argument("s_file")
     p.add_argument("p_file")
-    _common_flags(p)
+    _common_flags(p, *_TOL_FLAGS)
 
     p = subs.add_parser("variety", help="classify a determinantal variety")
     p.add_argument("a_file")
     p.add_argument("--angles", type=int, default=256, help="fiber angles for the verdict")
     p.add_argument("--sample", type=int, default=None, help="boundary samples for CSV export")
     p.add_argument("--csv", default=None, help="CSV output path (with --sample)")
-    _common_flags(p)
+    _common_flags(p, "--tol-psd")
 
     p = subs.add_parser("vn", help="von Neumann inequality report")
     p.add_argument("s_file", nargs="?")
@@ -214,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run K seeded random instances instead of files")
     p.add_argument("--m", type=int, default=2048, help="boundary sample count")
     p.add_argument("--seed", type=int, default=0)
-    _common_flags(p)
+    _common_flags(p, *_TOLS)
 
     p = subs.add_parser("model", help="truncated dilation model and residuals")
     p.add_argument("s_file")
@@ -222,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=None, help="initial truncation level")
     p.add_argument("--mmax", type=int, default=3)
     p.add_argument("--nmax", type=int, default=3)
-    _common_flags(p)
+    _common_flags(p, *_TOLS)
 
     p = subs.add_parser("gen", help="seeded pair generators")
     p.add_argument("kind", choices=["symmetrized", "model", "strict", "fhat"])
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--r", type=float, default=0.9, help="scale for strict pairs")
     p.add_argument("--prefix", required=True, help="output file prefix")
-    _common_flags(p)
+    _common_flags(p, "--tol-psd", "--tol-residual", "--grid-angular")
 
     return ap
 
@@ -242,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check(args) -> int:
     tol = _tol_from_args(args)
-    for _ in range(args.refine):
-        tol = replace(tol, grid_angular=2 * tol.grid_angular)
     pair = _load_pair(args, tol)
     verdict = check_gamma_contraction(pair, tol)
     c = verdict.margin  # the sweep minimum doubles as the strictness constant

@@ -152,11 +152,14 @@ def numerical_radius(a) -> float:
     parts = a.view(float)
     exp = int(np.frexp(np.abs(parts).max())[1])
     b = np.ldexp(parts, -exp).view(complex)
-    eye, zero = np.eye(n), np.zeros((n, n))
-    right = np.block([[eye, zero], [zero, b]])
+    left, right = np.zeros((2, 2 * n, 2 * n), dtype=complex)
+    diag = np.arange(n)
+    right[diag, diag] = left[diag, n + diag] = 1.0
+    right[n:, n:] = b
+    left[n:, :n] = -b.conj().T
     level = float(0.5 * rotated_eigvalsh(a, np.array([1, 1j, -1, -1j]))[:, -1].max())
     while True:
-        left = np.block([[zero, eye], [-b.conj().T, np.ldexp(2.0 * level, -exp) * eye]])
+        left[n + diag, n + diag] = np.ldexp(2.0 * level, -exp)
         z = scipy.linalg.eigvals(left, right, check_finite=False)
         theta = np.sort(np.angle(z[np.isfinite(z)]))
         mid = 0.5 * (theta + np.append(theta[1:], theta[:1] + 2.0 * math.pi))

@@ -341,27 +341,22 @@ def symmetrize_bidisc_variety(p: BivarPolynomial) -> BivarPolynomial:
     scale = 1.0 + float(np.max(np.abs(c)))
     cutoff = 1e-15 * scale
     q = np.zeros((size, size), dtype=complex)
-    for _ in range(4 * size * size):
-        mask = np.abs(c) > cutoff
-        if not mask.any():
-            break
-        # Graded-lex leading term: maximize total degree, then z-power.
-        idx = np.argwhere(mask)
-        tot = idx.sum(axis=1)
-        order = np.lexsort((idx[:, 0], tot))
-        a_pow, b_pow = idx[order[-1]]
-        if a_pow < b_pow:
-            a_pow, b_pow = b_pow, a_pow
-        lam = c[a_pow, b_pow]
-        d = a_pow - b_pow
-        q[d, b_pow] += lam
-        for t in range(d + 1):
-            c[d - t + b_pow, t + b_pow] -= lam * math.comb(d, t)
-        c[a_pow, b_pow] = 0.0
-        if a_pow != b_pow:
-            c[b_pow, a_pow] = 0.0
-    else:
-        raise ValueError("symmetric reduction did not terminate")
+    # Eliminating z^a w^b only changes monomials of the same total degree
+    # with z-power at most a, and its mirrored updates keep c symmetric, so
+    # one pass in graded-lex order meets every leading term in turn.
+    for deg in range(2 * size - 2, -1, -1):
+        for a_pow in range(min(deg, size - 1), (deg - 1) // 2, -1):
+            b_pow = deg - a_pow
+            lam = c[a_pow, b_pow]
+            if not abs(lam) > cutoff:
+                continue
+            d = a_pow - b_pow
+            q[d, b_pow] += lam
+            for t in range(d + 1):
+                c[d - t + b_pow, t + b_pow] -= lam * math.comb(d, t)
+            c[a_pow, b_pow] = 0.0
+            if a_pow != b_pow:
+                c[b_pow, a_pow] = 0.0
 
     result = BivarPolynomial(_trim(q))
     rng = np.random.default_rng(20240901)

@@ -4,7 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symbidisc.numerics import DEFAULT_TOL
+
 from symbidisc.cli import (
+    _tol_from_args,
+    build_parser,
     main,
     matrix_from_doc,
     matrix_to_doc,
@@ -68,13 +72,6 @@ class TestCheckCommand:
         assert main(["check", s, p]) == 1
         assert json.loads(capsys.readouterr().out)["gamma_contraction"] is False
 
-    def test_refine_doubles_grid(self, tmp_path, capsys):
-        s = _write(tmp_path / "S.json", np.zeros((2, 2)))
-        p = _write(tmp_path / "P.json", np.zeros((2, 2)))
-        code = main(["check", s, p, "--grid-angular", "32", "--refine", "--refine"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 0 and report["gamma_contraction"] is True
-
     def test_grid_radial_flag_is_gone(self, tmp_path):
         s = _write(tmp_path / "S.json", np.zeros((2, 2)))
         p = _write(tmp_path / "P.json", np.zeros((2, 2)))
@@ -101,6 +98,39 @@ class TestCheckCommand:
         assert main(["check", s, p, "--tol-psd", value]) == 2
 
 
+# A subcommand rejects the tolerance flags it does not read; --grid-angular
+# stands in for check --refine.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "S.json", "P.json", "--refine"],
+        ["variety", "A.json", "--tol-rank", "0.5"],
+        ["variety", "A.json", "--tol-residual", "0.5"],
+        ["variety", "A.json", "--grid-angular", "2"],
+        ["vn", "--random", "1", "--grid-angular", "2"],
+        ["model", "S.json", "P.json", "--grid-angular", "2"],
+        ["gen", "fhat", "--prefix", "g", "--tol-rank", "0.5"],
+    ],
+    ids=["check --refine", "variety --tol-rank", "variety --tol-residual",
+         "variety --grid-angular", "vn --grid-angular", "model --grid-angular",
+         "gen --tol-rank"],
+)
+def test_removed_flag_exits_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "S", "P"], ["fundop", "S", "P"], ["variety", "A"], ["vn"],
+     ["model", "S", "P"], ["gen", "fhat", "--prefix", "g"]],
+    ids=lambda argv: argv[0],
+)
+def test_tolerance_defaults_are_default_tol(argv):
+    assert _tol_from_args(build_parser().parse_args(argv)) == DEFAULT_TOL
+
+
 _GOOD = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
 _POLY = {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": _GOOD}]}
 
@@ -115,9 +145,14 @@ _POLY = {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": _GOOD}]}
         (_GOOD, {"block_dim": 1, "terms": [{"j": 0, "matrix": _GOOD}]}, 2),
         # a negative index would silently add to the highest-degree coefficient
         (_GOOD, {"block_dim": 1, "terms": _POLY["terms"] + [{"i": -1, "j": 0, "matrix": _GOOD}]}, 2),
+        (_GOOD, {"terms": _POLY["terms"]}, 2),
+        (_GOOD, {"block_dim": 0, "terms": _POLY["terms"]}, 2),
+        (_GOOD, {"block_dim": 1, "terms": []}, 2),
+        (_GOOD, {"block_dim": 2, "terms": _POLY["terms"]}, 2),
     ],
     ids=["well-formed", "data-not-pairs", "data-null", "entry-null", "term-without-i",
-         "negative-degree"],
+         "negative-degree", "no-block-dim", "zero-block-dim", "no-terms",
+         "term-shape-mismatch"],
 )
 def test_json_document_exit_code(tmp_path, capsys, matrix, poly, code):
     (tmp_path / "S.json").write_text(json.dumps(matrix))
@@ -137,6 +172,16 @@ class TestFundopCommand:
         assert report["rank"] == 1
         assert abs(report["F"]["data"][0][0] - 0.8) <= 1e-10
         assert report["nr"] <= 1 + 1e-9
+
+    def test_radius_above_one_exits_three(self, tmp_path, capsys):
+        # the pencil is 2 at both phases +-1 of a two-phase grid and
+        # r(S) = 1.9, so the pair passes; then w(F) = 1.9 breaks the bound
+        s = _write(tmp_path / "S.json", [[1.9j]])
+        p = _write(tmp_path / "P.json", [[0.0]])
+        assert main(["fundop", s, p, "--grid-angular", "2"]) == 3
+        assert "numerical radius 1.900000000000 exceeds 1" in capsys.readouterr().err
+        assert main(["fundop", s, p]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma_contraction"] is False
 
 
 class TestVarietyCommand:
@@ -222,8 +267,7 @@ class TestVnCommand:
 
     def test_random_batch_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        args = ["vn", "--random", "3", "--seed", "7", "--m", "128",
-                "--grid-angular", "64"]
+        args = ["vn", "--random", "3", "--seed", "7", "--m", "128"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
