@@ -34,7 +34,6 @@ from .gamma_pairs import (
     desymmetrize_pair,
     make_operator_pair,
     rho_pencil,
-    strictness_constant,
     symmetrize_pair,
 )
 from .fundamental import (
@@ -66,11 +65,9 @@ from .von_neumann import (
     vn_report,
 )
 from .model_theory import (
-    CharFnCoeffs,
     DilationReport,
     TruncatedModel,
     build_model,
-    characteristic_coeffs,
     dilation_check,
 )
 

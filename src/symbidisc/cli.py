@@ -25,7 +25,6 @@ from .gamma_pairs import (
     check_gamma_isometry,
     check_pure,
     make_operator_pair,
-    strictness_constant,
 )
 from .generators import (
     random_fhat,
@@ -395,7 +394,7 @@ def _cmd_gen(args) -> int:
             pair = random_model_pair(rng, tol)
         else:
             pair = random_strict_pair(rng, args.dim, args.r, tol)
-            c = strictness_constant(pair, tol)
+            c = check_gamma_contraction(pair, tol).margin
             manifest["strictness"] = c
             if c <= tol.psd_tol:
                 print("error: generated pair is not strict", file=sys.stderr)

@@ -47,7 +47,6 @@ __all__ = [
     "make_operator_pair",
     "rho_pencil",
     "check_gamma_contraction",
-    "strictness_constant",
     "check_gamma_isometry",
     "check_pure",
     "symmetrize_pair",
@@ -135,9 +134,12 @@ def check_gamma_contraction(
     One batched eigensolve of rho(w S, w^2 P) over the ``grid_angular``
     phases w of the unit circle.  Accepts when r(S) <= 2 + ``psd_tol`` and
     every phase passes the PSD test (the circle criterion of the module
-    docstring).  ``margin`` is the minimum over the sampled circle.  The
-    witness is the first phase within 64 ulps x (1 + max |eigenvalue|
-    there) of the margin, so rounding-level ties do not move it.
+    docstring).  ``margin`` is the minimum over the sampled circle, and
+    the pair is strict exactly when it exceeds ``psd_tol``: positivity on
+    the whole circle forces r(S) < 2, since at a joint eigenvalue (s, p)
+    it gives |s - conj(s) p| < 1 - |p|^2.  The witness is the first phase
+    within 64 ulps x (1 + max |eigenvalue| there) of the margin, so
+    rounding-level ties do not move it.
     """
     pencils = _circle_pencils(pair)
     phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, tol.grid_angular, endpoint=False))
@@ -152,16 +154,6 @@ def check_gamma_contraction(
     lam_k, vec = np.linalg.eigh(pencils(phases[k : k + 1])[0])
     witness = PencilWitness(complex(phases[k]), vec[:, 0], float(lam_k[0]))
     return PairVerdict(member, margin, witness)
-
-
-def strictness_constant(pair: OperatorPair, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Smallest pencil eigenvalue over the sampled unit circle.
-
-    The pair is strict exactly when the returned constant exceeds
-    ``psd_tol``.  Positivity on the whole circle forces r(S) < 2: at a
-    joint eigenvalue (s, p) it gives |s - conj(s) p| < 1 - |p|^2.
-    """
-    return check_gamma_contraction(pair, tol).margin
 
 
 def check_gamma_isometry(

@@ -1,15 +1,17 @@
-"""Characteristic-function coefficients and truncated dilation models.
+"""Truncated dilation models of pure member pairs.
 
 A pure member pair (S, P) dilates to the pair
 
-    (I (tensor) G* + M_z (tensor) G,  M_z (tensor) I)
+    (T, V) = (I (tensor) G* + M_z (tensor) G,  M_z (tensor) I)
 
 on vector-valued power series over the defect space of P*, where G
 solves the fundamental equation of (S*, P*).  Truncating to the first N
 coefficient blocks, with N large enough that ||P^N|| is negligible,
-gives finite matrices whose compressions reproduce the mixed powers
+gives finite operators whose compressions reproduce the mixed powers
 S^m P^n up to a tail-controlled residual; the embedding that realizes
-the compression is h -> (D_{P*} P*^n h)_{n < N}.
+the compression is h -> (D_{P*} P*^n h)_{n < N}.  T and V are applied
+block by block and never stored: T* sends block j to G x_j + G* x_{j+1},
+and V moves every block down by one.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import FundamentalOperator, defect_operator, solve_fundamental
-from .gamma_pairs import OperatorPair, check_pure, make_operator_pair
-from .numerics import DEFAULT_TOL, Tolerances, as_matrix, operator_norm, require_square
+from .fundamental import FundamentalOperator, _block_shift_pair, solve_fundamental
+from .gamma_pairs import OperatorPair, check_pure
+from .numerics import DEFAULT_TOL, Tolerances, operator_norm
 
 __all__ = [
-    "CharFnCoeffs",
     "TruncatedModel",
     "DilationReport",
-    "characteristic_coeffs",
     "build_model",
     "dilation_check",
 ]
@@ -36,58 +36,31 @@ _MAX_LEVEL = 4096
 
 
 @dataclass(frozen=True)
-class CharFnCoeffs:
-    """Taylor coefficients of the characteristic function of a contraction.
-
-    Block k maps defect-space coordinates of P to defect-space
-    coordinates of P*: block 0 is -P compressed, block k >= 1 is
-    D_{P*} P*^{k-1} D_P compressed.
-    """
-
-    coeffs: list[np.ndarray]
-    P: np.ndarray
-
-
-def characteristic_coeffs(
-    p, n_terms: int, tol: Tolerances = DEFAULT_TOL
-) -> CharFnCoeffs:
-    """First ``n_terms`` Taylor coefficients about 0, from closed forms.
-
-    No series inversion is performed: the resolvent expansion of
-    -T + z D_{T*} (I - z T*)^{-1} D_T yields the stated block formulas
-    directly.
-    """
-    p = require_square(as_matrix(p), "P")
-    if n_terms < 1:
-        raise ValueError("coefficient count must be positive")
-    dd = defect_operator(p, tol)
-    dd_star = defect_operator(p.conj().T, tol)
-    b, bs = dd.basis, dd_star.basis
-    coeffs = [bs.conj().T @ (-p) @ b]
-    power = np.eye(p.shape[0], dtype=complex)
-    for _ in range(1, n_terms):
-        coeffs.append(bs.conj().T @ dd_star.D @ power @ dd.D @ b)
-        power = power @ p.conj().T
-    return CharFnCoeffs(coeffs, p.copy())
-
-
-@dataclass(frozen=True)
 class TruncatedModel:
     """Finite compression of the dilation pair with its embedding.
 
-    ``T`` and ``V`` act on N blocks of defect-space coordinates of P*;
-    ``W`` embeds the original space into the block space and is isometric
-    up to ``tail`` = ||P^N|| = ||P*^N|| (||W*W - I|| = tail^2 exactly in
-    arithmetic).
+    ``W`` embeds the original space into N blocks of defect-space
+    coordinates of P*, each ``block_dim`` rows, and is isometric up to
+    ``tail`` = ||P^N|| = ||P*^N|| (||W*W - I|| = tail^2 exactly in
+    arithmetic).  ``fund_adjoint.F`` is G; the dense ``T`` and ``V`` are
+    built only when read.
     """
 
     N: int
-    T: np.ndarray
-    V: np.ndarray
     W: np.ndarray
     tail: float
     block_dim: int
     fund_adjoint: FundamentalOperator
+
+    @property
+    def T(self) -> np.ndarray:
+        s, _ = _block_shift_pair(self.fund_adjoint.F, self.N)
+        return np.ascontiguousarray(s.conj().T)
+
+    @property
+    def V(self) -> np.ndarray:
+        _, p = _block_shift_pair(self.fund_adjoint.F, self.N)
+        return np.ascontiguousarray(p.conj().T)
 
 
 @dataclass(frozen=True)
@@ -111,7 +84,8 @@ def build_model(
 
     The truncation level is doubled until ||P^N|| <= 1e-8 (starting from
     the requested level, default 8), capped at 4096; a requested level
-    above the cap, or a tail still above target at the cap, raises.
+    above the cap, or a tail still above target at the cap, raises.  The
+    cap bounds the N-step loop that builds W and its N k x dim storage.
     Requires P pure.
     """
     if not check_pure(pair.P, tol):
@@ -130,24 +104,29 @@ def build_model(
         n = min(2 * n, _MAX_LEVEL)
         tail = _tail_norm(pair.P, n)
 
-    adjoint = make_operator_pair(pair.S.conj().T, pair.P.conj().T, tol)
+    # (S*, P*) commutes with the same defect and norms as the validated pair
+    adjoint = OperatorPair(
+        np.ascontiguousarray(pair.S.conj().T),
+        np.ascontiguousarray(pair.P.conj().T),
+        pair.commutator_defect,
+        pair.s_norm,
+        pair.p_norm,
+    )
     fund = solve_fundamental(adjoint, tol)
-    g = fund.F
-    k = fund.defect.rank
-    shift = np.eye(n, k=-1)
-    t = np.kron(np.eye(n), g.conj().T) + np.kron(shift, g)
-    v = np.kron(shift, np.eye(k)).astype(complex)
-
     bs = fund.defect.basis
-    d_star = fund.defect.D
-    p_adj = pair.P.conj().T
     blocks = []
-    cur = d_star.copy()
+    cur = fund.defect.D
     for _ in range(n):
         blocks.append(bs.conj().T @ cur)
-        cur = cur @ p_adj
-    w = np.vstack(blocks)
-    return TruncatedModel(n, t, v, w, tail, k, fund)
+        cur = cur @ adjoint.P
+    return TruncatedModel(n, np.vstack(blocks), tail, fund.defect.rank, fund)
+
+
+def _adjoint_symbol(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T* applied to the N x k x dim block array x: G x_j + G* x_{j+1}."""
+    out = g @ x
+    out[:-1] += g.conj().T @ x[1:]
+    return out
 
 
 def dilation_check(
@@ -163,27 +142,35 @@ def dilation_check(
     and ||W S* - T* W|| and the reporting bound
     C * tail, C = (1 + ||S||) (1 + m_max + n_max).  Negative power
     bounds raise ``ValueError``: they would check no power at all.
+
+    Each compression is (T*^m W)* (V^n W), where V^n W is W moved down n
+    blocks, so only N k x dim arrays are formed.
     """
     if m_max < 0 or n_max < 0:
         raise ValueError("power bounds must be nonnegative")
     if model.W.shape[1] != pair.dim:
         raise ValueError("model and pair dimensions do not match")
     w = model.W
-    wh = w.conj().T
+    n, dim = model.N, pair.dim
+    blocks = w.reshape(n, model.block_dim, dim)
+    g = model.fund_adjoint.F
+    t_adj_w = [blocks]  # T*^m W
+    for _ in range(max(m_max, 1)):
+        t_adj_w.append(_adjoint_symbol(g, t_adj_w[-1]))
     residuals = []
-    t_pow = np.eye(model.T.shape[0], dtype=complex)
     for m in range(m_max + 1):
         s_pow = np.linalg.matrix_power(pair.S, m)
-        tv = t_pow
         for nn in range(n_max + 1):
             target = s_pow @ np.linalg.matrix_power(pair.P, nn)
-            residuals.append(wh @ tv @ w - target)
-            tv = tv @ model.V
-        t_pow = t_pow @ model.T
+            left = t_adj_w[m][nn:].reshape(-1, dim)
+            right = blocks[: n - nn].reshape(-1, dim)
+            residuals.append(left.conj().T @ right - target)
     # the largest singular value over one batched SVD is the largest residual norm
     max_res = float(np.linalg.svd(np.stack(residuals), compute_uv=False).max())
-    shift_res = operator_norm(w @ pair.P.conj().T - model.V.conj().T @ w)
-    symbol_res = operator_norm(w @ pair.S.conj().T - model.T.conj().T @ w)
+    v_adj_w = np.zeros_like(blocks)  # V* W: W moved up one block
+    v_adj_w[:-1] = blocks[1:]
+    shift_res = operator_norm(w @ pair.P.conj().T - v_adj_w.reshape(w.shape))
+    symbol_res = operator_norm(w @ pair.S.conj().T - t_adj_w[1].reshape(w.shape))
     bound = (1.0 + pair.s_norm) * (1.0 + m_max + n_max) * model.tail
-    embed = operator_norm(wh @ w - np.eye(pair.dim))
+    embed = operator_norm(w.conj().T @ w - np.eye(pair.dim))
     return DilationReport(max_res, shift_res, symbol_res, bound, model.tail, embed)

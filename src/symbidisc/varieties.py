@@ -312,6 +312,7 @@ class BivarPolynomial:
 
 
 _SYM_DEGREE_CAP = 16
+_SYM_CHECK = 1e-12
 
 
 def symmetrize_bidisc_variety(p: BivarPolynomial) -> BivarPolynomial:
@@ -321,9 +322,11 @@ def symmetrize_bidisc_variety(p: BivarPolynomial) -> BivarPolynomial:
     graded-lex leading monomial z^a w^b (a >= b by symmetry) against
     (z + w)^{a-b} (z w)^b; the quotient accumulates into the returned
     polynomial q, which satisfies q(z + w, z w) = p(z, w) p(w, z)
-    identically.  The identity is verified at 200 pseudorandom points to
-    relative accuracy 1e-10, and a failure raises ``ValueError`` (an
-    internal consistency error).
+    identically.  The identity is verified at 200 pseudorandom points:
+    |q(z + w, z w) - p(z, w) p(w, z)| must stay below 1e-12 times
+    |q|(|z + w|, |z w|) + |pt|(|z|, |w|), where |q| and |pt| take the
+    absolute values of the coefficients of q and of the product pt.  A
+    failure raises ``ValueError`` (an internal consistency error).
     """
     if p.is_zero():
         raise ValueError("input polynomial must be nonzero")
@@ -364,9 +367,15 @@ def symmetrize_bidisc_variety(p: BivarPolynomial) -> BivarPolynomial:
     w = rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)
     lhs = result(z + w, z * w)
     rhs = pt(z, w)
-    err = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))
-    if err > 1e-10:
+    # both evaluations round relative to their absolute-value sums
+    az, aw = np.abs(z), np.abs(w)
+    scale = np.polynomial.polynomial.polyval2d(
+        np.abs(z + w), az * aw, np.abs(result.coeffs)
+    ) + np.polynomial.polynomial.polyval2d(az, aw, np.abs(pt.coeffs))
+    err = np.max(np.abs(lhs - rhs) / scale)
+    if not err <= _SYM_CHECK:
         raise ValueError(
-            f"symmetric rewrite verification failed: relative error {err:.3e}"
+            f"symmetric rewrite verification failed: error {err:.3e} of the "
+            "absolute-value scale"
         )
     return result

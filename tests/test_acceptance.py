@@ -11,7 +11,6 @@ import numpy as np
 from symbidisc.fundamental import solve_fundamental, truncated_model_from_F
 from symbidisc.gamma_pairs import (
     check_gamma_contraction,
-    strictness_constant,
     symmetrize_pair,
 )
 from symbidisc.generators import (
@@ -124,7 +123,7 @@ def test_criterion_3_strictness_bound():
     for k in range(100):
         r = scales[k % 3]
         pair = random_strict_pair(rng, int(rng.integers(2, 7)), r, tol)
-        c = strictness_constant(pair, tol)
+        c = check_gamma_contraction(pair, tol).margin
         fund = solve_fundamental(pair, tol)
         min_c = min(min_c, c)
         worst_gap = max(worst_gap, fund.nr - (1 - c / 2))

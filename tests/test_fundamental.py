@@ -10,7 +10,7 @@ from symbidisc.fundamental import (
     solve_fundamental,
     truncated_model_from_F,
 )
-from symbidisc.gamma_pairs import check_gamma_contraction, make_operator_pair, strictness_constant
+from symbidisc.gamma_pairs import check_gamma_contraction, make_operator_pair
 from symbidisc.generators import (
     random_fhat,
     random_strict_pair,
@@ -114,7 +114,7 @@ class TestSolveFundamental:
         rng = rng_from_seed(44)
         for r in (0.5, 0.8):
             pair = random_strict_pair(rng, 3, r)
-            c = strictness_constant(pair)
+            c = check_gamma_contraction(pair).margin
             fund = solve_fundamental(pair)
             assert c > 0
             assert fund.nr <= 1 - c / 2 + 1e-8

@@ -13,7 +13,6 @@ from symbidisc.gamma_pairs import (
     desymmetrize_pair,
     make_operator_pair,
     rho_pencil,
-    strictness_constant,
     symmetrize_pair,
 )
 from symbidisc.fundamental import solve_fundamental, truncated_model_from_F
@@ -321,22 +320,22 @@ class TestCircleCriterion:
 class TestStrictness:
     def test_zero_pair(self):
         pair = make_operator_pair(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert abs(strictness_constant(pair, COARSE) - 2.0) <= 1e-12
+        assert abs(check_gamma_contraction(pair, COARSE).margin - 2.0) <= 1e-12
 
     def test_halved_nilpotent(self):
         # min over the disc of 2 - |alpha| * ||S|| with ||S|| = 1
         s = np.array([[0, 1], [0, 0]], dtype=complex)
         pair = make_operator_pair(s, np.zeros((2, 2)))
-        assert abs(strictness_constant(pair) - 1.0) <= 1e-12
+        assert abs(check_gamma_contraction(pair).margin - 1.0) <= 1e-12
 
     def test_distinguished_scalar_not_strict(self):
-        assert abs(strictness_constant(_scalar_pair(2, 1))) <= 1e-12
+        assert abs(check_gamma_contraction(_scalar_pair(2, 1)).margin) <= 1e-12
 
     def test_strict_implies_strict_contraction(self):
         rng = rng_from_seed(37)
         for r in (0.5, 0.8, 0.95):
             pair = random_strict_pair(rng, 3, r, COARSE)
-            c = strictness_constant(pair, COARSE)
+            c = check_gamma_contraction(pair, COARSE).margin
             assert c > 1e-9
             assert pair.p_norm < 1.0
 

@@ -220,6 +220,18 @@ class TestSymmetrizeVariety:
             got = q(z + w, z * w)
             assert np.max(np.abs(got - want) / (1 + np.abs(want))) <= 1e-10
 
+    def test_dense_nine_by_nine_verifies(self):
+        # the 961st draw once failed a fixed 1e-10 relative check
+        rng = np.random.default_rng(123)
+        for _ in range(961):
+            r, c = rng.integers(1, 10, size=2)
+            a = rng.standard_normal((r, c))
+        assert a.shape == (9, 9)
+        q = symmetrize_bidisc_variety(BivarPolynomial.from_coeffs(a))
+        z, w = 0.3 - 0.2j, -0.5 + 0.1j
+        want = poly_eval_oracle(a, z, w) * poly_eval_oracle(a.T, z, w)
+        assert abs(q(z + w, z * w) - want) <= 1e-10 * (1 + abs(want))
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             symmetrize_bidisc_variety(BivarPolynomial.from_coeffs([[0.0]]))
