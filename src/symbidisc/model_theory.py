@@ -162,8 +162,9 @@ def dilation_check(
         s_pow = np.linalg.matrix_power(pair.S, m)
         for nn in range(n_max + 1):
             target = s_pow @ np.linalg.matrix_power(pair.P, nn)
+            # for nn >= N both slices are empty and V^n W is 0
             left = t_adj_w[m][nn:].reshape(-1, dim)
-            right = blocks[: n - nn].reshape(-1, dim)
+            right = blocks[: max(n - nn, 0)].reshape(-1, dim)
             residuals.append(left.conj().T @ right - target)
     # the largest singular value over one batched SVD is the largest residual norm
     max_res = float(np.linalg.svd(np.stack(residuals), compute_uv=False).max())

@@ -293,6 +293,15 @@ class TestModelCommand:
         assert report["tail"] <= 1e-8
         assert report["max_residual"] <= report["bound"] + 1e-10
 
+    def test_powers_past_the_level(self, scalar_pair_files, capsys):
+        # N = 16 < n_max: the compressions of V^n with n >= N are 0
+        s, p = scalar_pair_files
+        code = main(["model", s, p, "--level", "16", "--nmax", "20"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["N"] == 16
+        assert report["max_residual"] <= report["bound"] + 1e-10
+
     def test_non_pure_pair_exits_two(self, tmp_path):
         s = _write(tmp_path / "S.json", [[2.0]])
         p = _write(tmp_path / "P.json", [[1.0]])

@@ -192,6 +192,19 @@ class TestBatchedResiduals:
             allowance = (1 + m_max) * model.N * model.block_dim * eps * 2.0**m_max
             assert abs(got - want) <= allowance
 
+    @pytest.mark.parametrize("n_max", [7, 8, 9, 12, 16])
+    def test_powers_at_and_past_the_level(self, n_max):
+        # Both pairs stay at level N = 8, where V^n W = 0 for n >= 8 and
+        # the residual is S^m P^n itself: 0 for the nilpotent pair, and
+        # at most 0.01^8 for the scalar one.
+        eps = np.finfo(float).eps
+        for pair in (_nilpotent_pair(rng_from_seed(76), 4), _scalar_pair(0.5, 0.01)):
+            model = build_model(pair, 8)
+            assert model.N == 8
+            got = dilation_check(model, pair, 3, n_max).max_residual
+            want = dilation_residual_oracle(model, pair, 3, n_max)
+            assert abs(got - want) <= 4 * model.N * model.block_dim * eps * 2.0**3
+
 
 def test_model_forms_no_dense_block_matrix():
     # one dense T at N = 256, k = 1 would take 256^2 complex entries
