@@ -236,8 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
-    tol = _tol_from_args(args)
+class _NotStrictError(Exception):
+    """A generated strict pair failed its strictness check."""
+
+
+def _cmd_check(args, tol: Tolerances) -> tuple[dict, int]:
     pair = _load_pair(args, tol)
     verdict = check_gamma_contraction(pair, tol)
     c = verdict.margin  # the sweep minimum doubles as the strictness constant
@@ -255,19 +258,13 @@ def _cmd_check(args) -> int:
         "gamma_isometry": iso.is_member,
         "isometry_margin": iso.margin,
     }
-    _emit(report, args.out)
-    return EXIT_OK if verdict.is_member else EXIT_FALSE
+    return report, EXIT_OK if verdict.is_member else EXIT_FALSE
 
 
-def _cmd_fundop(args) -> int:
-    tol = _tol_from_args(args)
+def _cmd_fundop(args, tol: Tolerances) -> tuple[dict, int]:
     pair = _load_pair(args, tol)
     member = check_gamma_contraction(pair, tol).is_member
-    try:
-        fund = solve_fundamental(pair, tol, contraction_verified=member)
-    except FundamentalBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    fund = solve_fundamental(pair, tol, contraction_verified=member)
     report = {
         "gamma_contraction": member,
         "rank": fund.defect.rank,
@@ -275,12 +272,10 @@ def _cmd_fundop(args) -> int:
         "nr": fund.nr,
         "F": matrix_to_doc(fund.F),
     }
-    _emit(report, args.out)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_variety(args) -> int:
-    tol = _tol_from_args(args)
+def _cmd_variety(args, tol: Tolerances) -> tuple[dict, int]:
     a = read_matrix_file(args.a_file)
     variety = DeterminantalVariety.from_matrix(a)
     verdict = classify_distinguished(variety, tol, m=args.angles)
@@ -299,8 +294,7 @@ def _cmd_variety(args) -> int:
         "s_margin": verdict.s_margin,
         "track_gap": verdict.track_gap,
     }
-    _emit(report, args.out)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _vn_single_report(rep) -> dict:
@@ -319,8 +313,7 @@ def _vn_single_report(rep) -> dict:
     }
 
 
-def _cmd_vn(args) -> int:
-    tol = _tol_from_args(args)
+def _cmd_vn(args, tol: Tolerances) -> tuple[dict, int]:
     if args.random is not None:
         if args.random < 1:
             raise ValueError("--random must be at least 1")
@@ -345,19 +338,16 @@ def _cmd_vn(args) -> int:
             "min_ratio": min(ratios),
             "max_ratio": max(ratios),
         }
-        _emit(report, args.out)
-        return EXIT_OK if all_hold else EXIT_INVARIANT
+        return report, EXIT_OK if all_hold else EXIT_INVARIANT
     if not (args.s_file and args.p_file and args.poly):
         raise ValueError("vn needs S-file, P-file and --poly (or --random K)")
     pair = _load_pair(args, tol)
     poly = read_poly_file(args.poly)
     rep = vn_report(poly, pair, m=args.m, tol=tol)
-    _emit(_vn_single_report(rep), args.out)
-    return EXIT_OK if rep.holds else EXIT_INVARIANT
+    return _vn_single_report(rep), EXIT_OK if rep.holds else EXIT_INVARIANT
 
 
-def _cmd_model(args) -> int:
-    tol = _tol_from_args(args)
+def _cmd_model(args, tol: Tolerances) -> tuple[dict, int]:
     pair = _load_pair(args, tol)
     model = build_model(pair, args.level, tol)
     rep = dilation_check(model, pair, args.mmax, args.nmax)
@@ -371,15 +361,13 @@ def _cmd_model(args) -> int:
         "symbol_intertwine": rep.symbol_intertwine,
         "bound": rep.bound,
     }
-    _emit(report, args.out)
     ok = rep.max_residual <= rep.bound + 1e-10
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return report, EXIT_OK if ok else EXIT_INVARIANT
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, tol: Tolerances) -> tuple[dict, int]:
     if args.dim < 1:
         raise ValueError("--dim must be at least 1")
-    tol = _tol_from_args(args)
     rng = rng_from_seed(args.seed)
     manifest = {"kind": args.kind, "seed": args.seed}
     if args.kind == "fhat":
@@ -397,15 +385,13 @@ def _cmd_gen(args) -> int:
             c = check_gamma_contraction(pair, tol).margin
             manifest["strictness"] = c
             if c <= tol.psd_tol:
-                print("error: generated pair is not strict", file=sys.stderr)
-                return EXIT_INVARIANT
+                raise _NotStrictError("generated pair is not strict")
         s_path, p_path = f"{args.prefix}-S.json", f"{args.prefix}-P.json"
         write_matrix_file(s_path, pair.S)
         write_matrix_file(p_path, pair.P)
         manifest["files"] = [s_path, p_path]
         manifest["dim"] = pair.dim
-    _emit(manifest, args.out)
-    return EXIT_OK
+    return manifest, EXIT_OK
 
 
 _DISPATCH = {
@@ -421,7 +407,13 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        report, code = _DISPATCH[args.command](args, _tol_from_args(args))
+        _emit(report, args.out)
+        return code
+    # before ValueError, which FundamentalBoundError subclasses
+    except (FundamentalBoundError, _NotStrictError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -18,7 +18,6 @@ circle: the verdicts are grid verdicts, not continuum proofs.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -31,8 +30,10 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
+    circle_pencils,
     joint_spectrum,
     operator_norm,
+    phase_grid,
     require_commuting,
     require_square,
     spectral_radius,
@@ -107,23 +108,13 @@ def make_operator_pair(s, p, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
 
 def rho_pencil(pair: OperatorPair) -> np.ndarray:
     """2(I - P*P) - (S - S*P) - (S* - P*S), the pencil at alpha = 1."""
-    return _circle_pencils(pair)(np.ones(1))[0]
+    c, b = _defects(pair)
+    return circle_pencils(-b, np.ones(1), c)[0]
 
 
-def _circle_pencils(pair: OperatorPair):
-    """Builder w -> rho(w S, w^2 P), stacked over the phases w.
-
-    The pencil is Y + Y* with Y = (I - P*P) - w (S - S*P), so it is
-    Hermitian entry by entry.
-    """
-    c = np.eye(pair.dim) - pair.P.conj().T @ pair.P
-    b = pair.S - pair.S.conj().T @ pair.P
-
-    def pencils(w: np.ndarray) -> np.ndarray:
-        y = c - w[:, None, None] * b
-        return y + np.conj(y.transpose(0, 2, 1))
-
-    return pencils
+def _defects(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray]:
+    """I - P*P and S - S*P: rho(w S, w^2 P) is Y + Y* with Y = (I - P*P) - w (S - S*P)."""
+    return np.eye(pair.dim) - pair.P.conj().T @ pair.P, pair.S - pair.S.conj().T @ pair.P
 
 
 def check_gamma_contraction(
@@ -141,9 +132,10 @@ def check_gamma_contraction(
     within 64 ulps x (1 + max |eigenvalue| there) of the margin, so
     rounding-level ties do not move it.
     """
-    pencils = _circle_pencils(pair)
-    phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, tol.grid_angular, endpoint=False))
-    lam = np.linalg.eigvalsh(pencils(phases))
+    c, b = _defects(pair)
+    phases = np.exp(1j * phase_grid(tol.grid_angular))
+    pencils = circle_pencils(-b, phases, c)
+    lam = np.linalg.eigvalsh(pencils)
     lmin = lam[:, 0]
     scale = 1.0 + np.max(np.abs(lam), axis=1)
     margin = float(lmin.min())
@@ -151,7 +143,7 @@ def check_gamma_contraction(
         spectral_radius(pair.S) <= 2.0 + tol.psd_tol
     )
     k = int(np.argmax(lmin <= margin + 64 * np.finfo(float).eps * scale))
-    lam_k, vec = np.linalg.eigh(pencils(phases[k : k + 1])[0])
+    lam_k, vec = np.linalg.eigh(pencils[k])
     witness = PencilWitness(complex(phases[k]), vec[:, 0], float(lam_k[0]))
     return PairVerdict(member, margin, witness)
 
@@ -167,19 +159,12 @@ def check_gamma_isometry(
     verified as a consistency check on the joint eigenvalues.  The margin
     is the negative of the worst residual.
     """
-    s, p = pair.S, pair.P
-    eye = np.eye(pair.dim)
-    res_iso = operator_norm(p.conj().T @ p - eye)
-    res_sym = operator_norm(s - s.conj().T @ p)
-    rs = spectral_radius(s) if pair.dim else 0.0
+    res_iso, res_sym = map(operator_norm, _defects(pair))
+    rs = spectral_radius(pair.S)
     worst = max(res_iso, res_sym, max(0.0, rs - 2.0))
-    ok = (
-        res_iso <= tol.residual_tol
-        and res_sym <= tol.residual_tol
-        and rs <= 2.0 + tol.psd_tol
-    )
-    if ok and pair.dim:
-        sv, pv = np.array(joint_spectrum(s, p, tol)).T
+    ok = res_iso <= tol.residual_tol and res_sym <= tol.residual_tol and rs <= 2.0 + tol.psd_tol
+    if ok:
+        sv, pv = np.array(joint_spectrum(pair.S, pair.P, tol)).T
         ok = bool(ON_BGAMMA[classify_points(sv, pv, tol)].all())
     return PairVerdict(ok, -worst)
 

@@ -78,27 +78,28 @@ def random_symmetrized_pair(
     return symmetrize_pair(t1, t2, tol)
 
 
-def random_fhat(
-    rng: np.random.Generator, dim: int, radius_cap: float = 1.0
-) -> np.ndarray:
-    """Random matrix rescaled so its numerical radius is at most the cap."""
+def random_fhat(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random matrix scaled to a numerical radius drawn uniformly from [0.3, 1).
+
+    A fundamental operator has numerical radius at most 1, so 1 is the cap.
+    """
     f = _ginibre(rng, dim, dim)
     nr = numerical_radius(f)
-    target = radius_cap * rng.uniform(0.3, 1.0)
+    target = rng.uniform(0.3, 1.0)
     if nr > 0:
         f = f * (target / nr)
     return f
 
 
-def random_model_pair(
-    rng: np.random.Generator,
-    tol: Tolerances = DEFAULT_TOL,
-    max_block: int = 4,
-    max_level: int = 6,
-) -> OperatorPair:
+# Largest F of ``random_model_pair`` and its largest truncation level.
+_MAX_BLOCK = 4
+_MAX_LEVEL = 6
+
+
+def random_model_pair(rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
     """Member pair generated by the converse construction from a random matrix."""
-    dim = int(rng.integers(1, max_block + 1))
-    levels = int(rng.integers(1, max_level + 1))
+    dim = int(rng.integers(1, _MAX_BLOCK + 1))
+    levels = int(rng.integers(1, _MAX_LEVEL + 1))
     return truncated_model_from_F(random_fhat(rng, dim), levels, tol)
 
 

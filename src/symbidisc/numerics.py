@@ -13,6 +13,7 @@ to numpy/scipy; the two nonstandard operations implemented here are
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,21 @@ __all__ = [
     "require_commuting",
     "operator_norm",
     "spectral_radius",
-    "rotated_eigvalsh",
+    "sample_count",
+    "phase_grid",
+    "circle_pencils",
     "numerical_radius",
     "joint_spectrum",
 ]
+
+
+def sample_count(m) -> int:
+    """``m`` as an int; ``ValueError`` unless it is a positive integer."""
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"sample count must be an integer, got {m!r}")
+    if m < 1:
+        raise ValueError("sample count must be positive")
+    return int(m)
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,7 @@ class Tolerances:
             raise ValueError("tolerances must be finite and nonnegative")
         if self.grid_angular < 2:
             raise ValueError("grid sizes must be at least 2")
+        sample_count(self.grid_angular)
 
 
 DEFAULT_TOL = Tolerances()
@@ -97,20 +110,25 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def rotated_eigvalsh(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of w A + conj(w) A* for each unimodular w, ascending.
+def phase_grid(m) -> np.ndarray:
+    """The m angles 2 pi k / m, k = 0, ..., m - 1, of the unit circle."""
+    return 2.0 * math.pi * np.arange(sample_count(m)) / m
 
-    Batched over a 1-d array ``w``: the result has shape (len(w), n).
-    With Y = w A the matrix is Y + Y*, since conj(w) conj(a) rounds to
-    the exact conjugate of w a; it is Hermitian entry by entry.  The
-    product is taken on flattened rows: numpy rounds a complex product
-    whose operands have only unit dimensions differently (the 1 x 1
-    case at a single w), and rows give the bits of ``w * A`` for every
-    size.
+
+def circle_pencils(k: np.ndarray, w: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """Y + Y* with Y = C + w K, one matrix per unimodular w of a 1-d array.
+
+    Shape (len(w), n, n), Hermitian entry by entry.  ``c=None`` adds no C:
+    adding zeros turns -0.0 entries into +0.0, which moves eigenvalue bits.
+    The product is taken on flattened rows: numpy rounds a complex product
+    whose operands have only unit dimensions differently (the 1 x 1 case
+    at a single w), and rows give the bits of ``w * K`` for every size.
     """
-    n = a.shape[0]
-    y = (w[:, None] * a.reshape(1, -1)).reshape(-1, n, n)
-    return np.linalg.eigvalsh(y + np.conj(y.transpose(0, 2, 1)))
+    n = k.shape[0]
+    y = (w[:, None] * k.reshape(1, -1)).reshape(len(w), n, n)
+    if c is not None:
+        y += c
+    return y + np.conj(y.transpose(0, 2, 1))
 
 
 def require_commuting(
@@ -157,13 +175,15 @@ def numerical_radius(a) -> float:
     right[diag, diag] = left[diag, n + diag] = 1.0
     right[n:, n:] = b
     left[n:, :n] = -b.conj().T
-    level = float(0.5 * rotated_eigvalsh(a, np.array([1, 1j, -1, -1j]))[:, -1].max())
+    quarter_turns = circle_pencils(a, np.array([1, 1j, -1, -1j]))
+    level = float(0.5 * np.linalg.eigvalsh(quarter_turns)[:, -1].max())
     while True:
         left[n + diag, n + diag] = np.ldexp(2.0 * level, -exp)
         z = scipy.linalg.eigvals(left, right, check_finite=False)
         theta = np.sort(np.angle(z[np.isfinite(z)]))
         mid = 0.5 * (theta + np.append(theta[1:], theta[:1] + 2.0 * math.pi))
-        best = float(0.5 * rotated_eigvalsh(a, np.exp(1j * mid))[:, -1].max(initial=-math.inf))
+        lam = np.linalg.eigvalsh(circle_pencils(a, np.exp(1j * mid)))
+        best = float(0.5 * lam[:, -1].max(initial=-math.inf))
         if not best > level:
             return level
         level = best

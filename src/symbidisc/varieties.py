@@ -29,10 +29,11 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
+    circle_pencils,
     numerical_radius,
     operator_norm,
+    phase_grid,
     require_square,
-    rotated_eigvalsh,
 )
 
 __all__ = [
@@ -108,12 +109,10 @@ def fiber_at_p(variety: DeterminantalVariety, p: complex) -> np.ndarray:
     fiber exactly on the rotated real line.
     """
     a = variety.A
-    if a.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
     p = complex(p)
     if abs(abs(p) - 1.0) <= 1e-12:
         half = np.exp(0.5j * math.atan2(p.imag, p.real))
-        return half * rotated_eigvalsh(a, np.conj([half]))[0]
+        return half * np.linalg.eigvalsh(circle_pencils(a, np.conj([half])))[0]
     return np.linalg.eigvals(a + p * a.conj().T)
 
 
@@ -128,19 +127,16 @@ def variety_membership(
     return dist <= tol.residual_tol * (1.0 + operator_norm(variety.A))
 
 
-def _boundary_grid(variety: DeterminantalVariety, m: int):
-    """Fibers over m unimodular p: thetas (m,), s (m, n) and p = e^{i theta} (m,).
+def _boundary_grid(variety: DeterminantalVariety, thetas: np.ndarray):
+    """Fibers over p = e^{i theta} for the m angles thetas: thetas, s (m, n) and p (m,).
 
     An empty (0 x 0) representation gives one point s = 0 per angle.
     """
-    if m < 1:
-        raise ValueError("sample count must be positive")
-    thetas = 2.0 * math.pi * np.arange(m) / m
     if variety.dim == 0:
-        svals = np.zeros((m, 1), dtype=complex)
+        svals = np.zeros((thetas.size, 1), dtype=complex)
     else:
         half = np.exp(0.5j * thetas)
-        svals = half[:, None] * rotated_eigvalsh(variety.A, np.conj(half))
+        svals = half[:, None] * np.linalg.eigvalsh(circle_pencils(variety.A, np.conj(half)))
     return thetas, svals, np.exp(1j * thetas)
 
 
@@ -152,7 +148,7 @@ def boundary_sample(variety: DeterminantalVariety, m: int) -> list[GammaPoint]:
     exactly.  An empty (0 x 0) representation emits the degenerate
     convention points (0, e^{i theta}) used by the von Neumann report.
     """
-    _, svals, phases = _boundary_grid(variety, m)
+    _, svals, phases = _boundary_grid(variety, phase_grid(m))
     return [
         GammaPoint(s, p)
         for row, p in zip(svals.tolist(), phases.tolist())
@@ -164,7 +160,7 @@ def boundary_rows(
     variety: DeterminantalVariety, m: int, tol: Tolerances = DEFAULT_TOL
 ) -> list[BoundaryRow]:
     """Boundary samples with their region tags."""
-    thetas, svals, phases = _boundary_grid(variety, m)
+    thetas, svals, phases = _boundary_grid(variety, phase_grid(m))
     codes = classify_points(svals, phases[:, None], tol).tolist()
     plist = phases.tolist()
     if variety.dim == 0:
@@ -210,8 +206,7 @@ def classify_distinguished(
     the single radius p = (1 - 1e-14) e^{i theta}: the worst over angles
     of the distance from a limit eigenvalue to that fiber.
     """
-    if m < 1:
-        raise ValueError("sample count must be positive")
+    thetas = phase_grid(m)
     a = variety.A
     n = variety.dim
     if n == 0:
@@ -219,7 +214,7 @@ def classify_distinguished(
             DistinguishedStatus.DISTINGUISHED_CERTIFIED, "empty representation"
         )
     if variety.nr < 1.0 - tol.psd_tol:
-        _, svals, _ = _boundary_grid(variety, m)
+        _, svals, _ = _boundary_grid(variety, thetas)
         s_margin = 2.0 - float(np.max(np.abs(svals)))
         return DistinguishedVerdict(
             DistinguishedStatus.DISTINGUISHED_CERTIFIED,
@@ -236,7 +231,7 @@ def classify_distinguished(
             witness=GammaPoint(alpha, 0j),
         )
 
-    _, limit, phases = _boundary_grid(variety, m)
+    _, limit, phases = _boundary_grid(variety, thetas)
     fiber = np.linalg.eigvals(a + (_EXIT_RADIUS * phases)[:, None, None] * a.conj().T)
     track_gap = float(np.abs(limit[:, :, None] - fiber[:, None, :]).min(axis=2).max())
     off = ~ON_BGAMMA[classify_points(limit, phases[:, None], tol)]

@@ -1,13 +1,17 @@
 """Matrix polynomials in two variables and the von Neumann report.
 
-Every member pair (S, P) of finite dimension carries the variety
+Every member pair (S, P) of finite dimension whose P has no unimodular
+eigenvalue carries the variety
 
     det(F + p F* - s I) = 0,
 
 with F the fundamental operator, and satisfies
 ||f(S, P)|| <= max ||f(s, p)|| over the variety's unimodular-|p| boundary
 points for every matrix-valued polynomial f.  The report certifies this
-inequality at sampled boundary angles.
+inequality at sampled boundary angles.  F lives on the defect space of
+P, so a unitary part of P is missing from the variety, and a report on
+a member pair with a unimodular eigenvalue of P can show a violation
+that is not one (S = [[2]], P = [[1]] with f = s gives rhs 0).
 
 The orientation of the representation matters: substituting F* for F
 above produces the conjugate variety, on which the inequality fails for
@@ -26,7 +30,7 @@ import numpy as np
 from .fundamental import solve_fundamental
 from .gamma_pairs import OperatorPair
 from .geometry import GammaPoint
-from .numerics import DEFAULT_TOL, Tolerances, operator_norm
+from .numerics import DEFAULT_TOL, Tolerances, operator_norm, phase_grid, sample_count
 from .varieties import DeterminantalVariety, _boundary_grid
 
 __all__ = [
@@ -136,7 +140,7 @@ def _boundary(variety: DeterminantalVariety, m: int) -> tuple[np.ndarray, np.nda
     ``s`` has shape (n, m), angles last, so that elementwise work on the
     grid runs along contiguous rows.
     """
-    _, s, p = _boundary_grid(variety, m)
+    _, s, p = _boundary_grid(variety, phase_grid(m))
     return p, np.ascontiguousarray(s.T)
 
 
@@ -259,8 +263,7 @@ def vn_report(
     ``tol`` and ``m``; the most recent pair's are kept and reused while
     consecutive calls present equal inputs.
     """
-    if m < 1:
-        raise ValueError("sample count must be positive")
+    m = sample_count(m)
     state = _pair_state(pair, tol, m)
     variety = state.variety
     lhs = operator_norm(evaluate_pair(f, pair))

@@ -332,6 +332,15 @@ class TestGenCommand:
         s = read_matrix_file(str(tmp_path / "pair-S.json"))
         assert s.shape == (3, 3)
 
+    def test_non_strict_generation_exits_three(self, tmp_path, capsys):
+        # a positivity tolerance above every margin makes no pair strict
+        code = main(["gen", "strict", "--seed", "7", "--prefix", str(tmp_path / "x"),
+                     "--tol-psd", "10"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert (out, err) == ("", "error: generated pair is not strict\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_generated_pair_passes_check(self, tmp_path, capsys):
         code = main(
             ["gen", "symmetrized", "--seed", "5", "--dim", "3",

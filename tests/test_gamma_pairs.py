@@ -1,12 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from symbidisc import gamma_pairs
 from symbidisc.gamma_pairs import (
     NoSquareRootError,
     NonCommutingRootError,
-    _circle_pencils,
+    _defects,
     check_gamma_contraction,
     check_gamma_isometry,
     check_pure,
@@ -26,7 +30,13 @@ from symbidisc.generators import (
     rng_from_seed,
     scaled_pair,
 )
-from symbidisc.numerics import DEFAULT_TOL, Tolerances, numerical_radius, operator_norm
+from symbidisc.numerics import (
+    DEFAULT_TOL,
+    Tolerances,
+    circle_pencils,
+    numerical_radius,
+    operator_norm,
+)
 
 from _oracles import pencil_min_oracle
 
@@ -74,7 +84,8 @@ class TestRhoPencil:
         phases = np.exp(1j * np.array([0.0, 0.7, 2.0, 4.5]))
         for _ in range(3):
             pair = make()
-            stack = _circle_pencils(pair)(phases)
+            c, b = _defects(pair)
+            stack = circle_pencils(-b, phases, c)
             assert np.array_equal(stack, np.conj(stack.transpose(0, 2, 1)))
             for w, got in zip(phases, stack):
                 scaled = make_operator_pair(w * pair.S, w**2 * pair.P)
@@ -108,6 +119,25 @@ class TestCheckGammaContraction:
         w = verdict.witness
         assert abs(w.lambda_min - verdict.margin) <= 1e-10
         assert abs(np.linalg.norm(w.vector) - 1.0) <= 1e-10
+
+    def test_one_pencil_stack_per_call(self, monkeypatch):
+        # the witness is solved on the stored stack, not on a rebuilt pencil
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return circle_pencils(*args)
+
+        monkeypatch.setattr(gamma_pairs, "circle_pencils", counting)
+        for dim in (1, 3):
+            pair = random_strict_pair(rng_from_seed(39), dim, 0.9)
+            calls.clear()
+            verdict = check_gamma_contraction(pair)
+            assert calls == [(DEFAULT_TOL.grid_angular,)]
+            w = verdict.witness
+            rho = rho_pencil(make_operator_pair(w.alpha * pair.S, w.alpha**2 * pair.P))
+            quad = np.vdot(w.vector, rho @ w.vector)
+            assert abs(quad - w.lambda_min) <= 1e-12
 
     def test_symmetrized_pairs_are_members(self):
         rng = rng_from_seed(33)
@@ -178,6 +208,25 @@ class TestCheckGammaContraction:
             moved = _conjugated(pair, random_unitary(rng, pair.dim))
             assert check_gamma_contraction(moved).witness.alpha == verdict.witness.alpha
             done += 1
+
+
+# check_gamma_contraction and check_gamma_isometry on the default grid, on
+# 30 seeded pairs of the three families (symmetrized, truncated model and
+# strict at scale 0.9) of dimensions 1-6, recorded by repr.
+MEMBERSHIP_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "membership_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("rec", MEMBERSHIP_GOLDEN["records"], ids=lambda r: r["name"])
+def test_membership_golden_bits(rec):
+    s, p = (np.array([[complex(*z) for z in row] for row in rec[k]]) for k in ("S", "P"))
+    pair = make_operator_pair(s, p)
+    verdict = check_gamma_contraction(pair)
+    assert verdict.is_member == rec["is_member"]
+    assert repr(verdict.margin) == rec["margin"]
+    assert repr(verdict.witness.alpha) == rec["witness_alpha"]
+    assert repr(check_gamma_isometry(pair).margin) == rec["isometry_margin"]
 
 
 def _family_pair(rng, family):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symbidisc.gamma_pairs import make_operator_pair
 from symbidisc.geometry import GammaPoint, RegionTag, classify_point, point_roots
 from symbidisc.numerics import Tolerances, numerical_radius
 from symbidisc import varieties
@@ -20,6 +21,7 @@ from symbidisc.varieties import (
     variety_membership,
     write_boundary_csv,
 )
+from symbidisc.von_neumann import MatrixPolynomial, vn_report
 
 from _oracles import poly_eval_oracle
 
@@ -264,6 +266,27 @@ class TestSampleCount:
             with pytest.raises(ValueError, match="sample count must be positive"):
                 call()
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("name", [
+        "vn_report", "classify_distinguished", "boundary_rows", "boundary_sample",
+        "write_boundary_csv", "Tolerances",
+    ])
+    def test_non_integral_counts_rejected(self, name, tmp_path):
+        v = DeterminantalVariety.from_matrix(example_one_matrix())
+        pair = make_operator_pair([[1.0]], [[0.25]])
+        call = {
+            "vn_report": lambda m: vn_report(MatrixPolynomial.scalar([[0], [1]]), pair, m=m),
+            "classify_distinguished": lambda m: classify_distinguished(v, m=m),
+            "boundary_rows": lambda m: boundary_rows(v, m),
+            "boundary_sample": lambda m: boundary_sample(v, m),
+            "write_boundary_csv": lambda m: write_boundary_csv(v, m, tmp_path / "b.csv"),
+            "Tolerances": lambda m: Tolerances(grid_angular=m),
+        }[name]
+        for m in (2.5, 100.5):
+            with pytest.raises(ValueError, match="sample count must be an integer"):
+                call(m)
+        assert not (tmp_path / "b.csv").exists()
+        call(np.int64(8))  # numpy integers are counts
 
     def test_radius_one_branch_rejects_zero_angles(self):
         v = DeterminantalVariety.from_matrix(example_one_matrix())
