@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -297,11 +298,16 @@ def _cmd_variety(args, tol: Tolerances) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+def _finite_or_none(x: float):
+    """``x``, or None where JSON has no number for it (the ratio over rhs = 0)."""
+    return x if math.isfinite(x) else None
+
+
 def _vn_single_report(rep) -> dict:
     return {
         "lhs": rep.lhs,
         "rhs": rep.rhs,
-        "ratio": rep.ratio,
+        "ratio": _finite_or_none(rep.ratio),
         "holds": rep.holds,
         "m": rep.m,
         "degenerate": rep.degenerate,
@@ -335,8 +341,8 @@ def _cmd_vn(args, tol: Tolerances) -> tuple[dict, int]:
             "seed": args.seed,
             "count": len(reports),
             "all_hold": all_hold,
-            "min_ratio": min(ratios),
-            "max_ratio": max(ratios),
+            "min_ratio": _finite_or_none(min(ratios)),
+            "max_ratio": _finite_or_none(max(ratios)),
         }
         return report, EXIT_OK if all_hold else EXIT_INVARIANT
     if not (args.s_file and args.p_file and args.poly):

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from .numerics import (
     operator_norm,
     phase_grid,
     require_square,
+    sample_count,
 )
 
 __all__ = [
@@ -61,9 +63,17 @@ class DeterminantalVariety:
     """Matrix representation of {(s, p) : det(A + p A* - s I) = 0}.
 
     ``nr``, the numerical radius of A, is solved on first read and kept.
+    The fibers over the last grid of unimodular p that was solved are kept
+    the same way, so that a nested grid reads or extends them (see
+    ``_fibers``).  Both belong to this object only and describe A as it
+    was when they were solved: mutating A in place leaves them stale.
     """
 
     A: np.ndarray
+    # (m, fibers over phase_grid(m)) of the last grid solved, or None
+    _grid: Optional[tuple[int, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_matrix(cls, a) -> "DeterminantalVariety":
@@ -77,6 +87,37 @@ class DeterminantalVariety:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
+
+    def _fibers(self, thetas: np.ndarray) -> np.ndarray:
+        """Fibers over ``thetas = phase_grid(m)``, read from or extended by the held grid.
+
+        ``phase_grid(h * 2**j)[::2**j]`` equals ``phase_grid(h)`` bit for
+        bit, and each angle's pencil and eigensolve do not depend on the
+        other angles solved with it.  So a held grid at m 2^j is sliced, and
+        a held grid at m / 2^j has only its missing angles solved.  Other
+        ratios (a factor of 3 does not nest by bytes) are solved whole.  The
+        held array is read-only.
+        """
+        m = thetas.size
+        grid = self._grid  # read once: a concurrent solve can only replace it whole
+        if grid is not None:
+            h, held = grid
+            if h % m == 0 and _is_power_of_two(h // m):
+                return np.ascontiguousarray(held[:: h // m])
+            if m % h == 0 and _is_power_of_two(m // h):
+                step = m // h
+                fibers = np.empty((m, self.dim), dtype=complex)
+                blocks = fibers.reshape(h, step, self.dim)
+                blocks[:, 0] = held
+                missing = thetas.reshape(h, step)[:, 1:].ravel()
+                blocks[:, 1:] = _solve_fibers(self.A, missing).reshape(h, step - 1, self.dim)
+                return self._hold(fibers)
+        return self._hold(_solve_fibers(self.A, thetas))
+
+    def _hold(self, fibers: np.ndarray) -> np.ndarray:
+        fibers.flags.writeable = False
+        object.__setattr__(self, "_grid", (len(fibers), fibers))
+        return fibers
 
 
 class DistinguishedStatus(Enum):
@@ -127,16 +168,27 @@ def variety_membership(
     return dist <= tol.residual_tol * (1.0 + operator_norm(variety.A))
 
 
-def _boundary_grid(variety: DeterminantalVariety, thetas: np.ndarray):
-    """Fibers over p = e^{i theta} for the m angles thetas: thetas, s (m, n) and p (m,).
+def _solve_fibers(a: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Fibers over p = e^{i theta}, shape (len(thetas), n), by the Hermitian reduction."""
+    half = np.exp(0.5j * thetas)
+    return half[:, None] * np.linalg.eigvalsh(circle_pencils(a, np.conj(half)))
+
+
+def _is_power_of_two(k: int) -> bool:
+    return k & (k - 1) == 0
+
+
+def _boundary_grid(variety: DeterminantalVariety, m: int):
+    """Fibers over p = e^{i theta} at the m angles of ``phase_grid(m)``:
+    thetas, s (m, n) and p (m,).
 
     An empty (0 x 0) representation gives one point s = 0 per angle.
     """
+    thetas = phase_grid(m)
     if variety.dim == 0:
         svals = np.zeros((thetas.size, 1), dtype=complex)
     else:
-        half = np.exp(0.5j * thetas)
-        svals = half[:, None] * np.linalg.eigvalsh(circle_pencils(variety.A, np.conj(half)))
+        svals = variety._fibers(thetas)
     return thetas, svals, np.exp(1j * thetas)
 
 
@@ -148,7 +200,7 @@ def boundary_sample(variety: DeterminantalVariety, m: int) -> list[GammaPoint]:
     exactly.  An empty (0 x 0) representation emits the degenerate
     convention points (0, e^{i theta}) used by the von Neumann report.
     """
-    _, svals, phases = _boundary_grid(variety, phase_grid(m))
+    _, svals, phases = _boundary_grid(variety, m)
     return [
         GammaPoint(s, p)
         for row, p in zip(svals.tolist(), phases.tolist())
@@ -159,19 +211,18 @@ def boundary_sample(variety: DeterminantalVariety, m: int) -> list[GammaPoint]:
 def boundary_rows(
     variety: DeterminantalVariety, m: int, tol: Tolerances = DEFAULT_TOL
 ) -> list[BoundaryRow]:
-    """Boundary samples with their region tags."""
-    thetas, svals, phases = _boundary_grid(variety, phase_grid(m))
-    codes = classify_points(svals, phases[:, None], tol).tolist()
-    plist = phases.tolist()
+    """Boundary samples with their region tags, in angle-major order."""
+    thetas, svals, phases = _boundary_grid(variety, m)
+    n = svals.shape[1]
+    codes = classify_points(svals, phases[:, None], tol).ravel().tolist()
     if variety.dim == 0:
-        thetas = [math.atan2(p.imag, p.real) % (2.0 * math.pi) for p in plist]
+        theta_col = [math.atan2(p.imag, p.real) % (2.0 * math.pi) for p in phases.tolist()]
     else:
-        thetas = thetas.tolist()
-    return [
-        BoundaryRow(t, s, p, REGION_TAGS[c])
-        for t, row, p, row_codes in zip(thetas, svals.tolist(), plist, codes)
-        for s, c in zip(row, row_codes)
-    ]
+        theta_col = np.repeat(thetas, n).tolist()
+    columns = zip(theta_col, svals.ravel().tolist(), np.repeat(phases, n).tolist(),
+                  map(REGION_TAGS.__getitem__, codes))
+    # tuple.__new__ builds each row without the Python frame of BoundaryRow.__new__
+    return list(map(tuple.__new__, repeat(BoundaryRow), columns))
 
 
 def write_boundary_csv(
@@ -206,7 +257,7 @@ def classify_distinguished(
     the single radius p = (1 - 1e-14) e^{i theta}: the worst over angles
     of the distance from a limit eigenvalue to that fiber.
     """
-    thetas = phase_grid(m)
+    m = sample_count(m)
     a = variety.A
     n = variety.dim
     if n == 0:
@@ -214,7 +265,7 @@ def classify_distinguished(
             DistinguishedStatus.DISTINGUISHED_CERTIFIED, "empty representation"
         )
     if variety.nr < 1.0 - tol.psd_tol:
-        _, svals, _ = _boundary_grid(variety, thetas)
+        _, svals, _ = _boundary_grid(variety, m)
         s_margin = 2.0 - float(np.max(np.abs(svals)))
         return DistinguishedVerdict(
             DistinguishedStatus.DISTINGUISHED_CERTIFIED,
@@ -231,7 +282,7 @@ def classify_distinguished(
             witness=GammaPoint(alpha, 0j),
         )
 
-    _, limit, phases = _boundary_grid(variety, thetas)
+    _, limit, phases = _boundary_grid(variety, m)
     fiber = np.linalg.eigvals(a + (_EXIT_RADIUS * phases)[:, None, None] * a.conj().T)
     track_gap = float(np.abs(limit[:, :, None] - fiber[:, None, :]).min(axis=2).max())
     off = ~ON_BGAMMA[classify_points(limit, phases[:, None], tol)]

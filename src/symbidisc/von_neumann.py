@@ -30,7 +30,7 @@ import numpy as np
 from .fundamental import solve_fundamental
 from .gamma_pairs import OperatorPair
 from .geometry import GammaPoint
-from .numerics import DEFAULT_TOL, Tolerances, operator_norm, phase_grid, sample_count
+from .numerics import DEFAULT_TOL, Tolerances, operator_norm, sample_count
 from .varieties import DeterminantalVariety, _boundary_grid
 
 __all__ = [
@@ -140,7 +140,7 @@ def _boundary(variety: DeterminantalVariety, m: int) -> tuple[np.ndarray, np.nda
     ``s`` has shape (n, m), angles last, so that elementwise work on the
     grid runs along contiguous rows.
     """
-    _, s, p = _boundary_grid(variety, phase_grid(m))
+    _, s, p = _boundary_grid(variety, m)
     return p, np.ascontiguousarray(s.T)
 
 

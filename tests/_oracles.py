@@ -2,15 +2,20 @@
 
 These deliberately avoid the library's own code paths: dense grids with
 no refinement, direct eigenvalue formulas, raw polynomial arithmetic and
-exact rational arithmetic.  The root-based region rule is the one
-exception: it is built on the public ``point_roots``.
+exact rational arithmetic.  Two exceptions: the root-based region rule
+is built on the public ``point_roots``, and the boundary-row oracle
+reuses the library's fiber grid and tag kernel, since it is the
+reference only for how rows are assembled from them.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from symbidisc.geometry import GammaPoint, RegionTag, point_roots
+from symbidisc.geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points, point_roots
+from symbidisc.numerics import DEFAULT_TOL
+from symbidisc.varieties import BoundaryRow, _boundary_grid
 
 # The relative rounding allowance of the diagonal test in classify_points.
 DIAGONAL_EPS = 64 * np.finfo(float).eps
@@ -152,3 +157,21 @@ def exact_region_tag(s, p, band, diagonal=DIAGONAL_EPS):
     if w <= 0 or w * w <= 64 * a2 * a2 * q2:
         return RegionTag.BDGAMMA
     return RegionTag.BGAMMA_NOT_BDGAMMA
+
+
+def boundary_rows_oracle(variety, m, tol=DEFAULT_TOL):
+    """``boundary_rows`` assembled row by row, one ``BoundaryRow`` call per
+    fiber point, in angle-major order; the 0 x 0 representation takes its
+    theta from ``atan2`` of p."""
+    thetas, svals, phases = _boundary_grid(variety, m)
+    codes = classify_points(svals, phases[:, None], tol).tolist()
+    plist = phases.tolist()
+    if variety.dim == 0:
+        thetas = [math.atan2(p.imag, p.real) % (2.0 * math.pi) for p in plist]
+    else:
+        thetas = thetas.tolist()
+    return [
+        BoundaryRow(t, s, p, REGION_TAGS[c])
+        for t, row, p, row_codes in zip(thetas, svals.tolist(), plist, codes)
+        for s, c in zip(row, row_codes)
+    ]

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 import symbidisc.numerics
+import symbidisc.varieties
 
 
 @pytest.fixture
@@ -20,3 +21,19 @@ def radius_solves(monkeypatch):
         if name.partition(".")[0] == "symbidisc" and getattr(module, "numerical_radius", None) is solve:
             monkeypatch.setattr(module, "numerical_radius", counting)
     return calls
+
+
+@pytest.fixture
+def fiber_solves(monkeypatch):
+    """Sizes of the pencil stacks that ``symbidisc.varieties`` hands to
+    ``eigvalsh`` while the test runs: their sum is the number of unimodular
+    fibers solved."""
+    sizes = []
+    build = symbidisc.varieties.circle_pencils
+
+    def counting(k, w, c=None):
+        sizes.append(len(w))
+        return build(k, w, c)
+
+    monkeypatch.setattr(symbidisc.varieties, "circle_pencils", counting)
+    return sizes

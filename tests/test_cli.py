@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from symbidisc import cli
 from symbidisc.numerics import DEFAULT_TOL
 
 from symbidisc.cli import (
@@ -15,6 +18,14 @@ from symbidisc.cli import (
     read_matrix_file,
     write_matrix_file,
 )
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and +-Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _write(path, m):
@@ -242,6 +253,14 @@ class TestVarietyCommand:
         assert rep.read_bytes() == (data / "variety_report.json").read_bytes()
         assert out_csv.read_bytes() == (data / "variety_boundary.csv").read_bytes()
 
+    def test_sample_reads_the_verdict_grid(self, tmp_path, fiber_solves):
+        data = Path(__file__).parent / "data"
+        code = main(["variety", str(data / "variety_A.json"), "--angles", "256",
+                     "--sample", "64", "--csv", str(tmp_path / "b.csv"),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 0
+        assert sum(fiber_solves) == 256
+
 
 class TestVnCommand:
     def test_single_report(self, scalar_pair_files, tmp_path, capsys):
@@ -264,6 +283,29 @@ class TestVnCommand:
         assert report["holds"] is True
         assert abs(report["lhs"] - 1.0) <= 1e-10
         assert abs(report["rhs"] - 1.6) <= 1e-6
+
+    def test_zero_boundary_maximum_writes_null_ratio(self, tmp_path, capsys):
+        # P unitary: F is 0 x 0 and the boundary maximum of f = s / 2 is 0
+        s = _write(tmp_path / "S.json", [[2.0]])
+        p = _write(tmp_path / "P.json", [[1.0]])
+        poly = tmp_path / "f.json"
+        poly.write_text(json.dumps(_POLY))
+        assert main(["vn", s, p, "--poly", str(poly)]) == 3
+        report = _strict_json(capsys.readouterr().out)
+        assert report["ratio"] is None
+        assert report["rhs"] == 0.0
+        assert report["holds"] is False
+
+    def test_random_batch_writes_null_for_infinite_ratios(self, monkeypatch, capsys):
+        real = cli.vn_report
+
+        def unbounded(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), ratio=math.inf, holds=False)
+
+        monkeypatch.setattr(cli, "vn_report", unbounded)
+        assert main(["vn", "--random", "2", "--m", "64"]) == 3
+        report = _strict_json(capsys.readouterr().out)
+        assert report["min_ratio"] is None and report["max_ratio"] is None
 
     def test_random_batch_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbidisc.numerics import (
     Tolerances,
@@ -12,6 +14,7 @@ from symbidisc.numerics import (
     joint_spectrum,
     numerical_radius,
     operator_norm,
+    phase_grid,
 )
 
 from _oracles import norm_sweep_oracle, nr_grid_oracle
@@ -142,6 +145,19 @@ class TestNumericalRadius:
     @pytest.mark.parametrize("a, want", [pytest.param(a, w, id=k) for k, a, w in _closed_forms()])
     def test_closed_form(self, a, want):
         assert abs(numerical_radius(a) - want) <= 8 * np.finfo(float).eps * want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4096), st.integers(0, 4))
+def test_phase_grid_nests_at_powers_of_two(m, j):
+    # what lets a variety slice or extend the fiber grid it holds
+    assert phase_grid(m * 2**j)[:: 2**j].tobytes() == phase_grid(m).tobytes()
+
+
+def test_phase_grid_does_not_nest_at_three():
+    assert any(
+        phase_grid(3 * m)[::3].tobytes() != phase_grid(m).tobytes() for m in range(1, 64)
+    )
 
 
 class TestRotatedEigvalsh:

@@ -11,6 +11,7 @@ from symbidisc.numerics import Tolerances, numerical_radius
 from symbidisc import varieties
 from symbidisc.varieties import (
     BivarPolynomial,
+    BoundaryRow,
     DeterminantalVariety,
     DistinguishedStatus,
     boundary_rows,
@@ -23,7 +24,7 @@ from symbidisc.varieties import (
 )
 from symbidisc.von_neumann import MatrixPolynomial, vn_report
 
-from _oracles import poly_eval_oracle
+from _oracles import boundary_rows_oracle, poly_eval_oracle
 
 
 def example_one_matrix():
@@ -292,6 +293,73 @@ class TestSampleCount:
         v = DeterminantalVariety.from_matrix(example_one_matrix())
         with pytest.raises(ValueError, match="sample count must be positive"):
             classify_distinguished(v, m=0)
+
+
+def _held_grid_matrix(dim):
+    # radius-one draws for odd dimensions, so the empirical branch is met too
+    rng = np.random.default_rng(90 + dim)
+    a = _rand(rng, dim)
+    return a / numerical_radius(a) if dim % 2 else 0.6 * a / max(numerical_radius(a), 1.0)
+
+
+def _grid_bytes(v, m):
+    return tuple(x.tobytes() for x in varieties._boundary_grid(v, m))
+
+
+class TestHeldGrid:
+    """A variety keeps the last unimodular fiber grid it solved."""
+
+    @pytest.mark.parametrize("dim", range(7))
+    @pytest.mark.parametrize("m", [1, 2, 3, 100, 256])
+    def test_held_path_equals_a_fresh_solve(self, dim, m):
+        a = _held_grid_matrix(dim)
+        want = _grid_bytes(DeterminantalVariety.from_matrix(a), m)
+        # held at m 2^j is sliced, held at m / 2^j is extended and held at
+        # 3 m does not nest; m = 2 after m = 1 on 1 x 1 solves one angle,
+        # the unit-dimension product
+        helds = [m * 2, m * 4, m * 16, m * 3] + [m // d for d in (2, 4) if m % d == 0]
+        for held in helds:
+            v = DeterminantalVariety.from_matrix(a)
+            varieties._boundary_grid(v, held)
+            assert _grid_bytes(v, m) == want, held
+            assert _grid_bytes(v, m) == want, held  # and again from the new hold
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("held, m", [(256, 100), (100, 300)])
+    def test_non_nesting_request_is_solved_fresh(self, dim, held, m, fiber_solves):
+        a = _held_grid_matrix(dim)
+        want = _grid_bytes(DeterminantalVariety.from_matrix(a), m)
+        v = DeterminantalVariety.from_matrix(a)
+        varieties._boundary_grid(v, held)
+        fiber_solves.clear()
+        assert _grid_bytes(v, m) == want
+        assert sum(fiber_solves) == m
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_classify_then_rows_solves_each_angle_once(self, dim, fiber_solves):
+        v = DeterminantalVariety.from_matrix(_held_grid_matrix(dim))
+        classify_distinguished(v, m=256)
+        boundary_rows(v, 512)
+        assert sum(fiber_solves) == 512
+        boundary_sample(v, 64)
+        classify_distinguished(v, m=128)
+        assert sum(fiber_solves) == 512
+
+    def test_held_fibers_are_read_only(self):
+        v = DeterminantalVariety.from_matrix(_held_grid_matrix(3))
+        _, s, _ = varieties._boundary_grid(v, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            s[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dim", range(7))
+@pytest.mark.parametrize("m", [1, 7, 512])
+def test_boundary_rows_match_the_row_by_row_oracle(dim, m):
+    a = _held_grid_matrix(dim)
+    got = boundary_rows(DeterminantalVariety.from_matrix(a), m)
+    want = boundary_rows_oracle(DeterminantalVariety.from_matrix(a), m)
+    assert repr(got) == repr(want)
+    assert all(type(r) is BoundaryRow for r in got)
 
 
 def test_exit_radius_is_the_last_radius_of_the_old_ladder():

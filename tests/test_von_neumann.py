@@ -171,6 +171,12 @@ class TestVnReport:
         assert abs(rep.rhs - 1.0) <= 1e-12
         assert rep.holds and rep.degenerate
 
+    def test_zero_boundary_maximum_gives_infinite_ratio(self):
+        # P unitary: F is 0 x 0, so the boundary maximum of f = s is 0 < lhs = 2
+        rep = vn_report(S_POLY, _scalar_pair(2, 1), m=64)
+        assert rep.degenerate and rep.rhs == 0.0 and rep.lhs == 2.0
+        assert rep.ratio == math.inf and not rep.holds
+
     def test_constant_polynomial(self):
         c = np.zeros((1, 1, 2, 2), complex)
         c[0, 0] = np.array([[1, 2], [0, 1j]])
@@ -388,21 +394,32 @@ def test_golden_batch():
         assert abs(rhs - want[3]) <= 1e-12 * want[3]
 
 
-def test_refinement_doubles_until_it_holds():
+def _refining_case():
     # f = I + e^{-i} diag(1, 1/2) p on the scalar pair (0, 0.99 e^{i}): the
     # maximum 2 sits at theta = 1, and only from 16 angles on does a grid
     # point come within the slack of lhs = 1.99.
-    pair = _scalar_pair(0, 0.99 * np.exp(1j))
     c = np.zeros((1, 2, 2, 2), complex)
     c[0, 0] = np.eye(2)
     c[0, 1] = np.exp(-1j) * np.diag([1.0, 0.5])
-    rep = vn_report(MatrixPolynomial.from_coeffs(c), pair, m=1)
+    return MatrixPolynomial.from_coeffs(c), _scalar_pair(0, 0.99 * np.exp(1j))
+
+
+def test_refinement_doubles_until_it_holds():
+    f, pair = _refining_case()
+    rep = vn_report(f, pair, m=1)
     assert rep.holds and rep.m == 16 and rep.sample_count == 16
     assert abs(rep.lhs - 1.99) <= 1e-12
     assert abs(rep.rhs - 1.992075581392696) <= 1e-12
     assert abs(rep.argmax_theta - 3 * math.pi / 8) <= 1e-12
     assert rep.argmax == GammaPoint(0j, complex(np.exp(3j * math.pi / 8)))
-    assert vn_report(MatrixPolynomial.from_coeffs(c), pair, m=2).m == 16
+    assert vn_report(f, pair, m=2).m == 16
+
+
+def test_refinement_solves_only_the_new_angles(fiber_solves, monkeypatch):
+    monkeypatch.setattr(von_neumann, "_memo", None)
+    f, pair = _refining_case()
+    assert vn_report(f, pair, m=4).m == 16
+    assert sum(fiber_solves) == 16  # 4 + 4 + 8, where solving each grid whole takes 28
 
 
 def test_matrix_polynomial_validation():
