@@ -15,6 +15,7 @@ symmetric coordinates (z + w, z w).
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -63,15 +64,16 @@ class DeterminantalVariety:
     """Matrix representation of {(s, p) : det(A + p A* - s I) = 0}.
 
     ``nr``, the numerical radius of A, is solved on first read and kept.
-    The fibers over the last grid of unimodular p that was solved are kept
-    the same way, so that a nested grid reads or extends them (see
-    ``_fibers``).  Both belong to this object only and describe A as it
-    was when they were solved: mutating A in place leaves them stale.
+    The points over the last grid of unimodular p that was solved are kept
+    the same way, as ``p`` and its fibers angles-last, so that a nested
+    grid reads or extends them (see ``_boundary``).  Both belong to this
+    object only and describe A as it was when they were solved: mutating
+    A in place leaves them stale.
     """
 
     A: np.ndarray
-    # (m, fibers over phase_grid(m)) of the last grid solved, or None
-    _grid: Optional[tuple[int, np.ndarray]] = field(
+    # (p, s) of the last grid solved, as _boundary returns it, or None
+    _grid: Optional[tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -88,36 +90,52 @@ class DeterminantalVariety:
     def dim(self) -> int:
         return self.A.shape[0]
 
-    def _fibers(self, thetas: np.ndarray) -> np.ndarray:
-        """Fibers over ``thetas = phase_grid(m)``, read from or extended by the held grid.
+    def _boundary(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Variety points over p = exp(1j * phase_grid(m)): ``(p, s)`` with
+        ``s[:, t]`` the fiber over ``p[t]``.
+
+        ``s`` has shape (n, m), angles last, so that elementwise work on the
+        grid runs along contiguous rows.  An empty (0 x 0) representation
+        gives one point s = 0 per angle.
 
         ``phase_grid(h * 2**j)[::2**j]`` equals ``phase_grid(h)`` bit for
         bit, and each angle's pencil and eigensolve do not depend on the
-        other angles solved with it.  So a held grid at m 2^j is sliced, and
-        a held grid at m / 2^j has only its missing angles solved.  Other
-        ratios (a factor of 3 does not nest by bytes) are solved whole.  The
-        held array is read-only.
+        other angles solved with it.  So a held grid at m is returned as it
+        is, a held grid at m 2^j is sliced, and a held grid at m / 2^j has
+        only its missing angles solved.  Other ratios (a factor of 3
+        does not nest by bytes) are solved whole.  The held arrays are
+        read-only.
         """
-        m = thetas.size
+        n, m = self.dim, sample_count(m)
+        if n == 0:
+            return np.exp(1j * phase_grid(m)), np.zeros((1, m), dtype=complex)
         grid = self._grid  # read once: a concurrent solve can only replace it whole
         if grid is not None:
-            h, held = grid
+            p, s = grid
+            h = p.size
+            if h == m:
+                return grid
             if h % m == 0 and _is_power_of_two(h // m):
-                return np.ascontiguousarray(held[:: h // m])
+                step = h // m
+                return np.ascontiguousarray(p[::step]), np.ascontiguousarray(s[:, ::step])
             if m % h == 0 and _is_power_of_two(m // h):
                 step = m // h
-                fibers = np.empty((m, self.dim), dtype=complex)
-                blocks = fibers.reshape(h, step, self.dim)
-                blocks[:, 0] = held
+                thetas = phase_grid(m)
+                fibers = np.empty((n, m), dtype=complex)
+                blocks = fibers.reshape(n, h, step)
+                blocks[:, :, 0] = s
                 missing = thetas.reshape(h, step)[:, 1:].ravel()
-                blocks[:, 1:] = _solve_fibers(self.A, missing).reshape(h, step - 1, self.dim)
-                return self._hold(fibers)
-        return self._hold(_solve_fibers(self.A, thetas))
+                blocks[:, :, 1:] = _solve_fibers(self.A, missing).T.reshape(n, h, step - 1)
+                return self._hold(thetas, fibers)
+        thetas = phase_grid(m)
+        return self._hold(thetas, np.ascontiguousarray(_solve_fibers(self.A, thetas).T))
 
-    def _hold(self, fibers: np.ndarray) -> np.ndarray:
-        fibers.flags.writeable = False
-        object.__setattr__(self, "_grid", (len(fibers), fibers))
-        return fibers
+    def _hold(self, thetas: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grid = (np.exp(1j * thetas), s)
+        for x in grid:
+            x.flags.writeable = False
+        object.__setattr__(self, "_grid", grid)
+        return grid
 
 
 class DistinguishedStatus(Enum):
@@ -147,20 +165,27 @@ def fiber_at_p(variety: DeterminantalVariety, p: complex) -> np.ndarray:
     """All s with (s, p) on the variety: eigenvalues of A + p A*.
 
     For |p| = 1 the Hermitian reduction above is used, which keeps the
-    fiber exactly on the rotated real line.
+    fiber exactly on the rotated real line.  Non-finite p raises
+    ``ValueError``.
     """
     a = variety.A
     p = complex(p)
+    if not cmath.isfinite(p):
+        raise ValueError("p must be finite")
     if abs(abs(p) - 1.0) <= 1e-12:
-        half = np.exp(0.5j * math.atan2(p.imag, p.real))
-        return half * np.linalg.eigvalsh(circle_pencils(a, np.conj([half])))[0]
+        return _solve_fibers(a, np.array([math.atan2(p.imag, p.real)]))[0]
     return np.linalg.eigvals(a + p * a.conj().T)
 
 
 def variety_membership(
     variety: DeterminantalVariety, pt: GammaPoint, tol: Tolerances = DEFAULT_TOL
 ) -> bool:
-    """Eigenvalue-distance membership test, scale-stable in the dimension."""
+    """Eigenvalue-distance membership test, scale-stable in the dimension.
+
+    A non-finite point raises ``ValueError``.
+    """
+    if not cmath.isfinite(complex(pt.s)):
+        raise ValueError("s must be finite")
     fiber = fiber_at_p(variety, pt.p)
     if fiber.size == 0:
         return False
@@ -178,20 +203,6 @@ def _is_power_of_two(k: int) -> bool:
     return k & (k - 1) == 0
 
 
-def _boundary_grid(variety: DeterminantalVariety, m: int):
-    """Fibers over p = e^{i theta} at the m angles of ``phase_grid(m)``:
-    thetas, s (m, n) and p (m,).
-
-    An empty (0 x 0) representation gives one point s = 0 per angle.
-    """
-    thetas = phase_grid(m)
-    if variety.dim == 0:
-        svals = np.zeros((thetas.size, 1), dtype=complex)
-    else:
-        svals = variety._fibers(thetas)
-    return thetas, svals, np.exp(1j * thetas)
-
-
 def boundary_sample(variety: DeterminantalVariety, m: int) -> list[GammaPoint]:
     """Variety points over m uniformly spaced unimodular values of p.
 
@@ -200,11 +211,11 @@ def boundary_sample(variety: DeterminantalVariety, m: int) -> list[GammaPoint]:
     exactly.  An empty (0 x 0) representation emits the degenerate
     convention points (0, e^{i theta}) used by the von Neumann report.
     """
-    _, svals, phases = _boundary_grid(variety, m)
+    p, s = variety._boundary(m)
     return [
-        GammaPoint(s, p)
-        for row, p in zip(svals.tolist(), phases.tolist())
-        for s in row
+        GammaPoint(sj, pt)
+        for row, pt in zip(s.T.tolist(), p.tolist())
+        for sj in row
     ]
 
 
@@ -212,14 +223,14 @@ def boundary_rows(
     variety: DeterminantalVariety, m: int, tol: Tolerances = DEFAULT_TOL
 ) -> list[BoundaryRow]:
     """Boundary samples with their region tags, in angle-major order."""
-    thetas, svals, phases = _boundary_grid(variety, m)
-    n = svals.shape[1]
-    codes = classify_points(svals, phases[:, None], tol).ravel().tolist()
+    p, s = variety._boundary(m)
+    n = s.shape[0]
+    codes = classify_points(s.T, p[:, None], tol).ravel().tolist()
     if variety.dim == 0:
-        theta_col = [math.atan2(p.imag, p.real) % (2.0 * math.pi) for p in phases.tolist()]
+        theta_col = [math.atan2(q.imag, q.real) % (2.0 * math.pi) for q in p.tolist()]
     else:
-        theta_col = np.repeat(thetas, n).tolist()
-    columns = zip(theta_col, svals.ravel().tolist(), np.repeat(phases, n).tolist(),
+        theta_col = np.repeat(phase_grid(m), n).tolist()
+    columns = zip(theta_col, s.T.ravel().tolist(), np.repeat(p, n).tolist(),
                   map(REGION_TAGS.__getitem__, codes))
     # tuple.__new__ builds each row without the Python frame of BoundaryRow.__new__
     return list(map(tuple.__new__, repeat(BoundaryRow), columns))
@@ -265,8 +276,8 @@ def classify_distinguished(
             DistinguishedStatus.DISTINGUISHED_CERTIFIED, "empty representation"
         )
     if variety.nr < 1.0 - tol.psd_tol:
-        _, svals, _ = _boundary_grid(variety, m)
-        s_margin = 2.0 - float(np.max(np.abs(svals)))
+        _, s = variety._boundary(m)
+        s_margin = 2.0 - float(np.max(np.abs(s)))
         return DistinguishedVerdict(
             DistinguishedStatus.DISTINGUISHED_CERTIFIED,
             "numerical radius below one",
@@ -282,7 +293,8 @@ def classify_distinguished(
             witness=GammaPoint(alpha, 0j),
         )
 
-    _, limit, phases = _boundary_grid(variety, m)
+    phases, s = variety._boundary(m)
+    limit = s.T
     fiber = np.linalg.eigvals(a + (_EXIT_RADIUS * phases)[:, None, None] * a.conj().T)
     track_gap = float(np.abs(limit[:, :, None] - fiber[:, None, :]).min(axis=2).max())
     off = ~ON_BGAMMA[classify_points(limit, phases[:, None], tol)]

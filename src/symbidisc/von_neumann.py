@@ -31,7 +31,7 @@ from .fundamental import solve_fundamental
 from .gamma_pairs import OperatorPair
 from .geometry import GammaPoint
 from .numerics import DEFAULT_TOL, Tolerances, operator_norm, sample_count
-from .varieties import DeterminantalVariety, _boundary_grid
+from .varieties import DeterminantalVariety
 
 __all__ = [
     "MatrixPolynomial",
@@ -50,7 +50,7 @@ _HOLDS_SLACK = 1e-6
 class MatrixPolynomial:
     """Polynomial sum of C[i, j] s^i p^j with square matrix coefficients.
 
-    ``coeffs`` has shape (deg_s + 1, deg_p + 1, k, k).
+    ``coeffs`` has shape (deg_s + 1, deg_p + 1, k, k), no axis empty.
     """
 
     coeffs: np.ndarray
@@ -58,7 +58,7 @@ class MatrixPolynomial:
     @classmethod
     def from_coeffs(cls, c) -> "MatrixPolynomial":
         c = np.asarray(c, dtype=complex)
-        if c.ndim != 4 or c.shape[2] != c.shape[3]:
+        if c.ndim != 4 or c.shape[2] != c.shape[3] or 0 in c.shape:
             raise ValueError(
                 "coefficients must have shape (deg_s+1, deg_p+1, k, k)"
             )
@@ -116,8 +116,7 @@ def lambda_variety(
     (P unitary) yields the degenerate 0 x 0 representation.  The numerical
     radius of F is solved only if the variety's ``nr`` is read.
     """
-    fund = solve_fundamental(pair, tol)
-    return DeterminantalVariety(fund.F.copy())
+    return DeterminantalVariety(solve_fundamental(pair, tol).F)
 
 
 @dataclass(frozen=True)
@@ -133,43 +132,21 @@ class VNReport:
     degenerate: bool
 
 
-def _boundary(variety: DeterminantalVariety, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Variety points over m unimodular p: ``(p, s)`` with ``s[:, t]`` the
-    fiber over ``p[t]``.
-
-    ``s`` has shape (n, m), angles last, so that elementwise work on the
-    grid runs along contiguous rows.
-    """
-    _, s, p = _boundary_grid(variety, m)
-    return p, np.ascontiguousarray(s.T)
-
-
-@dataclass(frozen=True)
-class _PairState:
-    """What the right-hand side needs from a pair: its variety (F alone;
-    the numerical radius is never solved here) and the boundary grid at
-    the requested m."""
-
-    variety: DeterminantalVariety
-    p: np.ndarray
-    s: np.ndarray
-
-
 # One entry: reports on the same pair come in runs, and a larger cache only
-# holds more grids.  Keyed by contents, because the pair's arrays are mutable.
-_memo: Optional[tuple[tuple, _PairState]] = None
+# holds more varieties.  Keyed by contents, because the pair's arrays are
+# mutable.  The variety holds its own boundary grid, so no m enters the key.
+_memo: Optional[tuple[tuple, DeterminantalVariety]] = None
 
 
-def _pair_state(pair: OperatorPair, tol: Tolerances, m: int) -> _PairState:
+def _pair_variety(pair: OperatorPair, tol: Tolerances) -> DeterminantalVariety:
     global _memo
-    key = (pair.S.shape, pair.S.tobytes(), pair.P.tobytes(), tol, m)
+    key = (pair.S.shape, pair.S.tobytes(), pair.P.tobytes(), tol)
     memo = _memo  # read once: a concurrent caller can only force a recompute
     if memo is not None and memo[0] == key:
         return memo[1]
     variety = lambda_variety(pair, tol)
-    state = _PairState(variety, *_boundary(variety, m))
-    _memo = (key, state)
-    return state
+    _memo = (key, variety)
+    return variety
 
 
 def _horner_p(row: np.ndarray, p: np.ndarray) -> Optional[np.ndarray]:
@@ -259,22 +236,21 @@ def vn_report(
     Degenerate reports (zero defect rank) use the convention points
     (0, e^{i theta}).
 
-    F, the variety and the m-angle boundary grid depend only on the pair,
-    ``tol`` and ``m``; the most recent pair's are kept and reused while
-    consecutive calls present equal inputs.
+    F and the variety depend only on the pair and ``tol``; the most recent
+    pair's variety is kept and reused while consecutive calls present equal
+    inputs, and it holds the last boundary grid it solved, which a nested
+    ``m`` reads or extends.
     """
-    m = sample_count(m)
-    state = _pair_state(pair, tol, m)
-    variety = state.variety
+    cur_m = sample_count(m)
+    variety = _pair_variety(pair, tol)
     lhs = operator_norm(evaluate_pair(f, pair))
-    cur_m, p, s = m, state.p, state.s
     while True:
+        p, s = variety._boundary(cur_m)
         rhs, arg = _boundary_max(f, p, s)
         holds = lhs <= rhs * (1.0 + _HOLDS_SLACK)
         if holds or cur_m >= _REFINE_CAP:
             break
         cur_m *= 2
-        p, s = _boundary(variety, cur_m)
     if rhs > 0:
         ratio = lhs / rhs
     else:

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from symbidisc.geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points, point_roots
-from symbidisc.numerics import DEFAULT_TOL
-from symbidisc.varieties import BoundaryRow, _boundary_grid
+from symbidisc.numerics import DEFAULT_TOL, phase_grid
+from symbidisc.varieties import BoundaryRow
 
 # The relative rounding allowance of the diagonal test in classify_points.
 DIAGONAL_EPS = 64 * np.finfo(float).eps
@@ -163,13 +163,14 @@ def boundary_rows_oracle(variety, m, tol=DEFAULT_TOL):
     """``boundary_rows`` assembled row by row, one ``BoundaryRow`` call per
     fiber point, in angle-major order; the 0 x 0 representation takes its
     theta from ``atan2`` of p."""
-    thetas, svals, phases = _boundary_grid(variety, m)
+    phases, fibers = variety._boundary(m)
+    svals = fibers.T
     codes = classify_points(svals, phases[:, None], tol).tolist()
     plist = phases.tolist()
     if variety.dim == 0:
         thetas = [math.atan2(p.imag, p.real) % (2.0 * math.pi) for p in plist]
     else:
-        thetas = thetas.tolist()
+        thetas = phase_grid(m).tolist()
     return [
         BoundaryRow(t, s, p, REGION_TAGS[c])
         for t, row, p, row_codes in zip(thetas, svals.tolist(), plist, codes)

@@ -65,6 +65,20 @@ class TestMembership:
             for s in fiber_at_p(v, p):
                 assert variety_membership(v, GammaPoint(complex(s), p))
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan, complex(0, -np.inf), complex(1, np.nan)])
+    def test_non_finite_p_rejected(self, p):
+        v = DeterminantalVariety.from_matrix(example_one_matrix())
+        with pytest.raises(ValueError, match="p must be finite"):
+            fiber_at_p(v, p)
+        with pytest.raises(ValueError, match="p must be finite"):
+            variety_membership(v, GammaPoint(0.5, p))
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_s_rejected(self, s):
+        v = DeterminantalVariety.from_matrix(example_one_matrix())
+        with pytest.raises(ValueError, match="s must be finite"):
+            variety_membership(v, GammaPoint(s, 0.5))
+
 
 class TestFiber:
     def test_nilpotent_parabola(self):
@@ -303,7 +317,7 @@ def _held_grid_matrix(dim):
 
 
 def _grid_bytes(v, m):
-    return tuple(x.tobytes() for x in varieties._boundary_grid(v, m))
+    return tuple(x.tobytes() for x in v._boundary(m))
 
 
 class TestHeldGrid:
@@ -320,7 +334,7 @@ class TestHeldGrid:
         helds = [m * 2, m * 4, m * 16, m * 3] + [m // d for d in (2, 4) if m % d == 0]
         for held in helds:
             v = DeterminantalVariety.from_matrix(a)
-            varieties._boundary_grid(v, held)
+            v._boundary(held)
             assert _grid_bytes(v, m) == want, held
             assert _grid_bytes(v, m) == want, held  # and again from the new hold
 
@@ -330,7 +344,7 @@ class TestHeldGrid:
         a = _held_grid_matrix(dim)
         want = _grid_bytes(DeterminantalVariety.from_matrix(a), m)
         v = DeterminantalVariety.from_matrix(a)
-        varieties._boundary_grid(v, held)
+        v._boundary(held)
         fiber_solves.clear()
         assert _grid_bytes(v, m) == want
         assert sum(fiber_solves) == m
@@ -347,9 +361,10 @@ class TestHeldGrid:
 
     def test_held_fibers_are_read_only(self):
         v = DeterminantalVariety.from_matrix(_held_grid_matrix(3))
-        _, s, _ = varieties._boundary_grid(v, 8)
-        with pytest.raises(ValueError, match="read-only"):
-            s[0, 0] = 0.0
+        p, s = v._boundary(8)
+        for x in (p, s):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.0
 
 
 @pytest.mark.parametrize("dim", range(7))

@@ -242,7 +242,7 @@ def test_grid_values_match_monomial_sum(block_dim):
     rng = rng_from_seed(76)
     pair = random_symmetrized_pair(rng, 3)
     f = random_matrix_polynomial(rng, 3, block_dim)
-    p, s = von_neumann._boundary(lambda_variety(pair), 8)
+    p, s = lambda_variety(pair)._boundary(8)
     got = von_neumann._eval_grid(f, p, s)
     sb, pb = s[:, :, None, None], p[None, :, None, None]
     want = sum(
@@ -330,13 +330,47 @@ class TestPairMemo:
         von_neumann._memo = None
         assert rep == vn_report(S_POLY, _scalar_pair(0.5, 0.25), m=64)
 
-    def test_tol_and_m_are_part_of_the_key(self):
+    def test_tol_is_part_of_the_key_and_m_is_not(self, fiber_solves):
         pair = _scalar_pair(1, 0.25)
         vn_report(S_POLY, pair, m=64)
+        assert self.solves == 1
         vn_report(S_POLY, pair, m=64, tol=Tolerances(grid_angular=256))
         assert self.solves == 2
+        fiber_solves.clear()
         vn_report(S_POLY, pair, m=32, tol=Tolerances(grid_angular=256))
-        assert self.solves == 3
+        assert self.solves == 2
+        assert fiber_solves == []
+
+    def test_m_sweep_solves_f_once_and_each_angle_once(self, fiber_solves):
+        rng = rng_from_seed(77)
+        pair = random_symmetrized_pair(rng, 3)
+        f = random_matrix_polynomial(rng, 3, 2)
+        for m in (256, 512, 1024, 2048):
+            assert vn_report(f, pair, m=m).m == m
+        assert self.solves == 1
+        assert sum(fiber_solves) == 2048
+
+    def test_hit_reads_the_variety_grid(self, monkeypatch):
+        rng = rng_from_seed(78)
+        pair = random_symmetrized_pair(rng, 3)
+        f = random_matrix_polynomial(rng, 3, 2)
+        vn_report(f, pair, m=128)
+        variety = von_neumann._memo[1]
+        assert isinstance(variety, DeterminantalVariety)
+        held_p, held_s = variety._grid
+        assert not held_p.flags.writeable
+        seen = []
+        boundary_max = von_neumann._boundary_max
+
+        def recording(f, p, s):
+            seen.append((p, s))
+            return boundary_max(f, p, s)
+
+        monkeypatch.setattr(von_neumann, "_boundary_max", recording)
+        vn_report(f, pair, m=128)
+        assert self.solves == 1
+        (p, s), = seen
+        assert np.shares_memory(p, held_p) and np.shares_memory(s, held_s)
 
 
 # (holds, m, ratio, rhs) of a seeded batch, recorded with the per-point
@@ -420,6 +454,17 @@ def test_refinement_solves_only_the_new_angles(fiber_solves, monkeypatch):
     f, pair = _refining_case()
     assert vn_report(f, pair, m=4).m == 16
     assert sum(fiber_solves) == 16  # 4 + 4 + 8, where solving each grid whole takes 28
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MatrixPolynomial.from_coeffs(np.zeros((1, 1, 0, 0))),
+    lambda: MatrixPolynomial.from_coeffs(np.zeros((0, 1, 2, 2))),
+    lambda: MatrixPolynomial.from_coeffs(np.zeros((1, 0, 2, 2))),
+    lambda: MatrixPolynomial.scalar([]),
+], ids=["k0", "ds0", "dp0", "scalar-empty"])
+def test_empty_coefficient_axis_rejected(make):
+    with pytest.raises(ValueError, match="coefficients must have shape"):
+        make()
 
 
 def test_matrix_polynomial_validation():
