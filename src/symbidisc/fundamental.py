@@ -22,6 +22,7 @@ from .gamma_pairs import OperatorPair, make_operator_pair
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _integer,
     as_matrix,
     numerical_radius,
     operator_norm,
@@ -147,6 +148,7 @@ def truncated_model_from_F(
     S - S*P equals the input on that block.
     """
     fhat = require_square(as_matrix(fhat), "coefficient matrix")
+    n_blocks = _integer(n_blocks, "block count")
     if n_blocks < 1:
         raise ValueError("block count must be positive")
     nr = numerical_radius(fhat)

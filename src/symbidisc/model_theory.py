@@ -22,7 +22,7 @@ import numpy as np
 
 from .fundamental import FundamentalOperator, _block_shift_pair, solve_fundamental
 from .gamma_pairs import OperatorPair, check_pure
-from .numerics import DEFAULT_TOL, Tolerances, operator_norm
+from .numerics import DEFAULT_TOL, Tolerances, _integer, operator_norm
 
 __all__ = [
     "TruncatedModel",
@@ -90,7 +90,7 @@ def build_model(
     """
     if not check_pure(pair.P, tol):
         raise ValueError("P is not pure; the truncated model does not apply")
-    n = n_blocks if n_blocks is not None else 8
+    n = _integer(n_blocks, "block count") if n_blocks is not None else 8
     if n < 1:
         raise ValueError("block count must be positive")
     if n > _MAX_LEVEL:
@@ -140,12 +140,14 @@ def dilation_check(
     Returns the maximum residual over 0 <= m <= m_max, 0 <= n <= n_max,
     together with the co-isometric extension residuals ||W P* - V* W||
     and ||W S* - T* W|| and the reporting bound
-    C * tail, C = (1 + ||S||) (1 + m_max + n_max).  Negative power
-    bounds raise ``ValueError``: they would check no power at all.
+    C * tail, C = (1 + ||S||) (1 + m_max + n_max).  Power bounds that
+    are not integers, or are negative (they would check no power at all),
+    raise ``ValueError``.
 
     Each compression is (T*^m W)* (V^n W), where V^n W is W moved down n
     blocks, so only N k x dim arrays are formed.
     """
+    m_max, n_max = _integer(m_max, "power bound"), _integer(n_max, "power bound")
     if m_max < 0 or n_max < 0:
         raise ValueError("power bounds must be nonnegative")
     if model.W.shape[1] != pair.dim:

@@ -35,13 +35,19 @@ __all__ = [
 ]
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int; ``ValueError`` naming ``what`` for a float or non-number."""
+    if not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def sample_count(m) -> int:
     """``m`` as an int; ``ValueError`` unless it is a positive integer."""
-    if not isinstance(m, numbers.Integral):
-        raise ValueError(f"sample count must be an integer, got {m!r}")
+    m = _integer(m, "sample count")
     if m < 1:
         raise ValueError("sample count must be positive")
-    return int(m)
+    return m
 
 
 @dataclass(frozen=True)
@@ -66,11 +72,10 @@ class Tolerances:
 
     def __post_init__(self):
         tols = (self.psd_tol, self.rank_tol, self.residual_tol)
-        if not all(0 <= t < math.inf for t in tols):
-            raise ValueError("tolerances must be finite and nonnegative")
-        if self.grid_angular < 2:
+        if not all(isinstance(t, numbers.Real) and 0 <= t < math.inf for t in tols):
+            raise ValueError("tolerances must be finite and nonnegative real numbers")
+        if _integer(self.grid_angular, "sample count") < 2:
             raise ValueError("grid sizes must be at least 2")
-        sample_count(self.grid_angular)
 
 
 DEFAULT_TOL = Tolerances()

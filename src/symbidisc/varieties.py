@@ -10,7 +10,7 @@ Membership and fibers are computed through eigenvalues of A + p A*
 
 The module also symmetrizes plane algebraic curves: the product
 p(z, w) p(w, z) is symmetric and rewrites uniquely in the elementary
-symmetric coordinates (z + w, z w).
+symmetric coordinates (z + w, z w), through the power sums z^d + w^d.
 """
 
 from __future__ import annotations
@@ -343,93 +343,76 @@ class BivarPolynomial:
             raise ValueError("coefficients must be finite")
         return cls(c)
 
-    @property
-    def degrees(self) -> tuple[int, int]:
-        return self.coeffs.shape[0] - 1, self.coeffs.shape[1] - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def __call__(self, x, y):
         return np.polynomial.polynomial.polyval2d(x, y, self.coeffs)
-
-    def swapped(self) -> "BivarPolynomial":
-        """The polynomial with its two variables exchanged."""
-        return BivarPolynomial(self.coeffs.T.copy())
-
-    def multiply(self, other: "BivarPolynomial") -> "BivarPolynomial":
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros(
-            (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), dtype=complex
-        )
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                if a[i, j] != 0:
-                    out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-        return BivarPolynomial(_trim(out))
 
 
 _SYM_DEGREE_CAP = 16
 _SYM_CHECK = 1e-12
 
+# _POWER_SUMS[d, i, k] is the coefficient of s^i p^k in P_d = z^d + w^d.
+# Up to the degree cap these are integers of modulus at most the Lucas
+# number L_16 = 2207, so they are exact in floats.
+_POWER_SUMS = np.zeros((_SYM_DEGREE_CAP + 1,) * 3)
+_POWER_SUMS[0, 0, 0] = 2.0
+_POWER_SUMS[1, 1, 0] = 1.0
+for _d in range(2, _SYM_DEGREE_CAP + 1):
+    _POWER_SUMS[_d, 1:] = _POWER_SUMS[_d - 1, :-1]
+    _POWER_SUMS[_d, :, 1:] -= _POWER_SUMS[_d - 2, :, :-1]
+
 
 def symmetrize_bidisc_variety(p: BivarPolynomial) -> BivarPolynomial:
-    """Rewrite p(z, w) p(w, z) in the coordinates (z + w, z w).
+    """Rewrite p(z, w) p(w, z) in the coordinates (s, p) = (z + w, z w).
 
-    The symmetrized product is reduced by repeatedly eliminating its
-    graded-lex leading monomial z^a w^b (a >= b by symmetry) against
-    (z + w)^{a-b} (z w)^b; the quotient accumulates into the returned
-    polynomial q, which satisfies q(z + w, z w) = p(z, w) p(w, z)
-    identically.  The identity is verified at 200 pseudorandom points:
-    |q(z + w, z w) - p(z, w) p(w, z)| must stay below 1e-12 times
-    |q|(|z + w|, |z w|) + |pt|(|z|, |w|), where |q| and |pt| take the
-    absolute values of the coefficients of q and of the product pt.  A
-    failure raises ``ValueError`` (an internal consistency error).
+    With c the symmetric coefficient array of the product,
+
+        q(s, p) = sum_{a > b} c[a, b] p^b P_{a-b}(s, p) + sum_a c[a, a] p^a,
+
+    where P_d = z^d + w^d are the power sums, P_0 = 2, P_1 = s and
+    P_d = s P_{d-1} - p P_{d-2}.  Their coefficients are exact integers
+    (``_POWER_SUMS``), so each coefficient of q is one sum of products of
+    c with exact integers, and none is cut off.  q satisfies
+    q(z + w, z w) = p(z, w) p(w, z) identically.  The identity is verified
+    at 200 pseudorandom points: |q(z + w, z w) - p(z, w) p(w, z)| must stay
+    below 1e-12 times |q|(|z + w|, |z w|) + |pt|(|z|, |w|), where |q| and
+    |pt| take the absolute values of the coefficients of q and of the
+    product pt.  A failure raises ``ValueError`` (an internal consistency
+    error).
     """
-    if p.is_zero():
+    a = p.coeffs
+    if not a.any():
         raise ValueError("input polynomial must be nonzero")
-    pt = p.multiply(p.swapped())
-    c = pt.coeffs.astype(complex)
-    # Exact symmetry c[i, j] == c[j, i] up to summation order; enforce it.
-    size = max(c.shape)
-    full = np.zeros((size, size), dtype=complex)
-    full[: c.shape[0], : c.shape[1]] = c
-    c = 0.5 * (full + full.T)
+    rows, cols = a.shape
+    size = rows + cols - 1
     if size - 1 > _SYM_DEGREE_CAP:
         raise ValueError(
             f"symmetrized degree {size - 1} exceeds the cap {_SYM_DEGREE_CAP}"
         )
-    scale = 1.0 + float(np.max(np.abs(c)))
-    cutoff = 1e-15 * scale
+    # p(w, z) has coefficients a.T, so the product is square
+    pt = np.zeros((size, size), dtype=complex)
+    for (i, j), x in np.ndenumerate(a):
+        pt[i : i + cols, j : j + rows] += x * a.T
+    # exact symmetry c[i, j] == c[j, i] up to summation order; enforce it
+    c = 0.5 * (pt + pt.T)
+    # z^b w^b (z^d + w^d) = p^b P_d, and a diagonal term z^a w^a = p^a is half
+    # of p^a P_0; (a + b) / 2 < size keeps every power of p inside the slice
     q = np.zeros((size, size), dtype=complex)
-    # Eliminating z^a w^b only changes monomials of the same total degree
-    # with z-power at most a, and its mirrored updates keep c symmetric, so
-    # one pass in graded-lex order meets every leading term in turn.
-    for deg in range(2 * size - 2, -1, -1):
-        for a_pow in range(min(deg, size - 1), (deg - 1) // 2, -1):
-            b_pow = deg - a_pow
-            lam = c[a_pow, b_pow]
-            if not abs(lam) > cutoff:
-                continue
-            d = a_pow - b_pow
-            q[d, b_pow] += lam
-            for t in range(d + 1):
-                c[d - t + b_pow, t + b_pow] -= lam * math.comb(d, t)
-            c[a_pow, b_pow] = 0.0
-            if a_pow != b_pow:
-                c[b_pow, a_pow] = 0.0
+    for a_pow in range(size):
+        for b_pow in range(a_pow + 1):
+            weight = c[a_pow, b_pow] if a_pow > b_pow else 0.5 * c[a_pow, a_pow]
+            q[:, b_pow:] += weight * _POWER_SUMS[a_pow - b_pow, :size, : size - b_pow]
 
     result = BivarPolynomial(_trim(q))
     rng = np.random.default_rng(20240901)
     z = rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)
     w = rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)
     lhs = result(z + w, z * w)
-    rhs = pt(z, w)
+    rhs = np.polynomial.polynomial.polyval2d(z, w, pt)
     # both evaluations round relative to their absolute-value sums
     az, aw = np.abs(z), np.abs(w)
     scale = np.polynomial.polynomial.polyval2d(
         np.abs(z + w), az * aw, np.abs(result.coeffs)
-    ) + np.polynomial.polynomial.polyval2d(az, aw, np.abs(pt.coeffs))
+    ) + np.polynomial.polynomial.polyval2d(az, aw, np.abs(pt))
     err = np.max(np.abs(lhs - rhs) / scale)
     if not err <= _SYM_CHECK:
         raise ValueError(

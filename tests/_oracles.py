@@ -99,6 +99,40 @@ def poly_eval_oracle(coeffs, z, w):
     return out
 
 
+def symmetrize_exact_oracle(coeffs):
+    """Exact coefficients of q with q(z + w, z w) = p(z, w) p(w, z), p real.
+
+    Rational arithmetic throughout: the product of the float coefficients
+    is formed exactly, and its graded-lex leading monomial z^a w^b (a >= b)
+    is eliminated against (z + w)^(a - b) (z w)^b until nothing is left.
+    Returns a dict {(i, k): Fraction} of the nonzero coefficients of s^i p^k.
+    """
+    a = [[Fraction(float(x)) for x in row] for row in np.asarray(coeffs, dtype=float)]
+    prod = {}
+    for i1, row1 in enumerate(a):
+        for j1, x in enumerate(row1):
+            for i2, row2 in enumerate(a):
+                for j2, y in enumerate(row2):
+                    # x z^i1 w^j1 times y w^i2 z^j2
+                    key = (i1 + j2, j1 + i2)
+                    prod[key] = prod.get(key, Fraction(0)) + x * y
+    prod = {k: v for k, v in prod.items() if v}
+    q = {}
+    while prod:
+        deg = max(i + j for i, j in prod)
+        a_pow = max(i for i, j in prod if i + j == deg)
+        b_pow = deg - a_pow
+        lam = prod[(a_pow, b_pow)]
+        q[(a_pow - b_pow, b_pow)] = lam
+        d = a_pow - b_pow
+        for t in range(d + 1):
+            key = (d - t + b_pow, t + b_pow)
+            prod[key] = prod.get(key, Fraction(0)) - lam * math.comb(d, t)
+            if not prod[key]:
+                del prod[key]
+    return q
+
+
 def root_region_tag(s, p, band):
     """Region tag from the roots of z^2 - s z + p with an absolute band on
     the root moduli and on the root gap.

@@ -204,6 +204,16 @@ class TestTruncatedModel:
         with pytest.raises(ValueError):
             truncated_model_from_F(np.array([[0.5]]), 0)
 
+    @pytest.mark.parametrize("n_blocks", [2.5, 2.0])
+    def test_rejects_non_integral_block_count(self, n_blocks):
+        with pytest.raises(ValueError, match="block count must be an integer"):
+            truncated_model_from_F(np.array([[0.5]]), n_blocks)
+
+    def test_accepts_numpy_block_count(self):
+        want = truncated_model_from_F(np.array([[0.5]]), 3)
+        got = truncated_model_from_F(np.array([[0.5]]), np.int64(3))
+        assert np.array_equal(got.S, want.S) and np.array_equal(got.P, want.P)
+
 
 def test_numerical_radius_of_empty_is_zero():
     assert numerical_radius(np.zeros((0, 0))) == 0.0

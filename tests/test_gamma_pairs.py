@@ -421,9 +421,24 @@ class TestCheckGammaIsometry:
         assert check_gamma_isometry(symmetrize_pair(u1, u2), DEFAULT_TOL).is_member
 
 
+def test_make_operator_pair_rejects_empty():
+    with pytest.raises(ValueError, match="positive dimension"):
+        make_operator_pair(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("r", [0.0, 1.5])
+def test_scaled_pair_rejects_scale_outside_unit_interval(r):
+    pair = make_operator_pair(np.array([[1.0]]), np.array([[0.25]]))
+    with pytest.raises(ValueError, match=r"scale must lie in \(0, 1\]"):
+        scaled_pair(pair, r)
+
+
 class TestCheckPure:
     def test_zero(self):
         assert check_pure(np.zeros((3, 3)))
+
+    def test_empty(self):
+        assert check_pure(np.zeros((0, 0))) is True
 
     def test_scalar_one_not_pure(self):
         assert not check_pure(np.array([[1.0]]))
@@ -462,6 +477,10 @@ class TestSymmetrizePair:
     def test_rejects_expansive(self):
         with pytest.raises(ValueError, match="contraction"):
             symmetrize_pair(2 * np.eye(2), np.zeros((2, 2)))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            symmetrize_pair(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 class TestDesymmetrizePair:

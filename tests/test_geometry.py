@@ -43,6 +43,10 @@ class TestPointRoots:
     def test_double_root(self):
         assert point_roots(GammaPoint(2, 1)) == (1, 1)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            point_roots(GammaPoint(np.inf, 0))
+
     def test_repeated_half(self):
         z1, z2 = point_roots(GammaPoint(1, 0.25))
         assert abs(z1 - 0.5) <= 1e-14 and abs(z2 - 0.5) <= 1e-14

@@ -96,6 +96,25 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="level cap"):
             build_model(_scalar_pair(1, 0.25), 4097)
 
+    def test_rejects_zero_level(self):
+        with pytest.raises(ValueError, match="block count must be positive"):
+            build_model(_scalar_pair(1, 0.25), 0)
+
+    @pytest.mark.parametrize("level", [2.5, 8.0])
+    def test_rejects_non_integral_level(self, level):
+        with pytest.raises(ValueError, match="block count must be an integer"):
+            build_model(_scalar_pair(1, 0.25), level)
+
+    def test_accepts_numpy_level(self):
+        pair = _scalar_pair(1, 0.25)
+        got, want = build_model(pair, np.int64(16)), build_model(pair, 16)
+        assert got.N == want.N == 16 and np.array_equal(got.W, want.W)
+
+    def test_raises_when_the_cap_leaves_the_tail_above_target(self):
+        # 0.999^4096 = 1.661e-02
+        with pytest.raises(ValueError, match=r"tail 1\.661e-02 above target at the level cap 4096"):
+            build_model(_scalar_pair(0, 0.999))
+
     def test_solves_no_numerical_radius(self, radius_solves):
         pair = _random_pure_pair(rng_from_seed(78), 3)
         dilation_check(build_model(pair), pair)
@@ -160,6 +179,20 @@ class TestDilationCheck:
         model = build_model(pair, 8)
         with pytest.raises(ValueError, match="nonnegative"):
             dilation_check(model, pair, m_max, n_max)
+
+    @pytest.mark.parametrize("m_max, n_max", [(2.5, 1), (1, 2.5), (1.0, 1)])
+    def test_rejects_non_integral_power_bounds(self, m_max, n_max):
+        pair = _scalar_pair(1, 0.25)
+        model = build_model(pair, 8)
+        with pytest.raises(ValueError, match="power bound must be an integer"):
+            dilation_check(model, pair, m_max, n_max)
+
+    def test_accepts_numpy_power_bounds(self):
+        pair = _scalar_pair(1, 0.25)
+        model = build_model(pair, 8)
+        assert dilation_check(model, pair, np.int64(2), np.int64(3)) == dilation_check(
+            model, pair, 2, 3
+        )
 
 
 def _family_pure_pairs(seed, count):

@@ -15,6 +15,7 @@ from symbidisc.numerics import (
     numerical_radius,
     operator_norm,
     phase_grid,
+    spectral_radius,
 )
 
 from _oracles import norm_sweep_oracle, nr_grid_oracle
@@ -71,6 +72,25 @@ class TestTolerances:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             Tolerances(grid_angular=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_angular", "8"),
+            ("grid_angular", None),
+            ("grid_angular", 8.0),
+            ("psd_tol", "1e-9"),
+            ("rank_tol", None),
+            ("residual_tol", 1e-8 + 0j),
+        ],
+    )
+    def test_rejects_wrong_types_with_value_error(self, field, value):
+        with pytest.raises(ValueError):
+            Tolerances(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        tol = Tolerances(psd_tol=np.float64(1e-9), grid_angular=np.int64(8))
+        assert tol.grid_angular == 8
 
 
 class TestOperatorNorm:
@@ -254,3 +274,7 @@ class TestJointSpectrum:
 def test_as_matrix_rejects_vector():
     with pytest.raises(ValueError):
         as_matrix(np.zeros(3))
+
+
+def test_spectral_radius_of_empty_is_zero():
+    assert spectral_radius(np.zeros((0, 0))) == 0.0

@@ -24,7 +24,7 @@ from symbidisc.varieties import (
 )
 from symbidisc.von_neumann import MatrixPolynomial, vn_report
 
-from _oracles import boundary_rows_oracle, poly_eval_oracle
+from _oracles import boundary_rows_oracle, poly_eval_oracle, symmetrize_exact_oracle
 
 
 def example_one_matrix():
@@ -249,9 +249,30 @@ class TestSymmetrizeVariety:
         want = poly_eval_oracle(a, z, w) * poly_eval_oracle(a.T, z, w)
         assert abs(q(z + w, z * w) - want) <= 1e-10 * (1 + abs(want))
 
+    def test_coefficients_match_exact_rational_arithmetic(self):
+        # every coefficient within 8 eps max|q| of the exact rational value,
+        # also at the largest shapes below the degree cap
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(2207)
+        shapes = [tuple(rng.integers(1, 10, size=2)) for _ in range(18)]
+        shapes += [(9, 9), (9, 8), (8, 9), (9, 7), (7, 9), (8, 8)]
+        for shape in shapes:
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+            exact = symmetrize_exact_oracle(a)
+            q = symmetrize_bidisc_variety(BivarPolynomial.from_coeffs(a)).coeffs
+            want = np.zeros(q.shape, dtype=complex)
+            for (i, k), v in exact.items():
+                want[i, k] = float(v)  # IndexError: q lost a nonzero exact term
+            scale = max(abs(float(v)) for v in exact.values())
+            assert np.max(np.abs(q - want)) <= 8 * eps * scale, shape
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             symmetrize_bidisc_variety(BivarPolynomial.from_coeffs([[0.0]]))
+
+    def test_rejects_non_finite_coefficients(self):
+        with pytest.raises(ValueError, match="finite"):
+            BivarPolynomial.from_coeffs([[np.nan]])
 
     def test_rejects_degree_cap(self):
         c = np.zeros((10, 10))
