@@ -24,6 +24,7 @@ from .geometry import (
     symmetrize_point,
 )
 from .gamma_pairs import (
+    DefectData,
     NonCommutingRootError,
     NoSquareRootError,
     OperatorPair,
@@ -31,17 +32,16 @@ from .gamma_pairs import (
     check_gamma_contraction,
     check_gamma_isometry,
     check_pure,
+    defect_operator,
     desymmetrize_pair,
     make_operator_pair,
     rho_pencil,
     symmetrize_pair,
 )
 from .fundamental import (
-    DefectData,
     FundamentalBoundError,
     FundamentalOperator,
     ResidualTooLargeError,
-    defect_operator,
     solve_fundamental,
     truncated_model_from_F,
 )

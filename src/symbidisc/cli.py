@@ -310,11 +310,10 @@ def _vn_single_report(rep) -> dict:
         "ratio": _finite_or_none(rep.ratio),
         "holds": rep.holds,
         "m": rep.m,
-        "degenerate": rep.degenerate,
         "argmax": {
             "theta": rep.argmax_theta,
-            "s": complex(rep.argmax.s) if rep.argmax else None,
-            "p": complex(rep.argmax.p) if rep.argmax else None,
+            "s": complex(rep.argmax.s),
+            "p": complex(rep.argmax.p),
         },
     }
 

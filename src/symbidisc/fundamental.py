@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gamma_pairs import OperatorPair, make_operator_pair
+from .gamma_pairs import DefectData, OperatorPair, defect_operator, make_operator_pair
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -30,11 +30,9 @@ from .numerics import (
 )
 
 __all__ = [
-    "DefectData",
     "FundamentalOperator",
     "ResidualTooLargeError",
     "FundamentalBoundError",
-    "defect_operator",
     "solve_fundamental",
     "truncated_model_from_F",
 ]
@@ -46,22 +44,6 @@ class ResidualTooLargeError(ValueError):
 
 class FundamentalBoundError(ValueError):
     """Numerical radius of the solution exceeds 1 on a verified member pair."""
-
-
-@dataclass(frozen=True)
-class DefectData:
-    """Defect operator of a contraction together with a defect-space basis.
-
-    ``D`` is the PSD square root of I - P*P on the full space, ``basis``
-    holds orthonormal eigenvector columns spanning the defect space
-    (eigenvalues of I - P*P above ``rank_tol``), and ``eigenvalues`` are
-    all eigenvalues of I - P*P, ascending and clamped at 0.
-    """
-
-    D: np.ndarray
-    basis: np.ndarray
-    rank: int
-    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,21 +60,6 @@ class FundamentalOperator:
     @cached_property
     def nr(self) -> float:
         return numerical_radius(self.F)
-
-
-def defect_operator(p, tol: Tolerances = DEFAULT_TOL) -> DefectData:
-    """Defect operator of a contraction by clamped Hermitian eigendecomposition."""
-    p = require_square(as_matrix(p), "P")
-    if operator_norm(p) > 1.0 + tol.psd_tol:
-        raise ValueError("P is not a contraction within tolerance")
-    n = p.shape[0]
-    g = np.eye(n) - p.conj().T @ p
-    g = 0.5 * (g + g.conj().T)
-    lam, u = np.linalg.eigh(g) if n else (np.zeros(0), np.zeros((0, 0)))
-    lam = np.clip(lam, 0.0, None)
-    d = (u * np.sqrt(lam)) @ u.conj().T
-    keep = lam > tol.rank_tol
-    return DefectData(d, u[:, keep], int(np.count_nonzero(keep)), lam)
 
 
 def solve_fundamental(
@@ -116,7 +83,7 @@ def solve_fundamental(
     """
     dd = defect_operator(pair.P, tol)
     rhs = pair.S - pair.S.conj().T @ pair.P
-    w = dd.basis / np.sqrt(dd.eigenvalues[dd.eigenvalues > tol.rank_tol])
+    w = dd.basis / np.sqrt(dd.eigenvalues[dd.eigenvalues.size - dd.rank :])
     f = w.conj().T @ rhs @ w
     recon = dd.D @ (dd.basis @ f @ dd.basis.conj().T) @ dd.D
     scale = 1.0 + pair.s_norm * (1.0 + pair.p_norm)

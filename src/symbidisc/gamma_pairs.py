@@ -40,11 +40,13 @@ from .numerics import (
 )
 
 __all__ = [
+    "DefectData",
     "OperatorPair",
     "PairVerdict",
     "PencilWitness",
     "NoSquareRootError",
     "NonCommutingRootError",
+    "defect_operator",
     "make_operator_pair",
     "rho_pencil",
     "check_gamma_contraction",
@@ -79,6 +81,24 @@ class OperatorPair:
 
 
 @dataclass(frozen=True)
+class DefectData:
+    """Defect operator of a contraction together with a defect-space basis.
+
+    ``D`` is the PSD square root of I - P*P on the full space, ``basis``
+    holds orthonormal eigenvector columns spanning the defect space
+    (eigenvalues of I - P*P above ``rank_tol``), ``kernel`` the remaining
+    eigenvectors, and ``eigenvalues`` are all eigenvalues of I - P*P,
+    ascending and clamped at 0, so the kept ones are the last ``rank``.
+    """
+
+    D: np.ndarray
+    basis: np.ndarray
+    rank: int
+    eigenvalues: np.ndarray
+    kernel: np.ndarray
+
+
+@dataclass(frozen=True)
 class PencilWitness:
     """Circle phase and unit eigenvector attaining a sweep margin."""
 
@@ -104,6 +124,44 @@ def make_operator_pair(s, p, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
         raise ValueError("pair must have positive dimension")
     ns, np_, defect = require_commuting(s, p, tol, ("S", "P"))
     return OperatorPair(s.copy(), p.copy(), defect, ns, np_)
+
+
+def defect_operator(p, tol: Tolerances = DEFAULT_TOL) -> DefectData:
+    """Defect operator of a contraction by clamped Hermitian eigendecomposition."""
+    p = require_square(as_matrix(p), "P")
+    if operator_norm(p) > 1.0 + tol.psd_tol:
+        raise ValueError("P is not a contraction within tolerance")
+    n = p.shape[0]
+    g = np.eye(n) - p.conj().T @ p
+    g = 0.5 * (g + g.conj().T)
+    lam, u = np.linalg.eigh(g) if n else (np.zeros(0), np.zeros((0, 0)))
+    lam = np.clip(lam, 0.0, None)
+    d = (u * np.sqrt(lam)) @ u.conj().T
+    keep = lam > tol.rank_tol
+    return DefectData(d, u[:, keep], int(np.count_nonzero(keep)), lam, u[:, ~keep])
+
+
+def _unitary_part(p: np.ndarray, dd: DefectData, tol: Tolerances) -> np.ndarray:
+    """Orthonormal basis of the unitary part of the contraction P.
+
+    It is the common null space of U* P^k, U = ``dd.basis``, taken inside
+    the span K of ``dd.kernel`` (so no direction also lies in the defect
+    space) with the same cut: sum_k ||U* P^k x||^2 <= ``rank_tol``
+    ||x||^2.  P is isometric on this invariant subspace, so in finite
+    dimension unitary there, and the subspace reduces P.  The null spaces
+    shrink until two agree and stay fixed after, so k <= dim K suffices.
+    """
+    k = dd.kernel
+    if not k.size:
+        return k
+    rows = dd.basis.conj().T @ p
+    gram = np.zeros((k.shape[1],) * 2, dtype=complex)
+    for _ in range(k.shape[1]):
+        block = rows @ k
+        gram += block.conj().T @ block
+        rows = rows @ p
+    lam, y = np.linalg.eigh(gram)
+    return k @ y[:, lam <= tol.rank_tol]
 
 
 def rho_pencil(pair: OperatorPair) -> np.ndarray:
@@ -170,27 +228,10 @@ def check_gamma_isometry(
 
 
 def check_pure(p, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Finite-dimensional purity test for a contraction.
-
-    True iff the spectral radius is below 1 - rank_tol, or some power
-    P^n with n <= 512 (computed by repeated squaring) has norm <= 1e-8.
-    """
+    """True iff the unitary part of the contraction P is {0}, which in
+    finite dimension means P^n -> 0; ``lambda_variety`` uses the same split."""
     p = require_square(as_matrix(p), "P")
-    norm = operator_norm(p)
-    if norm > 1.0 + tol.psd_tol:
-        raise ValueError("P is not a contraction within tolerance")
-    if p.shape[0] == 0:
-        return True
-    if spectral_radius(p) <= 1.0 - tol.rank_tol:
-        return True
-    if norm <= 1e-8:
-        return True
-    q = p
-    for _ in range(9):  # powers 2, 4, ..., 512
-        q = q @ q
-        if operator_norm(q) <= 1e-8:
-            return True
-    return False
+    return _unitary_part(p, defect_operator(p, tol), tol).shape[1] == 0
 
 
 def symmetrize_pair(t1, t2, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:

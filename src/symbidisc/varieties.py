@@ -107,8 +107,6 @@ class DeterminantalVariety:
         read-only.
         """
         n, m = self.dim, sample_count(m)
-        if n == 0:
-            return np.exp(1j * phase_grid(m)), np.zeros((1, m), dtype=complex)
         grid = self._grid  # read once: a concurrent solve can only replace it whole
         if grid is not None:
             p, s = grid
@@ -208,8 +206,7 @@ def boundary_sample(variety: DeterminantalVariety, m: int) -> list[GammaPoint]:
 
     For each theta the fiber is the Hermitian-reduction spectrum, so every
     emitted point satisfies the determinantal equation with |p| = 1
-    exactly.  An empty (0 x 0) representation emits the degenerate
-    convention points (0, e^{i theta}) used by the von Neumann report.
+    exactly.  An empty (0 x 0) representation emits no point.
     """
     p, s = variety._boundary(m)
     return [
@@ -226,12 +223,8 @@ def boundary_rows(
     p, s = variety._boundary(m)
     n = s.shape[0]
     codes = classify_points(s.T, p[:, None], tol).ravel().tolist()
-    if variety.dim == 0:
-        theta_col = [math.atan2(q.imag, q.real) % (2.0 * math.pi) for q in p.tolist()]
-    else:
-        theta_col = np.repeat(phase_grid(m), n).tolist()
-    columns = zip(theta_col, s.T.ravel().tolist(), np.repeat(p, n).tolist(),
-                  map(REGION_TAGS.__getitem__, codes))
+    columns = zip(np.repeat(phase_grid(m), n).tolist(), s.T.ravel().tolist(),
+                  np.repeat(p, n).tolist(), map(REGION_TAGS.__getitem__, codes))
     # tuple.__new__ builds each row without the Python frame of BoundaryRow.__new__
     return list(map(tuple.__new__, repeat(BoundaryRow), columns))
 

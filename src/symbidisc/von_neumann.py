@@ -1,17 +1,14 @@
 """Matrix polynomials in two variables and the von Neumann report.
 
-Every member pair (S, P) of finite dimension whose P has no unimodular
-eigenvalue carries the variety
+Every member pair (S, P) of finite dimension carries the variety
 
-    det(F + p F* - s I) = 0,
+    det(A + p A* - s I) = 0,    A = F (+) S_u / 2,
 
-with F the fundamental operator, and satisfies
-||f(S, P)|| <= max ||f(s, p)|| over the variety's unimodular-|p| boundary
-points for every matrix-valued polynomial f.  The report certifies this
-inequality at sampled boundary angles.  F lives on the defect space of
-P, so a unitary part of P is missing from the variety, and a report on
-a member pair with a unimodular eigenvalue of P can show a violation
-that is not one (S = [[2]], P = [[1]] with f = s gives rhs 0).
+with F the fundamental operator and S_u the compression of S to the
+unitary part of P, and satisfies ||f(S, P)|| <= max ||f(s, p)|| over the
+variety's unimodular-|p| boundary points for every matrix-valued
+polynomial f.  The report certifies this inequality at sampled boundary
+angles.
 
 The orientation of the representation matters: substituting F* for F
 above produces the conjugate variety, on which the inequality fails for
@@ -26,9 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .fundamental import solve_fundamental
-from .gamma_pairs import OperatorPair
+from .gamma_pairs import OperatorPair, _unitary_part
 from .geometry import GammaPoint
 from .numerics import DEFAULT_TOL, Tolerances, operator_norm, sample_count
 from .varieties import DeterminantalVariety
@@ -111,12 +109,17 @@ def lambda_variety(
 ) -> DeterminantalVariety:
     """Determinantal variety attached to a member pair.
 
-    With F the fundamental operator, the representing matrix is F, so
-    that det(A + p A* - s I) = det(F + p F* - s I).  A zero-rank defect
-    (P unitary) yields the degenerate 0 x 0 representation.  The numerical
-    radius of F is solved only if the variety's ``nr`` is read.
+    F misses the unitary part of P, where the pair is Gamma-unitary: S_u
+    is normal, and at each joint eigenvalue (s0, p0), s0 = conj(s0) p0, so
+    the scalar s0 / 2 represents a line through (s0, p0).  The representing
+    matrix is A = F (+) S_u / 2, of numerical radius at most 1, solved only
+    if the variety's ``nr`` is read.
     """
-    return DeterminantalVariety(solve_fundamental(pair, tol).F)
+    fund = solve_fundamental(pair, tol)
+    w = _unitary_part(pair.P, fund.defect, tol)
+    if not w.size:  # no unitary part: A = F, without block_diag's cost
+        return DeterminantalVariety(fund.F)
+    return DeterminantalVariety(scipy.linalg.block_diag(fund.F, 0.5 * (w.conj().T @ pair.S @ w)))
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,8 @@ class VNReport:
     holds: bool
     m: int
     sample_count: int
-    argmax: Optional[GammaPoint]
+    argmax: GammaPoint
     argmax_theta: float
-    degenerate: bool
 
 
 # One entry: reports on the same pair come in runs, and a larger cache only
@@ -233,8 +235,6 @@ def vn_report(
     attached variety.  ``holds`` allows the multiplicative slack 1 + 1e-6
     for grid under-sampling of the maximum; on apparent violation the
     angular grid is doubled (up to 2^16) before a violation is reported.
-    Degenerate reports (zero defect rank) use the convention points
-    (0, e^{i theta}).
 
     F and the variety depend only on the pair and ``tol``; the most recent
     pair's variety is kept and reused while consecutive calls present equal
@@ -256,15 +256,13 @@ def vn_report(
     else:
         ratio = 0.0 if lhs == 0 else math.inf
     theta = math.atan2(arg.p.imag, arg.p.real) % (2.0 * math.pi)
-    count = max(variety.dim, 1) * cur_m
     return VNReport(
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,
         holds=holds,
         m=cur_m,
-        sample_count=count,
+        sample_count=variety.dim * cur_m,
         argmax=arg,
         argmax_theta=theta,
-        degenerate=variety.dim == 0,
     )

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from symbidisc import cli
+from symbidisc.geometry import GammaPoint
 from symbidisc.numerics import DEFAULT_TOL
+from symbidisc.von_neumann import VNReport
 
 from symbidisc.cli import (
     _tol_from_args,
@@ -284,17 +286,28 @@ class TestVnCommand:
         assert abs(report["lhs"] - 1.0) <= 1e-10
         assert abs(report["rhs"] - 1.6) <= 1e-6
 
-    def test_zero_boundary_maximum_writes_null_ratio(self, tmp_path, capsys):
-        # P unitary: F is 0 x 0 and the boundary maximum of f = s / 2 is 0
+    def test_zero_boundary_maximum_writes_null_ratio(self):
+        # no member pair reaches rhs = 0, so the report is built by hand
+        rep = VNReport(lhs=2.0, rhs=0.0, ratio=math.inf, holds=False, m=65536,
+                       sample_count=65536, argmax=GammaPoint(0j, 1 + 0j), argmax_theta=0.0)
+        report = _strict_json(cli.dumps(cli._vn_single_report(rep)))
+        assert report["ratio"] is None
+        assert report["rhs"] == 0.0
+        assert report["holds"] is False
+
+    def test_unitary_pair_holds_with_equality(self, tmp_path, capsys):
+        # P unitary: the representation S / 2 carries the point (2, 1), where
+        # f = s / 2 has modulus 1 = ||f(S, P)||
         s = _write(tmp_path / "S.json", [[2.0]])
         p = _write(tmp_path / "P.json", [[1.0]])
         poly = tmp_path / "f.json"
         poly.write_text(json.dumps(_POLY))
-        assert main(["vn", s, p, "--poly", str(poly)]) == 3
+        assert main(["vn", s, p, "--poly", str(poly)]) == 0
         report = _strict_json(capsys.readouterr().out)
-        assert report["ratio"] is None
-        assert report["rhs"] == 0.0
-        assert report["holds"] is False
+        assert report["ratio"] == 1.0
+        assert report["rhs"] == 1.0
+        assert report["holds"] is True
+        assert "degenerate" not in report
 
     def test_random_batch_writes_null_for_infinite_ratios(self, monkeypatch, capsys):
         real = cli.vn_report

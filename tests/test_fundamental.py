@@ -59,6 +59,15 @@ class TestDefectOperator:
         with pytest.raises(ValueError):
             defect_operator(np.array([[2.0]]))
 
+    def test_kernel_completes_the_basis(self):
+        # I - P*P = diag(0, 1 - 0.99999^2, 0.75): the cut leaves e1 alone
+        p = np.diag([1.0, 0.99999, 0.5]).astype(complex)
+        dd = defect_operator(p)
+        assert dd.rank == 2 and dd.kernel.shape == (3, 1)
+        both = np.hstack([dd.kernel, dd.basis])
+        assert np.linalg.norm(both.conj().T @ both - np.eye(3)) <= 1e-12
+        assert abs(abs(dd.kernel[0, 0]) - 1.0) <= 1e-12
+
 
 class TestSolveFundamental:
     def test_scalar_interior(self):

@@ -132,10 +132,12 @@ class TestBoundarySample:
             assert variety_membership(v, pt)
 
     def test_empty_representation_convention(self):
+        # det of a 0 x 0 matrix is 1: the set is empty, on every path
         v = DeterminantalVariety.from_matrix(np.zeros((0, 0)))
-        pts = boundary_sample(v, 8)
-        assert len(pts) == 8
-        assert all(pt.s == 0 and abs(abs(pt.p) - 1) <= 1e-15 for pt in pts)
+        assert boundary_sample(v, 8) == []
+        assert boundary_rows(v, 8) == []
+        assert v._boundary(16)[1].shape == (0, 16)
+        assert not variety_membership(v, GammaPoint(0, 1))
 
     def test_automorphism_identity(self):
         # exit points built from a unit eigenvector v and alpha = <Av, v>
@@ -409,7 +411,8 @@ def _cx(pair):
 # Verdicts, 16-angle boundary rows and 8-angle boundary samples recorded
 # with the per-point implementation (a classify_point call per boundary
 # point, 64 exit radii) for seeded certified, planted, radius-one,
-# inconclusive and empty representations.
+# inconclusive and empty representations.  The empty one has no rows and
+# no sample: det of a 0 x 0 matrix is 1, so its set is empty.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "variety_golden.json").read_text())
 
 

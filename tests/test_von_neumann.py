@@ -103,8 +103,18 @@ class TestLambdaVariety:
         assert variety_membership(v, GammaPoint(1, 0.25))
 
     def test_unitary_degenerate(self):
+        # P unitary: the defect rank is 0, and the whole space is the
+        # unitary part, so A = S / 2
         v = lambda_variety(_scalar_pair(2, 1))
-        assert v.dim == 0
+        assert v.dim == 1 and v.A[0, 0] == 1.0
+
+    def test_unitary_part_is_added_to_F(self):
+        # S = diag(2, 0.5), P = diag(1, 0.25): F = 0.375 / 0.9375 = 0.4 on
+        # the second direction, S_u / 2 = 1 on the first
+        pair = make_operator_pair(np.diag([2.0, 0.5]), np.diag([1.0, 0.25]))
+        v = lambda_variety(pair)
+        assert v.dim == 2
+        assert np.allclose(v.A, np.diag([0.4, 1.0]), rtol=0, atol=1e-15)
 
     def test_nilpotent_parabola(self):
         s = np.array([[0, 2], [0, 0]], dtype=complex)
@@ -163,19 +173,26 @@ class TestVnReport:
         rep = vn_report(S_POLY, _scalar_pair(1, 0.25), m=2048)
         assert abs(rep.lhs - 1.0) <= 1e-12
         assert abs(rep.rhs - 1.6) <= 1e-9  # max over |p|=1 of |0.8 + 0.8 p|
-        assert rep.holds and not rep.degenerate
+        assert rep.holds and rep.sample_count == 2048
 
     def test_unitary_equality(self):
         rep = vn_report(P_POLY, _scalar_pair(0, -1), m=64)
         assert abs(rep.lhs - 1.0) <= 1e-12
         assert abs(rep.rhs - 1.0) <= 1e-12
-        assert rep.holds and rep.degenerate
+        assert rep.holds and rep.sample_count == 64
 
-    def test_zero_boundary_maximum_gives_infinite_ratio(self):
-        # P unitary: F is 0 x 0, so the boundary maximum of f = s is 0 < lhs = 2
+    def test_unitary_scalar_pair_attains_equality(self):
+        # P unitary, so F is 0 x 0 and the representation is S / 2, whose
+        # boundary carries the point (2, 1)
         rep = vn_report(S_POLY, _scalar_pair(2, 1), m=64)
-        assert rep.degenerate and rep.rhs == 0.0 and rep.lhs == 2.0
-        assert rep.ratio == math.inf and not rep.holds
+        assert rep.rhs == 2.0 and rep.lhs == 2.0
+        assert rep.ratio == 1.0 and rep.holds and rep.m == 64
+
+    def test_unitary_part_closes_the_gap(self):
+        # the variety of F alone misses the point (2, 1) and gives ratio 2.5
+        pair = make_operator_pair(np.diag([2.0, 0.5]), np.diag([1.0, 0.25]))
+        rep = vn_report(S_POLY, pair, m=64)
+        assert rep.ratio == 1.0 and rep.holds
 
     def test_constant_polynomial(self):
         c = np.zeros((1, 1, 2, 2), complex)
