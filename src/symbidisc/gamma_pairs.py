@@ -152,8 +152,6 @@ def _unitary_part(p: np.ndarray, dd: DefectData, tol: Tolerances) -> np.ndarray:
     shrink until two agree and stay fixed after, so k <= dim K suffices.
     """
     k = dd.kernel
-    if not k.size:
-        return k
     rows = dd.basis.conj().T @ p
     gram = np.zeros((k.shape[1],) * 2, dtype=complex)
     for _ in range(k.shape[1]):

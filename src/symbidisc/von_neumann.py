@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .fundamental import solve_fundamental
 from .gamma_pairs import OperatorPair, _unitary_part
@@ -117,9 +116,11 @@ def lambda_variety(
     """
     fund = solve_fundamental(pair, tol)
     w = _unitary_part(pair.P, fund.defect, tol)
-    if not w.size:  # no unitary part: A = F, without block_diag's cost
-        return DeterminantalVariety(fund.F)
-    return DeterminantalVariety(scipy.linalg.block_diag(fund.F, 0.5 * (w.conj().T @ pair.S @ w)))
+    r = fund.F.shape[0]
+    a = np.zeros((r + w.shape[1],) * 2, dtype=complex)
+    a[:r, :r] = fund.F
+    a[r:, r:] = 0.5 * (w.conj().T @ pair.S @ w)
+    return DeterminantalVariety(a)
 
 
 @dataclass(frozen=True)
