@@ -36,7 +36,7 @@ from .generators import (
     rng_from_seed,
 )
 from .model_theory import build_model, dilation_check
-from .numerics import DEFAULT_TOL, Tolerances, as_matrix
+from .numerics import DEFAULT_TOL, Tolerances, _integer, as_matrix
 from .varieties import DeterminantalVariety, classify_distinguished, write_boundary_csv
 from .von_neumann import MatrixPolynomial, vn_report
 
@@ -46,6 +46,10 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
+
+# Largest degree in s or in p of a polynomial document's term: it bounds
+# the (deg_s + 1) x (deg_p + 1) x k x k coefficient array before allocation.
+_MAX_DEGREE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +69,7 @@ def matrix_to_doc(m: np.ndarray) -> dict:
 def matrix_from_doc(doc: dict) -> np.ndarray:
     """Matrix of a JSON document; ``ValueError`` for any malformed document."""
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
+        rows, cols = _integer(doc["rows"], "rows"), _integer(doc["cols"], "cols")
         data = list(doc["data"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
@@ -95,21 +99,31 @@ def write_matrix_file(path: str, m: np.ndarray) -> None:
 
 
 def poly_from_doc(doc: dict) -> MatrixPolynomial:
-    """Polynomial document: {"block_dim": k, "terms": [{"i", "j", "matrix"}]}."""
+    """Polynomial document: {"block_dim": k, "terms": [{"i", "j", "matrix"}]}.
+
+    Degrees above ``_MAX_DEGREE`` raise ``ValueError`` before the
+    coefficient array is allocated.
+    """
     try:
-        k = int(doc["block_dim"])
+        k = _integer(doc["block_dim"], "block_dim")
         terms = doc["terms"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed polynomial document: {exc}") from exc
     if k < 1 or not terms:
         raise ValueError("polynomial needs block_dim >= 1 and at least one term")
     try:
-        parsed = [(int(t["i"]), int(t["j"]), matrix_from_doc(t["matrix"])) for t in terms]
+        parsed = [
+            (_integer(t["i"], "term degree i"), _integer(t["j"], "term degree j"),
+             matrix_from_doc(t["matrix"]))
+            for t in terms
+        ]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed polynomial term: {exc!r}") from exc
     for i, j, m in parsed:
         if min(i, j) < 0:
             raise ValueError("term degrees must be nonnegative")
+        if max(i, j) > _MAX_DEGREE:
+            raise ValueError(f"term degree {max(i, j)} exceeds the degree cap {_MAX_DEGREE}")
         if m.shape != (k, k):
             raise ValueError(f"term matrix shape {m.shape} does not match block_dim")
     deg_s = max(i for i, _, _ in parsed)

@@ -84,9 +84,12 @@ def build_model(
 
     The truncation level is doubled until ||P^N|| <= 1e-8 (starting from
     the requested level, default 8), capped at 4096; a requested level
-    above the cap, or a tail still above target at the cap, raises.  The
-    cap bounds the N-step loop that builds W and its N k x dim storage.
-    Requires P pure.
+    above the cap raises.  The cap bounds the N-step loop that builds W
+    and its N k x dim storage.  Requires P pure.  A pure P whose powers
+    decay too slowly (for a normal P, an eigenvalue of modulus above
+    about 1 - 4.5e-3) leaves the tail above target at the cap: that
+    raises too, with the verdict that the truncated model does not apply
+    to the pair.
     """
     if not check_pure(pair.P, tol):
         raise ValueError("P is not pure; the truncated model does not apply")
@@ -99,7 +102,9 @@ def build_model(
     while tail > _TAIL_TARGET:
         if n >= _MAX_LEVEL:
             raise ValueError(
-                f"tail {tail:.3e} above target at the level cap {_MAX_LEVEL}"
+                f"tail {tail:.3e} above target at the level cap {_MAX_LEVEL}: "
+                f"P is pure, but ||P^N|| does not reach {_TAIL_TARGET:g} within "
+                "the cap, so the truncated model does not apply"
             )
         n = min(2 * n, _MAX_LEVEL)
         tail = _tail_norm(pair.P, n)

@@ -5,7 +5,11 @@ Standard decompositions (Hermitian eigenvalues, Schur, SVD) are delegated
 to numpy/scipy; the two nonstandard operations implemented here are
 
 * ``numerical_radius`` -- the level-set iteration of Mengi and Overton;
-  the result is attained, so a lower bound, and
+  the result is attained, so a lower bound.  Its pencils go straight to
+  LAPACK ``zggev`` (eigenvalues only), whose workspace size is queried
+  once per pencil size and kept in a module dict: the same routine,
+  column-major data and workspace as ``scipy.linalg.eigvals``, without
+  its per-call query, copy and inf/nan rebuild, and
 * ``joint_spectrum`` -- joint eigenvalues of a commuting pair through
   simultaneous unitary triangularization.
 """
@@ -154,6 +158,31 @@ def require_commuting(
     return norm_a, norm_b, defect
 
 
+# LAPACK zggev, and its workspace size by pencil size: the lwork = -1
+# query that scipy.linalg.eigvals runs on every call, run once per size
+_zggev = scipy.linalg.get_lapack_funcs("ggev", dtype=complex)
+_ZGGEV_LWORK: dict[int, int] = {}
+
+
+def _pencil_eigvals(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Finite eigenvalues alpha / beta of the pencil left - z right.
+
+    One ``zggev`` call without eigenvectors; ``LinAlgError`` when it
+    reports failure.  Eigenvalues with beta = 0, or whose quotient is not
+    finite, are dropped.
+    """
+    size = left.shape[0]
+    lwork = _ZGGEV_LWORK.get(size)
+    if lwork is None:
+        lwork = _ZGGEV_LWORK[size] = int(_zggev(left, right, lwork=-1)[-2][0].real)
+    alpha, beta, _, _, _, info = _zggev(left, right, 0, 0, lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zggev failed with info = {info}")
+    finite = beta != 0
+    z = alpha[finite] / beta[finite]
+    return z[np.isfinite(z)]
+
+
 def numerical_radius(a) -> float:
     """Numerical radius by the level-set iteration of Mengi and Overton.
 
@@ -164,9 +193,10 @@ def numerical_radius(a) -> float:
     of the angles of all finite z, until none raises it.  No z is dropped
     for lying off the circle: a tangency is a double eigenvalue that
     rounding moves off it.  A is scaled by a power of two (exactly) for
-    the pencil.  The quarter turns give l > 0, so a common null vector of
-    A and A* cannot make the pencil singular.  The result is attained, so
-    a lower bound.
+    the pencil, which is built once in column-major order; each step
+    rewrites only its 2l I diagonal.  The quarter turns give l > 0, so a
+    common null vector of A and A* cannot make the pencil singular.  The
+    result is attained, so a lower bound.
     """
     a = np.ascontiguousarray(require_square(as_matrix(a)))
     n = a.shape[0]
@@ -175,7 +205,8 @@ def numerical_radius(a) -> float:
     parts = a.view(float)
     exp = int(np.frexp(np.abs(parts).max())[1])
     b = np.ldexp(parts, -exp).view(complex)
-    left, right = np.zeros((2, 2 * n, 2 * n), dtype=complex)
+    left = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
+    right = np.zeros_like(left)
     diag = np.arange(n)
     right[diag, diag] = left[diag, n + diag] = 1.0
     right[n:, n:] = b
@@ -184,8 +215,7 @@ def numerical_radius(a) -> float:
     level = float(0.5 * np.linalg.eigvalsh(quarter_turns)[:, -1].max())
     while True:
         left[n + diag, n + diag] = np.ldexp(2.0 * level, -exp)
-        z = scipy.linalg.eigvals(left, right, check_finite=False)
-        theta = np.sort(np.angle(z[np.isfinite(z)]))
+        theta = np.sort(np.angle(_pencil_eigvals(left, right)))
         mid = 0.5 * (theta + np.append(theta[1:], theta[:1] + 2.0 * math.pi))
         lam = np.linalg.eigvalsh(circle_pencils(a, np.exp(1j * mid)))
         best = float(0.5 * lam[:, -1].max(initial=-math.inf))

@@ -5,16 +5,20 @@ no refinement, direct eigenvalue formulas, raw polynomial arithmetic and
 exact rational arithmetic.  Two exceptions: the root-based region rule
 is built on the public ``point_roots``, and the boundary-row oracle
 reuses the library's fiber grid and tag kernel, since it is the
-reference only for how rows are assembled from them.
+reference only for how rows are assembled from them.  The scipy-path
+radius oracle is the library's level-set loop with its pencil solved by
+``scipy.linalg.eigvals``: it is the reference only for the direct LAPACK
+call that replaced it.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 from symbidisc.geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points, point_roots
-from symbidisc.numerics import DEFAULT_TOL, phase_grid
+from symbidisc.numerics import DEFAULT_TOL, as_matrix, circle_pencils, phase_grid, require_square
 from symbidisc.varieties import BoundaryRow
 
 # The relative rounding allowance of the diagonal test in classify_points.
@@ -32,6 +36,35 @@ def nr_grid_oracle(a, m=100000):
         h = 0.5 * (w * a + np.conj(w) * a.conj().T)
         best = max(best, float(np.linalg.eigvalsh(h)[:, -1].max()))
     return best
+
+
+def numerical_radius_scipy_oracle(a):
+    """``numerical_radius`` as it was when each level step called
+    ``scipy.linalg.eigvals`` on the C-ordered pencil, kept verbatim."""
+    a = np.ascontiguousarray(require_square(as_matrix(a)))
+    n = a.shape[0]
+    if n == 0 or not a.any():
+        return 0.0
+    parts = a.view(float)
+    exp = int(np.frexp(np.abs(parts).max())[1])
+    b = np.ldexp(parts, -exp).view(complex)
+    left, right = np.zeros((2, 2 * n, 2 * n), dtype=complex)
+    diag = np.arange(n)
+    right[diag, diag] = left[diag, n + diag] = 1.0
+    right[n:, n:] = b
+    left[n:, :n] = -b.conj().T
+    quarter_turns = circle_pencils(a, np.array([1, 1j, -1, -1j]))
+    level = float(0.5 * np.linalg.eigvalsh(quarter_turns)[:, -1].max())
+    while True:
+        left[n + diag, n + diag] = np.ldexp(2.0 * level, -exp)
+        z = scipy.linalg.eigvals(left, right, check_finite=False)
+        theta = np.sort(np.angle(z[np.isfinite(z)]))
+        mid = 0.5 * (theta + np.append(theta[1:], theta[:1] + 2.0 * math.pi))
+        lam = np.linalg.eigvalsh(circle_pencils(a, np.exp(1j * mid)))
+        best = float(0.5 * lam[:, -1].max(initial=-math.inf))
+        if not best > level:
+            return level
+        level = best
 
 
 def norm_sweep_oracle(a, m=200000):

@@ -162,10 +162,22 @@ _POLY = {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": _GOOD}]}
         (_GOOD, {"block_dim": 0, "terms": _POLY["terms"]}, 2),
         (_GOOD, {"block_dim": 1, "terms": []}, 2),
         (_GOOD, {"block_dim": 2, "terms": _POLY["terms"]}, 2),
+        # non-integral sizes and degrees were truncated: 1.9 rows read as 1
+        ({"rows": 1.9, "cols": 1, "data": [[0.5, 0.0]]}, _POLY, 2),
+        ({"rows": 1, "cols": 1.5, "data": [[0.5, 0.0]]}, _POLY, 2),
+        (_GOOD, {"block_dim": 1.5, "terms": _POLY["terms"]}, 2),
+        (_GOOD, {"block_dim": 1, "terms": [{"i": 1.7, "j": 0, "matrix": _GOOD}]}, 2),
+        (_GOOD, {"block_dim": 1, "terms": [{"i": 1, "j": 0.5, "matrix": _GOOD}]}, 2),
+        (_GOOD, {"block_dim": 1, "terms": [{"i": 0, "j": 1024, "matrix": _GOOD}]}, 0),
+        (_GOOD, {"block_dim": 1, "terms": [{"i": 1025, "j": 0, "matrix": _GOOD}]}, 2),
+        # raised before allocating: degree 1e10 asked for a 149 GiB array
+        (_GOOD, {"block_dim": 1, "terms": [{"i": 10**10, "j": 0, "matrix": _GOOD}]}, 2),
     ],
     ids=["well-formed", "data-not-pairs", "data-null", "entry-null", "term-without-i",
          "negative-degree", "no-block-dim", "zero-block-dim", "no-terms",
-         "term-shape-mismatch"],
+         "term-shape-mismatch", "fractional-rows", "fractional-cols",
+         "fractional-block-dim", "fractional-i", "fractional-j", "degree-at-cap",
+         "degree-above-cap", "huge-degree"],
 )
 def test_json_document_exit_code(tmp_path, capsys, matrix, poly, code):
     (tmp_path / "S.json").write_text(json.dumps(matrix))

@@ -5,6 +5,7 @@ import pytest
 from symbidisc.fundamental import solve_fundamental
 from symbidisc.gamma_pairs import check_gamma_contraction, check_pure
 from symbidisc.generators import random_matrix_polynomial, rng_from_seed
+from symbidisc.model_theory import build_model
 from symbidisc.numerics import DEFAULT_TOL
 from symbidisc.von_neumann import MatrixPolynomial, lambda_variety, vn_report
 
@@ -53,3 +54,17 @@ def test_near_unitary(delta, split):
     assert check_pure(pair.P) is not split
     rep = vn_report(S_POLY, pair)
     assert rep.holds and rep.ratio <= 1.0 + 1e-9
+
+
+# pure, but ||P^N|| ~ (1 - delta)^(2N) is still about 1 at the level cap
+@pytest.mark.parametrize("delta", [1e-10, 3e-11])
+def test_slowly_decaying_pure_pair_has_no_truncated_model(delta):
+    pair = near_unitary_pair(delta)
+    assert check_pure(pair.P)
+    with pytest.raises(
+        ValueError,
+        match=r"^tail 1\.000e\+00 above target at the level cap 4096: P is pure, "
+        r"but \|\|P\^N\|\| does not reach 1e-08 within the cap, so the truncated model "
+        r"does not apply$",
+    ):
+        build_model(pair)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symbidisc.numerics
 from symbidisc.numerics import (
     Tolerances,
     as_matrix,
@@ -18,7 +19,7 @@ from symbidisc.numerics import (
     spectral_radius,
 )
 
-from _oracles import norm_sweep_oracle, nr_grid_oracle
+from _oracles import norm_sweep_oracle, nr_grid_oracle, numerical_radius_scipy_oracle
 
 
 def _rand(rng, n):
@@ -165,6 +166,40 @@ class TestNumericalRadius:
     @pytest.mark.parametrize("a, want", [pytest.param(a, w, id=k) for k, a, w in _closed_forms()])
     def test_closed_form(self, a, want):
         assert abs(numerical_radius(a) - want) <= 8 * np.finfo(float).eps * want
+
+
+def _zggev_corpus():
+    """Seeded matrices for the direct zggev path against scipy's wrapper."""
+    rng = np.random.default_rng(21)
+    mats = []
+    for n in range(1, 9):
+        for _ in range(6):
+            a = _rand(rng, n)
+            mats += [a, a.real.copy(), a + a.conj().T]
+            # rescaled to radius exactly one, as variety_classify builds them
+            mats.append(a * (1.0 / numerical_radius(a)))
+            for scale in (1e-100, 1e100):
+                mats.append(scale * a)
+        mats.append(np.eye(n, k=1))  # nilpotent Jordan block
+        mats.append(0.5j * np.eye(n) + np.eye(n, k=1))
+    mats.append(np.diag([0.0, 0.5j]))
+    return mats
+
+
+def test_direct_zggev_matches_scipy_eigvals_bit_for_bit():
+    for a in _zggev_corpus():
+        assert repr(numerical_radius(a)) == repr(numerical_radius_scipy_oracle(a)), a
+
+
+def test_zggev_failure_raises(monkeypatch):
+    zggev = symbidisc.numerics._zggev
+
+    def failing(a, b, *args, **kwargs):
+        return zggev(a, b, *args, **kwargs)[:-1] + (1,)
+
+    monkeypatch.setattr(symbidisc.numerics, "_zggev", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="zggev"):
+        numerical_radius(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @settings(max_examples=300, deadline=None)
