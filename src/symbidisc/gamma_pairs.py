@@ -13,11 +13,16 @@ is analytic on the closed disc, and on |alpha| = 1 (Agler-Young)
 
 so by the maximum principle the unit circle together with r(S) <= 2
 decides membership.  Positivity is tested on sampled phases of the
-circle: the verdicts are grid verdicts, not continuum proofs.
+circle: the verdicts are grid verdicts, not continuum proofs.  The
+verdict, margin and witness are those of a solve at every sampled phase,
+bit for bit, but ``check_gamma_contraction`` solves only the phases that
+a Weyl bound on the pencil's smallest eigenvalue cannot exclude from the
+grid minimum, and drops indices on which the pencil vanishes exactly.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -55,6 +60,11 @@ __all__ = [
     "symmetrize_pair",
     "desymmetrize_pair",
 ]
+
+
+# Phases of the membership sweep's first pass; the rest are solved only
+# where a Weyl bound cannot rule out the grid minimum.
+_COARSE_PHASES = 64
 
 
 class NoSquareRootError(ValueError):
@@ -178,28 +188,80 @@ def check_gamma_contraction(
 ) -> PairVerdict:
     """Grid test that the closed symmetrized bidisc is a spectral set.
 
-    One batched eigensolve of rho(w S, w^2 P) over the ``grid_angular``
-    phases w of the unit circle.  Accepts when r(S) <= 2 + ``psd_tol`` and
-    every phase passes the PSD test (the circle criterion of the module
+    The PSD test of rho(w S, w^2 P) over the ``grid_angular`` phases w of
+    the unit circle.  Accepts when r(S) <= 2 + ``psd_tol`` and every
+    phase passes the PSD test (the circle criterion of the module
     docstring).  ``margin`` is the minimum over the sampled circle, and
     the pair is strict exactly when it exceeds ``psd_tol``: positivity on
     the whole circle forces r(S) < 2, since at a joint eigenvalue (s, p)
     it gives |s - conj(s) p| < 1 - |p|^2.  The witness is the first phase
     within 64 ulps x (1 + max |eigenvalue| there) of the margin, so
     rounding-level ties do not move it.
+
+    The verdict, margin and witness are those of a solve at every phase,
+    bit for bit, but only phases that may hold the grid minimum are
+    solved.  An index whose row and column vanish exactly in both
+    C = I - P*P and B = S - S*P carries the eigenvalue 0 at every phase,
+    so the pencil is solved on the other indices and 0 joins each
+    phase's minimum.  The sweep solves ``_COARSE_PHASES`` evenly spread
+    phases, then halves the gaps between solved phases.  By Weyl,
+    |lambda_min(H(w)) - lambda_min(H(w'))| <= 2 ||B|| |w - w'|, so the
+    phases strictly inside a gap whose ends hold la and lb, an arc d
+    apart, lie at or above (la + lb - 2 ||B|| d) / 2.  A gap's midpoint
+    is solved unless that bound exceeds both the margin so far
+    and -``psd_tol`` by the allowance (64 + 32 n) ulps x
+    (1 + 2 ||C|| + 2 ||B||), n the number of indices left.  Of that, 64 ulps
+    cover the witness tie rule, whose scale is at most
+    1 + 2 ||C|| + 2 ||B||, and 16 n ulps at each end of the gap cover
+    the rounding of the pencil, of ``eigvalsh`` and of the two norms.
+    Where indices were dropped and the margin lies within the allowance
+    of 0, an unsolved phase reads 0 and may meet the tie rule, so every
+    phase before the witness is solved as well.  An unsolved phase thus
+    neither holds the margin, nor comes before the witness within the tie
+    rule, nor fails the PSD test.  The witness is one ``eigh`` of the
+    full pencil at its phase.
     """
     c, b = _defects(pair)
-    phases = np.exp(1j * phase_grid(tol.grid_angular))
-    pencils = circle_pencils(-b, phases, c)
-    lam = np.linalg.eigvalsh(pencils)
-    lmin = lam[:, 0]
-    scale = 1.0 + np.max(np.abs(lam), axis=1)
-    margin = float(lmin.min())
-    member = bool(np.all(lmin >= -tol.psd_tol * scale)) and (
+    m = tol.grid_angular
+    phases = np.exp(1j * phase_grid(m))
+    live = np.flatnonzero(c.any(0) | c.any(1) | b.any(0) | b.any(1))
+    decoupled = live.size < pair.dim
+    c_live, b_live = c[np.ix_(live, live)], b[np.ix_(live, live)]
+    norm_c, norm_b = operator_norm(c_live), operator_norm(b_live)
+    slope = 4.0 * math.pi * norm_b / m  # the Weyl bound per grid step
+    eps = np.finfo(float).eps
+    allowance = (64 + 32 * live.size) * eps * (1.0 + 2.0 * norm_c + 2.0 * norm_b)
+    low = np.empty(m)  # lambda_min of the pencil on the live indices
+    scale = np.empty(m)
+
+    def solve(idx: np.ndarray) -> None:
+        lam = np.linalg.eigvalsh(circle_pencils(-b_live, phases[idx], c_live))
+        low[idx] = lam[:, 0] if live.size else math.inf
+        scale[idx] = 1.0 + np.abs(lam).max(axis=1, initial=0.0)
+
+    coarse = min(_COARSE_PHASES, m)
+    solved = np.arange(coarse) * m // coarse
+    solve(solved)
+    while True:
+        lmin = np.minimum(low[solved], 0.0) if decoupled else low[solved]
+        margin = float(lmin.min())
+        first = int(np.argmax(lmin <= margin + 64 * eps * scale[solved]))
+        ends = np.append(solved[1:], m)  # the last gap wraps round to phase 0
+        bound = 0.5 * (low[solved] + low[ends % m] - slope * (ends - solved))
+        refine = bound <= max(margin, -tol.psd_tol) + allowance
+        if decoupled and margin + allowance >= 0.0:
+            # an unsolved phase reads 0 and may tie before the witness
+            refine |= solved < solved[first]
+        mids = (solved + ends)[refine & (ends - solved > 1)] // 2
+        if not mids.size:
+            break
+        solve(mids)
+        solved = np.union1d(solved, mids)
+    member = bool(np.all(lmin >= -tol.psd_tol * scale[solved])) and (
         spectral_radius(pair.S) <= 2.0 + tol.psd_tol
     )
-    k = int(np.argmax(lmin <= margin + 64 * np.finfo(float).eps * scale))
-    lam_k, vec = np.linalg.eigh(pencils[k])
+    k = int(solved[first])
+    lam_k, vec = np.linalg.eigh(circle_pencils(-b, phases[k : k + 1], c)[0])
     witness = PencilWitness(complex(phases[k]), vec[:, 0], float(lam_k[0]))
     return PairVerdict(member, margin, witness)
 

@@ -164,11 +164,12 @@ def dilation_check(
     t_adj_w = [blocks]  # T*^m W
     for _ in range(max(m_max, 1)):
         t_adj_w.append(_adjoint_symbol(g, t_adj_w[-1]))
+    p_pows = [np.linalg.matrix_power(pair.P, nn) for nn in range(n_max + 1)]
     residuals = []
     for m in range(m_max + 1):
         s_pow = np.linalg.matrix_power(pair.S, m)
-        for nn in range(n_max + 1):
-            target = s_pow @ np.linalg.matrix_power(pair.P, nn)
+        for nn, p_pow in enumerate(p_pows):
+            target = s_pow @ p_pow
             # for nn >= N both slices are empty and V^n W is 0
             left = t_adj_w[m][nn:].reshape(-1, dim)
             right = blocks[: max(n - nn, 0)].reshape(-1, dim)

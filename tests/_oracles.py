@@ -8,7 +8,9 @@ reuses the library's fiber grid and tag kernel, since it is the
 reference only for how rows are assembled from them.  The scipy-path
 radius oracle is the library's level-set loop with its pencil solved by
 ``scipy.linalg.eigvals``: it is the reference only for the direct LAPACK
-call that replaced it.
+call that replaced it.  The full-grid membership sweep is the library's
+sweep as it was before it skipped phases, the reference for the
+refined one.
 """
 
 import math
@@ -17,8 +19,16 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
+from symbidisc.gamma_pairs import PairVerdict, PencilWitness, _defects
 from symbidisc.geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points, point_roots
-from symbidisc.numerics import DEFAULT_TOL, as_matrix, circle_pencils, phase_grid, require_square
+from symbidisc.numerics import (
+    DEFAULT_TOL,
+    as_matrix,
+    circle_pencils,
+    phase_grid,
+    require_square,
+    spectral_radius,
+)
 from symbidisc.varieties import BoundaryRow
 
 # The relative rounding allowance of the diagonal test in classify_points.
@@ -65,6 +75,25 @@ def numerical_radius_scipy_oracle(a):
         if not best > level:
             return level
         level = best
+
+
+def membership_sweep_oracle(pair, tol=DEFAULT_TOL):
+    """``check_gamma_contraction`` as it was when one batched eigensolve
+    covered every phase of the grid, kept verbatim."""
+    c, b = _defects(pair)
+    phases = np.exp(1j * phase_grid(tol.grid_angular))
+    pencils = circle_pencils(-b, phases, c)
+    lam = np.linalg.eigvalsh(pencils)
+    lmin = lam[:, 0]
+    scale = 1.0 + np.max(np.abs(lam), axis=1)
+    margin = float(lmin.min())
+    member = bool(np.all(lmin >= -tol.psd_tol * scale)) and (
+        spectral_radius(pair.S) <= 2.0 + tol.psd_tol
+    )
+    k = int(np.argmax(lmin <= margin + 64 * np.finfo(float).eps * scale))
+    lam_k, vec = np.linalg.eigh(pencils[k])
+    witness = PencilWitness(complex(phases[k]), vec[:, 0], float(lam_k[0]))
+    return PairVerdict(member, margin, witness)
 
 
 def norm_sweep_oracle(a, m=200000):

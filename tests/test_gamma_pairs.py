@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -38,7 +39,8 @@ from symbidisc.numerics import (
     operator_norm,
 )
 
-from _oracles import pencil_min_oracle
+from _corpus import mixed_pair, near_unitary_pair
+from _oracles import membership_sweep_oracle, pencil_min_oracle
 
 # Coarse circle grid for bulk property tests; verdicts are grid verdicts
 # at any configured resolution.
@@ -120,21 +122,28 @@ class TestCheckGammaContraction:
         assert abs(w.lambda_min - verdict.margin) <= 1e-10
         assert abs(np.linalg.norm(w.vector) - 1.0) <= 1e-10
 
-    def test_one_pencil_stack_per_call(self, monkeypatch):
-        # the witness is solved on the stored stack, not on a rebuilt pencil
+    def test_sweep_solves_each_phase_once(self, monkeypatch):
+        # the sweep solves no phase twice and, on the strict dim-3 pair, at
+        # most a quarter of the grid; the witness is one full pencil more
         calls = []
 
-        def counting(*args):
-            calls.append(args[1].shape)
-            return circle_pencils(*args)
+        def counting(k, w, c=None):
+            calls.append((k.shape, w.copy()))
+            return circle_pencils(k, w, c)
 
         monkeypatch.setattr(gamma_pairs, "circle_pencils", counting)
         for dim in (1, 3):
             pair = random_strict_pair(rng_from_seed(39), dim, 0.9)
             calls.clear()
             verdict = check_gamma_contraction(pair)
-            assert calls == [(DEFAULT_TOL.grid_angular,)]
+            *sweep, (shape, last) = calls
             w = verdict.witness
+            assert shape == (dim, dim) and last.tolist() == [w.alpha]
+            swept = np.concatenate([phases for _, phases in sweep])
+            assert len(np.unique(swept)) == len(swept)
+            assert w.alpha in swept
+            if dim == 3:
+                assert len(swept) <= DEFAULT_TOL.grid_angular // 4
             rho = rho_pencil(make_operator_pair(w.alpha * pair.S, w.alpha**2 * pair.P))
             quad = np.vdot(w.vector, rho @ w.vector)
             assert abs(quad - w.lambda_min) <= 1e-12
@@ -516,3 +525,82 @@ class TestDesymmetrizePair:
         assert operator_norm(t1 + t2 - pair.S) <= tol * (1 + pair.s_norm)
         assert operator_norm(t1 @ t2 - pair.P) <= tol * (1 + pair.p_norm)
 
+
+@functools.cache
+def _sweep_corpus():
+    """The three families at dimensions 1-15, each also scaled as (t S, t^2 P)
+    with t in [1, 1.15], the corpus kinds, and pairs made by hand.
+
+    Model pairs of more than one block, and the pairs by hand with a
+    unitary part, have indices whose rows and columns vanish in I - P*P
+    and S - S*P.  The last model pair, from F = (1 + 128 eps) i, has a
+    margin of about -6e-14: the phases that read 0 there meet the 64-ulp
+    tie rule at some phases but not at phase 0, so the witness is not
+    phase 0, and every phase before it must be solved.
+    """
+    rng = rng_from_seed(44)
+    pairs = []
+    for dim in range(1, 16):
+        t1, t2 = random_commuting_contractions(rng, dim)
+        c = max(operator_norm(t1), operator_norm(t2))
+        block = 3 if dim % 3 == 0 else 2 if dim % 2 == 0 else 1
+        f = random_fhat(rng, block)
+        pairs += [
+            symmetrize_pair(t1 / c, t2 / c),
+            truncated_model_from_F(f / numerical_radius(f), dim // block),
+            random_strict_pair(rng, dim, 0.95),
+        ]
+    pairs += [
+        make_operator_pair(t * pair.S, t * t * pair.P)
+        for pair, t in zip(list(pairs), rng.uniform(1.0, 1.15, len(pairs)))
+    ]
+    pairs += [mixed_pair(rng)[0] for _ in range(6)]
+    pairs += [near_unitary_pair(delta) for delta in (1e-8, 3e-11, 1e-13)]
+    eps = np.finfo(float).eps
+    pairs += [
+        make_operator_pair(np.diag([2.0, 0.5]), np.diag([1.0, 0.25])),
+        _scalar_pair(2, 1),
+        truncated_model_from_F(np.array([[(1 + 128 * eps) * 1j]]), 2),
+    ]
+    return pairs
+
+
+def _verdict_bits(verdict):
+    w = verdict.witness
+    return (
+        verdict.is_member, repr(verdict.margin), repr(w.alpha),
+        w.vector.tobytes(), repr(w.lambda_min),
+    )
+
+
+@pytest.mark.parametrize("grid", [2, 3, 100, 1000, 1024, 4096])
+def test_sweep_matches_the_full_grid_oracle(grid):
+    # the refined sweep solves fewer phases, and must not move a bit
+    tol = Tolerances(grid_angular=grid)
+    members = 0
+    for pair in _sweep_corpus():
+        got = check_gamma_contraction(pair, tol)
+        assert _verdict_bits(got) == _verdict_bits(membership_sweep_oracle(pair, tol))
+        members += got.is_member
+    assert 0 < members < len(_sweep_corpus())
+
+
+def test_sweep_solves_a_gap_that_may_fail_the_psd_test():
+    # A diagonal pencil with eigenvalues -0.5 (constant), 2 - d - 0.5
+    # cos(theta - 65 pi / 64), d = 3e-4, and -0.3 - 0.3 cos(theta).  At
+    # psd_tol 0.2 a phase fails when the middle one drops below 1.5, which
+    # it does only between two phases of the first pass; the margin -0.6
+    # at phase 0 passes on its scale.  The Weyl bound on that gap lies
+    # above the margin, so only the -psd_tol floor sends the sweep there.
+    p2 = np.sqrt(1.5e-4)
+    b2 = 0.25 * np.exp(-65j * np.pi / 64)
+    p3 = np.sqrt(1.15)
+    pair = make_operator_pair(
+        np.diag([0.0, b2.real / (1 - p2) + 1j * b2.imag / (1 + p2), 0.15 / (1 - p3)]),
+        np.diag([np.sqrt(1.25), p2, p3]),
+    )
+    for grid in (1000, 1024):
+        tol = Tolerances(psd_tol=0.2, grid_angular=grid)
+        got = check_gamma_contraction(pair, tol)
+        assert not got.is_member
+        assert _verdict_bits(got) == _verdict_bits(membership_sweep_oracle(pair, tol))

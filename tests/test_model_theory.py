@@ -225,6 +225,21 @@ class TestBatchedResiduals:
             allowance = (1 + m_max) * model.N * model.block_dim * eps * 2.0**m_max
             assert abs(got - want) <= allowance
 
+    def test_each_power_once(self, monkeypatch):
+        # S^m and P^n are each formed once, not once per (m, n)
+        calls = []
+        power = np.linalg.matrix_power
+
+        def counting(a, k):
+            calls.append(k)
+            return power(a, k)
+
+        pair = _family_pure_pairs(80, 1)[0]
+        model = build_model(pair)
+        monkeypatch.setattr(np.linalg, "matrix_power", counting)
+        dilation_check(model, pair, 3, 3)
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3]
+
     @pytest.mark.parametrize("n_max", [7, 8, 9, 12, 16])
     def test_powers_at_and_past_the_level(self, n_max):
         # Both pairs stay at level N = 8, where V^n W = 0 for n >= 8 and
