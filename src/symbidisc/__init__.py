@@ -9,7 +9,6 @@ a von Neumann-type inequality on variety boundaries.
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
-    joint_spectrum,
     numerical_radius,
     operator_norm,
     spectral_radius,

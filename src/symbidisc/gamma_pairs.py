@@ -30,13 +30,11 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .geometry import ON_BGAMMA, classify_points
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
     circle_pencils,
-    joint_spectrum,
     operator_norm,
     phase_grid,
     require_commuting,
@@ -269,27 +267,38 @@ def check_gamma_contraction(
 def check_gamma_isometry(
     pair: OperatorPair, tol: Tolerances = DEFAULT_TOL
 ) -> PairVerdict:
-    """Test the isometric-pair characterization.
+    """Test the Γ-unitary characterization (Agler-Young).
 
-    Accepts iff P is an isometry, S = S*P and the spectral radius of S is
-    at most 2 (within tolerances).  In finite dimensions an accepted pair
-    is normal with joint spectrum on the distinguished boundary, which is
-    verified as a consistency check on the joint eigenvalues.  The margin
-    is the negative of the worst residual.
+    In finite dimension a Γ-isometry is Γ-unitary: P unitary, S = S*P
+    and r(S) <= 2.  Accepts iff ||S - S*P|| <= ``psd_tol``,
+    r(S) <= 2 + ``psd_tol``, ||P|| <= 1 + ``psd_tol`` and
+    ``defect_operator`` finds defect rank 0, so that the unitary part of
+    P is the whole space.  ``check_pure`` and ``lambda_variety`` read the
+    same ``rank_tol`` cut, so no pair is both isometric and pure.  The
+    eigensolve of I - P*P runs only when the cheaper tests pass.  At a
+    joint eigenvalue (s, p) with unit joint eigenvector x,
+    s - conj(s) p = <x, (S - S*P) x>, so every joint eigenvalue of an
+    accepted pair lies within ``psd_tol`` of the distinguished boundary.
+    The margin is minus the worst of ||I - P*P||, ||S - S*P|| and
+    r(S) - 2.
     """
     res_iso, res_sym = map(operator_norm, _defects(pair))
     rs = spectral_radius(pair.S)
     worst = max(res_iso, res_sym, max(0.0, rs - 2.0))
-    ok = res_iso <= tol.residual_tol and res_sym <= tol.residual_tol and rs <= 2.0 + tol.psd_tol
-    if ok:
-        sv, pv = np.array(joint_spectrum(pair.S, pair.P, tol)).T
-        ok = bool(ON_BGAMMA[classify_points(sv, pv, tol)].all())
+    ok = (
+        res_sym <= tol.psd_tol
+        and rs <= 2.0 + tol.psd_tol
+        and pair.p_norm <= 1.0 + tol.psd_tol
+        and defect_operator(pair.P, tol).rank == 0
+    )
     return PairVerdict(ok, -worst)
 
 
 def check_pure(p, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the unitary part of the contraction P is {0}, which in
-    finite dimension means P^n -> 0; ``lambda_variety`` uses the same split."""
+    finite dimension means P^n -> 0.  The unitary part is taken inside the
+    kernel of ``defect_operator``'s ``rank_tol`` cut, the split that
+    ``check_gamma_isometry`` and ``lambda_variety`` read as well."""
     p = require_square(as_matrix(p), "P")
     return _unitary_part(p, defect_operator(p, tol), tol).shape[1] == 0
 

@@ -2,16 +2,13 @@
 
 All matrices are plain ``numpy.ndarray`` objects with complex128 entries.
 Standard decompositions (Hermitian eigenvalues, Schur, SVD) are delegated
-to numpy/scipy; the two nonstandard operations implemented here are
-
-* ``numerical_radius`` -- the level-set iteration of Mengi and Overton;
-  the result is attained, so a lower bound.  Its pencils go straight to
-  LAPACK ``zggev`` (eigenvalues only), whose workspace size is queried
-  once per pencil size and kept in a module dict: the same routine,
-  column-major data and workspace as ``scipy.linalg.eigvals``, without
-  its per-call query, copy and inf/nan rebuild, and
-* ``joint_spectrum`` -- joint eigenvalues of a commuting pair through
-  simultaneous unitary triangularization.
+to numpy/scipy.  The one nonstandard operation implemented here is
+``numerical_radius``, the level-set iteration of Mengi and Overton; the
+result is attained, so a lower bound.  Its pencils go straight to LAPACK
+``zggev`` (eigenvalues only), whose workspace size is queried once per
+pencil size and kept in a module dict: the same routine, column-major
+data and workspace as ``scipy.linalg.eigvals``, without its per-call
+query, copy and inf/nan rebuild.
 """
 
 from __future__ import annotations
@@ -35,13 +32,13 @@ __all__ = [
     "phase_grid",
     "circle_pencils",
     "numerical_radius",
-    "joint_spectrum",
 ]
 
 
 def _integer(x, what: str) -> int:
-    """``x`` as an int; ``ValueError`` naming ``what`` for a float or non-number."""
-    if not isinstance(x, numbers.Integral):
+    """``x`` as an int; ``ValueError`` naming ``what`` for a bool, a float
+    or a non-number."""
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
 
@@ -222,52 +219,3 @@ def numerical_radius(a) -> float:
         if not best > level:
             return level
         level = best
-
-
-def _strict_lower_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.tril(m, -1)))
-
-
-def joint_spectrum(
-    s, p, tol: Tolerances = DEFAULT_TOL
-) -> list[tuple[complex, complex]]:
-    """Joint eigenvalues of a commuting pair, with multiplicity.
-
-    A unitary Schur basis for the first matrix is computed and the second
-    matrix is checked to be upper triangular in it; the joint eigenvalues
-    are then the paired diagonal entries.  When the first matrix has
-    degenerate eigenvalues the Schur basis may fail to triangularize the
-    second matrix, in which case the basis of a generic linear combination
-    ``S + eps P`` is tried (eps = 1e-8, then 1e-6) and both matrices are
-    re-verified.
-
-    Raises ``ValueError`` for a non-commuting pair, and when no attempted
-    basis triangularizes both matrices within ``residual_tol``.
-    """
-    s = require_square(as_matrix(s), "S")
-    p = require_square(as_matrix(p), "P")
-    if s.shape != p.shape:
-        raise ValueError(f"shape mismatch: {s.shape} vs {p.shape}")
-    n = s.shape[0]
-    if n == 0:
-        return []
-    ns, np_, _ = require_commuting(s, p, tol, ("S", "P"))
-
-    def attempt(base: np.ndarray):
-        _, z = scipy.linalg.schur(base, output="complex")
-        a = z.conj().T @ s @ z
-        b = z.conj().T @ p @ z
-        ok_a = _strict_lower_norm(a) <= tol.residual_tol * (1.0 + ns)
-        ok_b = _strict_lower_norm(b) <= tol.residual_tol * (1.0 + np_)
-        if ok_a and ok_b:
-            return [(complex(a[i, i]), complex(b[i, i])) for i in range(n)]
-        return None
-
-    for eps in (0.0, 1e-8, 1e-6):
-        out = attempt(s + eps * p if eps else s)
-        if out is not None:
-            return out
-    raise ValueError(
-        "simultaneous triangularization failed: residual above tolerance "
-        "after perturbed retries"
-    )

@@ -96,7 +96,7 @@ class DeterminantalVariety:
 
         ``s`` has shape (n, m), angles last, so that elementwise work on the
         grid runs along contiguous rows.  An empty (0 x 0) representation
-        gives one point s = 0 per angle.
+        gives ``s`` of shape (0, m): no point over any angle.
 
         ``phase_grid(h * 2**j)[::2**j]`` equals ``phase_grid(h)`` bit for
         bit, and each angle's pencil and eigensolve do not depend on the

@@ -85,6 +85,16 @@ class TestCheckCommand:
         assert main(["check", s, p]) == 1
         assert json.loads(capsys.readouterr().out)["gamma_contraction"] is False
 
+    @pytest.mark.parametrize("s, p, isometric", [
+        (2.0, 1.0, True),
+        # pi(1 - delta, 1 - delta) at delta = 1e-10: the defect 4 delta is kept
+        (2.0 * (1.0 - 1e-10), (1.0 - 1e-10) ** 2, False),
+    ], ids=["unitary", "pinched"])
+    def test_isometric_or_pure_not_both(self, tmp_path, capsys, s, p, isometric):
+        main(["check", _write(tmp_path / "S.json", [[s]]), _write(tmp_path / "P.json", [[p]])])
+        report = json.loads(capsys.readouterr().out)
+        assert (report["gamma_isometry"], report["pure"]) == (isometric, not isometric)
+
     def test_grid_radial_flag_is_gone(self, tmp_path):
         s = _write(tmp_path / "S.json", np.zeros((2, 2)))
         p = _write(tmp_path / "P.json", np.zeros((2, 2)))
@@ -172,12 +182,19 @@ _POLY = {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": _GOOD}]}
         (_GOOD, {"block_dim": 1, "terms": [{"i": 1025, "j": 0, "matrix": _GOOD}]}, 2),
         # raised before allocating: degree 1e10 asked for a 149 GiB array
         (_GOOD, {"block_dim": 1, "terms": [{"i": 10**10, "j": 0, "matrix": _GOOD}]}, 2),
+        # JSON true is not the integer 1: it read as one row, column or degree
+        ({"rows": True, "cols": True, "data": [[0.5, 0.0]]}, _POLY, 2),
+        ({"rows": 1, "cols": True, "data": [[0.5, 0.0]]}, _POLY, 2),
+        (_GOOD, {"block_dim": True, "terms": _POLY["terms"]}, 2),
+        (_GOOD, {"block_dim": 1, "terms": [{"i": True, "j": 0, "matrix": _GOOD}]}, 2),
+        (_GOOD, {"block_dim": 1, "terms": [{"i": 1, "j": True, "matrix": _GOOD}]}, 2),
     ],
     ids=["well-formed", "data-not-pairs", "data-null", "entry-null", "term-without-i",
          "negative-degree", "no-block-dim", "zero-block-dim", "no-terms",
          "term-shape-mismatch", "fractional-rows", "fractional-cols",
          "fractional-block-dim", "fractional-i", "fractional-j", "degree-at-cap",
-         "degree-above-cap", "huge-degree"],
+         "degree-above-cap", "huge-degree", "true-rows", "true-cols", "true-block-dim",
+         "true-i", "true-j"],
 )
 def test_json_document_exit_code(tmp_path, capsys, matrix, poly, code):
     (tmp_path / "S.json").write_text(json.dumps(matrix))

@@ -398,6 +398,47 @@ class TestStrictness:
             assert pair.p_norm < 1.0
 
 
+def _pinched_scalar(delta):
+    """(2(1 - delta), (1 - delta)^2) = pi(1 - delta, 1 - delta).
+
+    1 - |p|^2 is about 4 delta, which the default ``rank_tol`` of 1e-10
+    keeps in the defect space for delta >= 3e-11.
+    """
+    return _scalar_pair(2.0 * (1.0 - delta), (1.0 - delta) ** 2)
+
+
+_PINCH_DELTAS = (1e-8, 1e-9, 3e-10, 2e-10, 1e-10, 2e-11, 1e-11)
+
+
+def _gamma_unitaries():
+    """(U1 + U2, U1 U2) for commuting unitaries U1, U2 of dimension 1-4."""
+    rng = rng_from_seed(41)
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        u = random_unitary(rng, n)
+        u1, u2 = (u @ np.diag(np.exp(2j * np.pi * rng.uniform(size=n))) @ u.conj().T
+                  for _ in range(2))
+        yield symmetrize_pair(u1, u2)
+
+
+def _seeded(make, seed, count=20):
+    def pairs():
+        rng = rng_from_seed(seed)
+        return [make(rng) for _ in range(count)]
+    return pairs
+
+
+_ISOMETRY_KINDS = {
+    "pinched": lambda: map(_pinched_scalar, _PINCH_DELTAS),
+    "near_unitary": lambda: map(near_unitary_pair, _PINCH_DELTAS),
+    "gamma_unitary": _gamma_unitaries,
+    "mixed": _seeded(lambda rng: mixed_pair(rng)[0], 42),
+    "symmetrized": _seeded(lambda rng: random_symmetrized_pair(rng, int(rng.integers(1, 5))), 43),
+    "model": _seeded(random_model_pair, 44),
+    "strict": _seeded(lambda rng: random_strict_pair(rng, int(rng.integers(1, 5)), 0.9), 45),
+}
+
+
 class TestCheckGammaIsometry:
     def test_distinguished_scalar(self):
         assert check_gamma_isometry(_scalar_pair(2, 1)).is_member
@@ -428,6 +469,36 @@ class TestCheckGammaIsometry:
         u1 = u @ np.diag(np.exp(1j * np.array([0.7, 2.5, -0.4]))) @ u.conj().T
         u2 = u @ np.diag(np.exp(1j * np.array([0.7, -1.3, -0.4]))) @ u.conj().T
         assert check_gamma_isometry(symmetrize_pair(u1, u2), DEFAULT_TOL).is_member
+
+    @pytest.mark.parametrize("delta, isometric", [
+        (1e-8, False), (1e-9, False), (3e-10, False), (2e-10, False), (1e-10, False),
+        (2e-11, True), (1e-11, True),
+    ])
+    def test_pinched_scalar_follows_the_defect_cut(self, delta, isometric):
+        # at 1e-10 and 2e-10, ||I - P*P|| and |s - conj(s) p| (both about
+        # 4 delta) lie inside the residual and bΓ bands, but rank_tol keeps
+        # the defect, so P is pure and not unitary
+        pair = _pinched_scalar(delta)
+        assert check_gamma_isometry(pair).is_member is isometric
+        assert check_pure(pair.P) is not isometric
+
+    @pytest.mark.parametrize("eps, isometric", [(5e-10, True), (5e-9, False)])
+    def test_non_normal_pair_is_held_to_the_psd_band(self, eps, isometric):
+        # P = I and S = [[2, eps], [0, 2]]: ||S - S*P|| = eps, while both
+        # joint eigenvalues are (2, 1), on bΓ for every eps
+        pair = make_operator_pair(np.array([[2.0, eps], [0.0, 2.0]]), np.eye(2))
+        assert check_gamma_isometry(pair).is_member is isometric
+
+    @pytest.mark.parametrize("kind", list(_ISOMETRY_KINDS))
+    def test_never_both_isometric_and_pure(self, kind):
+        # a Γ-isometry of positive dimension is Γ-unitary, so P is unitary
+        for pair in _ISOMETRY_KINDS[kind]():
+            isometric = check_gamma_isometry(pair).is_member
+            assert not (isometric and check_pure(pair.P))
+            if isometric:
+                assert check_gamma_contraction(pair).is_member
+            if kind == "gamma_unitary":
+                assert isometric
 
 
 def test_make_operator_pair_rejects_empty():

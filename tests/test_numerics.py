@@ -12,7 +12,6 @@ from symbidisc.numerics import (
     Tolerances,
     as_matrix,
     circle_pencils,
-    joint_spectrum,
     numerical_radius,
     operator_norm,
     phase_grid,
@@ -250,60 +249,6 @@ KERNEL_GOLDEN = json.loads((Path(__file__).parent / "data" / "kernel_golden.json
 def test_numerical_radius_golden_bits(rec):
     a = np.array([[complex(*z) for z in row] for row in rec["A"]], dtype=complex)
     assert repr(numerical_radius(a)) == rec["nr"]
-
-
-class TestJointSpectrum:
-    def test_diagonal_pair(self):
-        s = np.diag([1.0 + 0j, 2.0])
-        p = np.diag([3.0 + 0j, 4.0])
-        got = sorted(joint_spectrum(s, p), key=lambda t: t[0].real)
-        assert np.allclose(got, [(1, 3), (2, 4)])
-
-    def test_jordan_block_with_identity(self):
-        s = np.array([[1, 1], [0, 1]], dtype=complex)
-        got = joint_spectrum(s, np.eye(2))
-        assert np.allclose(got, [(1, 1), (1, 1)])
-
-    def test_upper_triangular_readoff(self):
-        s = np.array([[1, 1], [0, 2]], dtype=complex)
-        got = sorted(joint_spectrum(s, s @ s), key=lambda t: t[0].real)
-        assert np.allclose(got, [(1, 1), (2, 4)])
-
-    def test_functions_of_diagonal(self):
-        rng = np.random.default_rng(15)
-        for _ in range(25):
-            n = int(rng.integers(1, 7))
-            d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            s = np.diag(d**2 + 1.0)
-            p = np.diag(3.0 * d - d**3)
-            got = set()
-            for a, b in joint_spectrum(s, p):
-                got.add((round(a.real, 8), round(a.imag, 8), round(b.real, 8), round(b.imag, 8)))
-            want = {
-                (round((x**2 + 1).real, 8), round((x**2 + 1).imag, 8),
-                 round((3 * x - x**3).real, 8), round((3 * x - x**3).imag, 8))
-                for x in d
-            }
-            assert got == want
-
-    def test_degenerate_first_matrix_uses_retry(self):
-        rng = np.random.default_rng(16)
-        u, _ = np.linalg.qr(_rand(rng, 3))
-        p = u @ np.diag([0.5, 0.25 + 0.1j, -0.3]) @ u.conj().T
-        got = joint_spectrum(np.eye(3), p)
-        svals = sorted(x[1].real for x in got)
-        assert np.allclose(svals, sorted([0.5, 0.25, -0.3]), atol=1e-8)
-        assert all(abs(x[0] - 1.0) <= 1e-10 for x in got)
-
-    def test_rejects_noncommuting(self):
-        s = np.array([[0, 1], [0, 0]], dtype=complex)
-        p = np.array([[0, 0], [1, 0]], dtype=complex)
-        with pytest.raises(ValueError, match="commute"):
-            joint_spectrum(s, p)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            joint_spectrum(np.eye(2), np.eye(3))
 
 
 def test_as_matrix_rejects_vector():

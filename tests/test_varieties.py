@@ -320,7 +320,7 @@ class TestSampleCount:
             "write_boundary_csv": lambda m: write_boundary_csv(v, m, tmp_path / "b.csv"),
             "Tolerances": lambda m: Tolerances(grid_angular=m),
         }[name]
-        for m in (2.5, 100.5):
+        for m in (2.5, 100.5, True):  # a bool is not a count
             with pytest.raises(ValueError, match="sample count must be an integer"):
                 call(m)
         assert not (tmp_path / "b.csv").exists()
