@@ -81,11 +81,23 @@ def matrix_from_doc(doc: dict) -> np.ndarray:
         )
     try:
         flat = np.array(
-            [complex(float(re), float(im)) for re, im in data], dtype=complex
+            [complex(_json_number(re), _json_number(im)) for re, im in data], dtype=complex
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
     return as_matrix(flat.reshape(rows, cols))
+
+
+def _json_number(x) -> float:
+    """``x`` as a float; ``ValueError`` unless it is a JSON number, not a
+    bool, whose float value is finite (an int beyond the double range
+    raises ``OverflowError``)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{x!r} is not a number")
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"{x!r} is not finite")
+    return v
 
 
 def read_matrix_file(path: str) -> np.ndarray:
@@ -291,12 +303,14 @@ def _cmd_fundop(args, tol: Tolerances) -> tuple[dict, int]:
 
 
 def _cmd_variety(args, tol: Tolerances) -> tuple[dict, int]:
+    if args.sample is not None and not args.csv:
+        raise ValueError("--sample requires --csv PATH")
+    if args.csv is not None and args.sample is None:
+        raise ValueError("--csv requires --sample N")
     a = read_matrix_file(args.a_file)
     variety = DeterminantalVariety.from_matrix(a)
     verdict = classify_distinguished(variety, tol, m=args.angles)
     if args.sample is not None:
-        if not args.csv:
-            raise ValueError("--sample requires --csv PATH")
         write_boundary_csv(variety, args.sample, args.csv, tol)
     report = {
         "dim": variety.dim,

@@ -46,16 +46,20 @@ class FundamentalBoundError(ValueError):
     """Numerical radius of the solution exceeds 1 on a verified member pair."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FundamentalOperator:
     """Solution of the fundamental equation in defect-space coordinates.
 
+    It takes ownership of F, makes it read-only and compares by identity;
     ``nr``, the numerical radius of F, is solved on first read and kept.
     """
 
     F: np.ndarray
     residual: float
     defect: DefectData
+
+    def __post_init__(self):
+        self.F.flags.writeable = False
 
     @cached_property
     def nr(self) -> float:

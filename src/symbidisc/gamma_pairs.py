@@ -73,15 +73,19 @@ class NonCommutingRootError(ValueError):
     """The principal square root exists but fails to commute with S and P."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPair:
-    """A commuting pair (S, P) with cached commutator defect and norms."""
+    """A commuting pair (S, P) with cached commutator defect and norms; it
+    takes ownership of S and P, makes them read-only and compares by identity."""
 
     S: np.ndarray
     P: np.ndarray
     commutator_defect: float
     s_norm: float
     p_norm: float
+
+    def __post_init__(self):
+        self.S.flags.writeable = self.P.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -123,7 +127,7 @@ class PairVerdict:
 
 
 def make_operator_pair(s, p, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
-    """Validate shapes, finiteness and commutation, then build the pair."""
+    """Validate shapes, finiteness and commutation, then build the pair on copies."""
     s = require_square(as_matrix(s), "S")
     p = require_square(as_matrix(p), "P")
     if s.shape != p.shape:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
@@ -59,26 +59,25 @@ __all__ = [
 _EXIT_RADIUS = 1.0 - 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeterminantalVariety:
     """Matrix representation of {(s, p) : det(A + p A* - s I) = 0}.
 
-    ``nr``, the numerical radius of A, is solved on first read and kept.
-    The points over the last grid of unimodular p that was solved are kept
-    the same way, as ``p`` and its fibers angles-last, so that a nested
-    grid reads or extends them (see ``_boundary``).  Both belong to this
-    object only and describe A as it was when they were solved: mutating
-    A in place leaves them stale.
+    It takes ownership of A, makes it read-only and compares by identity.
+    ``nr``, the numerical radius of A, is solved on first read and kept,
+    and so are the points over the last grid of unimodular p solved, as
+    ``p`` and its fibers angles-last, which a nested grid reads or extends
+    (see ``_boundary``, which keeps them as ``_grid``).
     """
 
     A: np.ndarray
-    # (p, s) of the last grid solved, as _boundary returns it, or None
-    _grid: Optional[tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self):
+        self.A.flags.writeable = False
 
     @classmethod
     def from_matrix(cls, a) -> "DeterminantalVariety":
+        """The variety of a copy of ``a``."""
         a = require_square(as_matrix(a), "A")
         return cls(a.copy())
 
@@ -107,7 +106,7 @@ class DeterminantalVariety:
         read-only.
         """
         n, m = self.dim, sample_count(m)
-        grid = self._grid  # read once: a concurrent solve can only replace it whole
+        grid = self.__dict__.get("_grid")  # read once: a new solve replaces it whole
         if grid is not None:
             p, s = grid
             h = p.size

@@ -18,6 +18,7 @@ pairs with a complex scalar solution).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -136,20 +137,10 @@ class VNReport:
 
 
 # One entry: reports on the same pair come in runs, and a larger cache only
-# holds more varieties.  Keyed by contents, because the pair's arrays are
-# mutable.  The variety holds its own boundary grid, so no m enters the key.
-_memo: Optional[tuple[tuple, DeterminantalVariety]] = None
-
-
+# holds more varieties.  The variety holds its own grid, so no m is keyed.
+@functools.lru_cache(maxsize=1)
 def _pair_variety(pair: OperatorPair, tol: Tolerances) -> DeterminantalVariety:
-    global _memo
-    key = (pair.S.shape, pair.S.tobytes(), pair.P.tobytes(), tol)
-    memo = _memo  # read once: a concurrent caller can only force a recompute
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    variety = lambda_variety(pair, tol)
-    _memo = (key, variety)
-    return variety
+    return lambda_variety(pair, tol)
 
 
 def _horner_p(row: np.ndarray, p: np.ndarray) -> Optional[np.ndarray]:
@@ -238,9 +229,9 @@ def vn_report(
     angular grid is doubled (up to 2^16) before a violation is reported.
 
     F and the variety depend only on the pair and ``tol``; the most recent
-    pair's variety is kept and reused while consecutive calls present equal
-    inputs, and it holds the last boundary grid it solved, which a nested
-    ``m`` reads or extends.
+    pair's variety is kept and reused while consecutive calls pass the same
+    pair object and ``tol``, and it holds the last boundary grid it solved,
+    which a nested ``m`` reads or extends.
     """
     cur_m = sample_count(m)
     variety = _pair_variety(pair, tol)

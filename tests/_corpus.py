@@ -3,7 +3,10 @@
 ``mixed_pair`` plants Gamma-unitary points next to a pure pair, and
 ``near_unitary_pair`` puts an eigenvalue of P within about 2 delta of the
 unit circle.  Both draw from seeded generators, as the rest of the suite.
+``nilpotent_matrix`` is a representation of numerical radius exactly one.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -43,3 +46,13 @@ def near_unitary_pair(delta):
     """
     t = np.diag([1.0 - delta, 0.5]).astype(complex)
     return symmetrize_pair(t, t)
+
+
+def nilpotent_matrix(k):
+    """J_k / cos(pi / (k + 1)), J_k the k x k nilpotent Jordan block.
+
+    The numerical radius of J_k is cos(pi / (k + 1)), so this matrix has
+    numerical radius exactly 1 and no unimodular eigenvalue: its variety
+    is distinguished, but not by the certified criteria.
+    """
+    return np.eye(k, k=1, dtype=complex) / math.cos(math.pi / (k + 1))

@@ -188,13 +188,24 @@ _POLY = {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": _GOOD}]}
         (_GOOD, {"block_dim": True, "terms": _POLY["terms"]}, 2),
         (_GOOD, {"block_dim": 1, "terms": [{"i": True, "j": 0, "matrix": _GOOD}]}, 2),
         (_GOOD, {"block_dim": 1, "terms": [{"i": 1, "j": True, "matrix": _GOOD}]}, 2),
+        # entries went through float(): " 2 " read as 2, "1_0" as 10 and
+        # true as 1, and a 401-digit integer raised OverflowError past main
+        ({"rows": 1, "cols": 1, "data": [[" 2 ", 0]]}, _POLY, 2),
+        ({"rows": 1, "cols": 1, "data": [["1_0", 0]]}, _POLY, 2),
+        ({"rows": 1, "cols": 1, "data": [[True, False]]}, _POLY, 2),
+        ({"rows": 1, "cols": 1, "data": [[10**400, 0]]}, _POLY, 2),
+        (_GOOD, {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": {
+            "rows": 1, "cols": 1, "data": [["1", 0]]}}]}, 2),
+        (_GOOD, {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": {
+            "rows": 1, "cols": 1, "data": [[True, 0]]}}]}, 2),
     ],
     ids=["well-formed", "data-not-pairs", "data-null", "entry-null", "term-without-i",
          "negative-degree", "no-block-dim", "zero-block-dim", "no-terms",
          "term-shape-mismatch", "fractional-rows", "fractional-cols",
          "fractional-block-dim", "fractional-i", "fractional-j", "degree-at-cap",
          "degree-above-cap", "huge-degree", "true-rows", "true-cols", "true-block-dim",
-         "true-i", "true-j"],
+         "true-i", "true-j", "string-entry", "underscore-string-entry", "true-entry",
+         "huge-integer-entry", "term-string-entry", "term-true-entry"],
 )
 def test_json_document_exit_code(tmp_path, capsys, matrix, poly, code):
     (tmp_path / "S.json").write_text(json.dumps(matrix))
@@ -203,6 +214,23 @@ def test_json_document_exit_code(tmp_path, capsys, matrix, poly, code):
     args = ["vn", str(tmp_path / "S.json"), p, "--poly", str(tmp_path / "f.json"), "--m", "8"]
     assert main(args) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ['[" 2 ", 0]', '["1_0", 0]', "[true, false]", "[0, null]", f"[1{'0' * 400}, 0]",
+     "[0.5, 1e400]"],
+    ids=["spaced-string", "underscore-string", "true", "null", "huge-integer",
+         "float-overflow"],
+)
+def test_malformed_matrix_entry_message(tmp_path, capsys, entry):
+    """Each entry part must be a JSON number, not a bool, with a finite
+    float value."""
+    path = tmp_path / "S.json"
+    path.write_text(f'{{"rows": 1, "cols": 1, "data": [{entry}]}}')
+    p = _write(tmp_path / "P.json", [[0.0]])
+    assert main(["check", str(path), p]) == 2
+    assert "malformed matrix entry" in capsys.readouterr().err
 
 
 class TestFundopCommand:
@@ -259,6 +287,13 @@ class TestVarietyCommand:
     def test_sample_without_csv_is_an_error(self, tmp_path):
         path = _write(tmp_path / "A.json", [[0.5]])
         assert main(["variety", path, "--sample", "16"]) == 2
+
+    def test_csv_without_sample_is_an_error(self, tmp_path, capsys):
+        path = _write(tmp_path / "A.json", [[0.5]])
+        out_csv = tmp_path / "b.csv"
+        assert main(["variety", path, "--csv", str(out_csv)]) == 2
+        assert "--csv requires --sample N" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("count", ["0", "-4"])
     def test_non_positive_sample_is_an_error(self, tmp_path, count):

@@ -1,17 +1,37 @@
 """Verdicts on the near-boundary corpus, which are known by construction."""
 
+import numpy as np
 import pytest
 
 from symbidisc.fundamental import solve_fundamental
-from symbidisc.gamma_pairs import check_gamma_contraction, check_pure
+from symbidisc.gamma_pairs import check_gamma_contraction, check_pure, make_operator_pair
 from symbidisc.generators import random_matrix_polynomial, rng_from_seed
 from symbidisc.model_theory import build_model
-from symbidisc.numerics import DEFAULT_TOL
+from symbidisc.numerics import DEFAULT_TOL, operator_norm
+from symbidisc.varieties import DeterminantalVariety, DistinguishedStatus, classify_distinguished
 from symbidisc.von_neumann import MatrixPolynomial, lambda_variety, vn_report
 
-from _corpus import mixed_pair, near_unitary_pair
+from _corpus import mixed_pair, near_unitary_pair, nilpotent_matrix
+
+EPS = np.finfo(float).eps
 
 S_POLY = MatrixPolynomial.scalar([[0], [1]])  # f(s, p) = s
+
+
+def _adjoint_fiber_gap(pair, orient):
+    """Largest distance between the fibers of A + p A* and those of
+    orient(B) + p orient(B)* at 64 unimodular p, in units of eps (1 + ||A||).
+
+    A is ``lambda_variety``'s representation F (+) S_u / 2 of (S, P) and B
+    that of the adjoint pair (S*, P*).  Both fibers come back as
+    e^{i theta / 2} times ascending reals, so the gap is taken index by
+    index.
+    """
+    a = lambda_variety(pair).A
+    b = orient(lambda_variety(make_operator_pair(pair.S.conj().T, pair.P.conj().T)).A)
+    s_a, s_b = (DeterminantalVariety.from_matrix(x)._boundary(64)[1] for x in (a, b))
+    assert s_a.shape == s_b.shape
+    return float(np.abs(s_a - s_b).max()) / (EPS * (1.0 + operator_norm(a)))
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +54,13 @@ class TestMixed:
         for pair, k in mixed:
             assert solve_fundamental(pair).defect.rank == pair.dim - k
             assert lambda_variety(pair).dim == pair.dim
+
+    def test_variety_of_the_adjoint_pair_is_the_adjoint_one(self, mixed):
+        # ROADMAP item 9 across the S_u / 2 block: B* + p B has the fibers
+        # of A + p A*, at most 9.1 units on these 100 pairs, while B + p B*
+        # is off by more than 1e14 units on every one of them
+        assert max(_adjoint_fiber_gap(pair, lambda b: b.conj().T) for pair, _ in mixed) <= 64.0
+        assert min(_adjoint_fiber_gap(pair, lambda b: b) for pair, _ in mixed) > 64.0
 
     def test_every_report_holds(self, mixed):
         rng = rng_from_seed(81)
@@ -68,3 +95,15 @@ def test_slowly_decaying_pure_pair_has_no_truncated_model(delta):
         r"does not apply$",
     ):
         build_model(pair)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_nilpotent(k):
+    # omega = 1 and no unimodular eigenvalue: neither certified criterion
+    # applies, and every sampled limit point lies on the distinguished
+    # boundary, at |s| = 2 up to rounding
+    v = DeterminantalVariety.from_matrix(nilpotent_matrix(k))
+    verdict = classify_distinguished(v)
+    assert verdict.status == DistinguishedStatus.DISTINGUISHED_EMPIRICAL
+    assert abs(v.nr - 1.0) <= 4 * EPS  # at most 2 eps off for k = 2..6
+    assert abs(verdict.s_margin) <= 16 * EPS  # at most 8 eps for k = 2..6

@@ -16,7 +16,7 @@ from symbidisc.generators import (
     rng_from_seed,
 )
 from symbidisc.geometry import GammaPoint
-from symbidisc.numerics import Tolerances, numerical_radius, operator_norm
+from symbidisc.numerics import DEFAULT_TOL, Tolerances, numerical_radius, operator_norm
 from symbidisc.varieties import (
     DeterminantalVariety,
     DistinguishedStatus,
@@ -145,8 +145,8 @@ class TestLambdaVariety:
 
 
 class TestRadiusOnRead:
-    def test_report_and_variety_solve_no_radius(self, radius_solves, monkeypatch):
-        monkeypatch.setattr(von_neumann, "_memo", None)
+    def test_report_and_variety_solve_no_radius(self, radius_solves):
+        von_neumann._pair_variety.cache_clear()
         rng = rng_from_seed(67)
         pairs = [random_symmetrized_pair(rng, 3), random_model_pair(rng),
                  random_strict_pair(rng, 3, 0.8)]
@@ -312,7 +312,7 @@ class TestNorms2x2:
 class TestPairMemo:
     @pytest.fixture(autouse=True)
     def _empty_memo(self, monkeypatch):
-        monkeypatch.setattr(von_neumann, "_memo", None)
+        von_neumann._pair_variety.cache_clear()
         self.solves = 0
         solve = von_neumann.lambda_variety
 
@@ -328,24 +328,24 @@ class TestPairMemo:
         polys = [random_matrix_polynomial(rng) for _ in range(4)]
         reps = [vn_report(f, pair, m=128) for f in polys]
         assert self.solves == 1
-        von_neumann._memo = None
+        von_neumann._pair_variety.cache_clear()
         assert [vn_report(f, pair, m=128) for f in polys] == reps
 
-    def test_equal_contents_hit(self):
+    def test_equal_contents_solve_again(self):
+        # the key is the pair object: an equal-content copy is a new pair
         pair = _scalar_pair(1, 0.25)
-        vn_report(S_POLY, pair, m=64)
-        vn_report(S_POLY, _scalar_pair(1, 0.25), m=64)
-        assert self.solves == 1
-
-    def test_in_place_change_of_s_recomputes(self):
-        pair = _scalar_pair(1, 0.25)
-        assert abs(vn_report(S_POLY, pair, m=64).rhs - 1.6) <= 1e-12
-        pair.S[0, 0] = 0.5
         rep = vn_report(S_POLY, pair, m=64)
+        assert vn_report(S_POLY, _scalar_pair(1, 0.25), m=64) == rep
         assert self.solves == 2
-        assert abs(rep.rhs - 0.8) <= 1e-12  # F = 0.4, max |0.4 + 0.4 p|
-        von_neumann._memo = None
-        assert rep == vn_report(S_POLY, _scalar_pair(0.5, 0.25), m=64)
+
+    def test_in_place_write_to_s_raises(self):
+        pair = _scalar_pair(1, 0.25)
+        rep = vn_report(S_POLY, pair, m=64)
+        assert abs(rep.rhs - 1.6) <= 1e-12
+        with pytest.raises(ValueError, match="read-only"):
+            pair.S[0, 0] = 0.5
+        assert vn_report(S_POLY, pair, m=64) == rep
+        assert self.solves == 1
 
     def test_tol_is_part_of_the_key_and_m_is_not(self, fiber_solves):
         pair = _scalar_pair(1, 0.25)
@@ -372,7 +372,7 @@ class TestPairMemo:
         pair = random_symmetrized_pair(rng, 3)
         f = random_matrix_polynomial(rng, 3, 2)
         vn_report(f, pair, m=128)
-        variety = von_neumann._memo[1]
+        variety = von_neumann._pair_variety(pair, DEFAULT_TOL)
         assert isinstance(variety, DeterminantalVariety)
         held_p, held_s = variety._grid
         assert not held_p.flags.writeable
@@ -466,8 +466,8 @@ def test_refinement_doubles_until_it_holds():
     assert vn_report(f, pair, m=2).m == 16
 
 
-def test_refinement_solves_only_the_new_angles(fiber_solves, monkeypatch):
-    monkeypatch.setattr(von_neumann, "_memo", None)
+def test_refinement_solves_only_the_new_angles(fiber_solves):
+    von_neumann._pair_variety.cache_clear()
     f, pair = _refining_case()
     assert vn_report(f, pair, m=4).m == 16
     assert sum(fiber_solves) == 16  # 4 + 4 + 8, where solving each grid whole takes 28
