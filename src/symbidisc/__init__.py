@@ -58,7 +58,6 @@ from .varieties import (
 from .von_neumann import (
     MatrixPolynomial,
     VNReport,
-    cup_transform,
     evaluate_pair,
     lambda_variety,
     vn_report,

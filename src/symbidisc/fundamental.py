@@ -61,6 +61,10 @@ class FundamentalOperator:
     def __post_init__(self):
         self.F.flags.writeable = False
 
+    def __reduce__(self):
+        # rebuilt through the constructor: read-only F, no ``nr`` carried over
+        return type(self), (self.F, self.residual, self.defect)
+
     @cached_property
     def nr(self) -> float:
         return numerical_radius(self.F)

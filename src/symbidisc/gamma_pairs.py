@@ -87,6 +87,11 @@ class OperatorPair:
     def __post_init__(self):
         self.S.flags.writeable = self.P.flags.writeable = False
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, so the copy's
+        # arrays are read-only too, and the copy is a new object
+        return type(self), (self.S, self.P, self.commutator_defect, self.s_norm, self.p_norm)
+
     @property
     def dim(self) -> int:
         return self.S.shape[0]

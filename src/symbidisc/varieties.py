@@ -75,6 +75,11 @@ class DeterminantalVariety:
     def __post_init__(self):
         self.A.flags.writeable = False
 
+    def __reduce__(self):
+        # rebuilt through the constructor: read-only A, no ``nr`` and no
+        # held grid carried over
+        return type(self), (self.A,)
+
     @classmethod
     def from_matrix(cls, a) -> "DeterminantalVariety":
         """The variety of a copy of ``a``."""

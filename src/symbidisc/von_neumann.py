@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "MatrixPolynomial",
     "VNReport",
     "evaluate_pair",
-    "cup_transform",
     "lambda_variety",
     "vn_report",
 ]
@@ -83,25 +81,13 @@ def evaluate_pair(f: MatrixPolynomial, pair: OperatorPair) -> np.ndarray:
     """Operator value sum of C[i, j] (tensor) S^i P^j as a block matrix."""
     ds, dp = f.degrees
     n = pair.dim
-    s_pows = [np.eye(n, dtype=complex)]
-    for _ in range(ds):
-        s_pows.append(s_pows[-1] @ pair.S)
-    p_pows = [np.eye(n, dtype=complex)]
-    for _ in range(dp):
-        p_pows.append(p_pows[-1] @ pair.P)
     k = f.block_dim
     ii, jj = np.nonzero(f.coeffs.reshape(ds + 1, dp + 1, -1).any(axis=2))
     if ii.size == 0:
         return np.zeros((k * n, k * n), dtype=complex)
-    terms = np.stack([s_pows[i] @ p_pows[j] for i, j in zip(ii, jj)])
+    terms = _pair_monomials(pair, ds, dp)[ii, jj]
     # Kronecker products summed at once: out[a n + x, b n + y] = C[a, b] T[x, y]
     return np.einsum("tab,txy->axby", f.coeffs[ii, jj], terms).reshape(k * n, k * n)
-
-
-def cup_transform(f: MatrixPolynomial) -> MatrixPolynomial:
-    """Coefficient-wise adjoint; the involution with
-    f_cup(A, B) = f(A*, B*)* on commuting arguments."""
-    return MatrixPolynomial(np.conj(np.swapaxes(f.coeffs, -1, -2)).copy())
 
 
 def lambda_variety(
@@ -143,46 +129,63 @@ def _pair_variety(pair: OperatorPair, tol: Tolerances) -> DeterminantalVariety:
     return lambda_variety(pair, tol)
 
 
-def _horner_p(row: np.ndarray, p: np.ndarray) -> Optional[np.ndarray]:
-    """sum_j row[j] p^j with entries first, shape (k, k, m); None if zero."""
-    nz = np.flatnonzero(row.reshape(len(row), -1).any(axis=1))
-    if nz.size == 0:
-        return None
-    acc = np.empty(row.shape[1:] + p.shape, dtype=complex)
-    acc[...] = row[nz[-1], :, :, None]
-    for c in row[: nz[-1]][::-1]:
-        acc *= p
-        acc += c[:, :, None]
-    return acc
+# One entry, for the same reason: each polynomial of a run on one pair reads
+# the same products S^i P^j.
+@functools.lru_cache(maxsize=1)
+def _pair_monomials(pair: OperatorPair, ds: int, dp: int) -> np.ndarray:
+    """S^i P^j for i <= ds and j <= dp, shape (ds + 1, dp + 1, n, n), read-only.
+
+    One batched matmul forms every product by the same BLAS call as
+    ``s_pows[i] @ p_pows[j]``, so each one is bit for bit that product.
+    """
+    n = pair.dim
+    s_pows = [np.eye(n, dtype=complex)]
+    for _ in range(ds):
+        s_pows.append(s_pows[-1] @ pair.S)
+    p_pows = [np.eye(n, dtype=complex)]
+    for _ in range(dp):
+        p_pows.append(p_pows[-1] @ pair.P)
+    stack = np.array(s_pows)[:, None] @ np.array(p_pows)
+    stack.flags.writeable = False
+    return stack
 
 
-def _eval_grid(f: MatrixPolynomial, p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """f at every grid point by Horner's rule in p, then in s.
+# One entry: the grid of the pair's variety at the m being reported on.  A
+# new pair or a doubled m replaces it.
+@functools.lru_cache(maxsize=1)
+def _grid_powers(variety: DeterminantalVariety, m: int, deg: int) -> np.ndarray:
+    """p^0 .. p^deg over the variety's grid of m angles, shape (deg + 1, m),
+    each power the previous one times p; read-only."""
+    p, _ = variety._boundary(m)
+    pows = np.empty((deg + 1, m), dtype=complex)
+    pows[0] = 1.0
+    for j in range(deg):
+        np.multiply(pows[j], p, out=pows[j + 1])
+    pows.flags.writeable = False
+    return pows
+
+
+def _eval_grid(f: MatrixPolynomial, p_pows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """f at every grid point: sum_j C[i, j] p^j for each i as one contraction
+    against the powers of p, then Horner's rule in s.
 
     Entries come first: the result has shape (k, k, n, m).
     """
-    k = f.block_dim
-    out = None
-    for row in f.coeffs[::-1]:
-        q = _horner_p(row, p)
-        if out is None:
-            if q is not None:
-                out = np.repeat(q[:, :, None, :], s.shape[0], axis=2)
-            continue
+    q = np.tensordot(f.coeffs, p_pows, axes=(1, 0))  # (deg_s + 1, k, k, m)
+    out = np.repeat(q[-1][:, :, None, :], s.shape[0], axis=2)
+    for row in q[-2::-1]:
         out *= s
-        if q is not None:
-            out += q[:, :, None, :]
-    if out is None:
-        return np.zeros((k, k) + s.shape, dtype=complex)
+        out += row[:, :, None, :]
     return out
 
 
-def _sigma_max_2x2(a: np.ndarray) -> np.ndarray:
+def _sigma_sq_2x2(a: np.ndarray) -> np.ndarray:
+    """sigma_max^2 of 2x2 blocks, entries first, unscaled (see ``_norms_2x2``)."""
     sq = a.real**2 + a.imag**2
     x = sq[0, 0] + sq[0, 1]
     y = sq[1, 0] + sq[1, 1]
     z = a[0, 0] * np.conj(a[1, 0]) + a[0, 1] * np.conj(a[1, 1])
-    return np.sqrt(0.5 * (x + y + np.hypot(x - y, 2.0 * np.abs(z))))
+    return 0.5 * (x + y + np.hypot(x - y, 2.0 * np.abs(z)))
 
 
 def _norms_2x2(a: np.ndarray) -> np.ndarray:
@@ -195,24 +198,42 @@ def _norms_2x2(a: np.ndarray) -> np.ndarray:
     values near 1e+-200 neither overflow nor underflow.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        norms = _sigma_max_2x2(a)
+        norms = np.sqrt(_sigma_sq_2x2(a))
     off = ~((norms >= 1e-150) & (norms <= 1e150))
     if off.any():
         sub = a[:, :, off]
         scale = np.abs(sub).max(axis=(0, 1))
-        norms[off] = scale * _sigma_max_2x2(sub / np.where(scale > 0, scale, 1.0))
+        norms[off] = scale * np.sqrt(_sigma_sq_2x2(sub / np.where(scale > 0, scale, 1.0)))
     return norms
 
 
-def _boundary_max(f: MatrixPolynomial, p: np.ndarray, s: np.ndarray):
-    vals = _eval_grid(f, p, s)
+def _boundary_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
+    """The largest ||f(s, p)|| over the variety's grid of m angles, and its point.
+
+    2x2 blocks are ranked by sigma_max^2, and the square root is taken at
+    the winner alone.  A winner whose square is not finite or lies outside
+    [1e-290, 1e290] may have lost its rank to overflow or underflow, so
+    then every block is ranked by the scaled ``_norms_2x2``.
+    """
+    p, s = variety._boundary(m)
+    vals = _eval_grid(f, _grid_powers(variety, m, f.degrees[1]), s)
     if f.block_dim == 2:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            norms = _sigma_sq_2x2(vals)
+        t, j = _grid_argmax(norms)
+        if 1e-290 <= norms[j, t] <= 1e290:
+            return math.sqrt(norms[j, t]), GammaPoint(complex(s[j, t]), complex(p[t]))
         norms = _norms_2x2(vals)
     else:
         norms = np.linalg.svd(np.moveaxis(vals, (0, 1), (2, 3)), compute_uv=False)[..., 0]
-    # angle-major order, so ties resolve to the first angle
-    t, j = divmod(int(np.argmax(norms.T)), s.shape[0])
+    t, j = _grid_argmax(norms)
     return float(norms[j, t]), GammaPoint(complex(s[j, t]), complex(p[t]))
+
+
+def _grid_argmax(norms: np.ndarray) -> tuple[int, int]:
+    """(angle, fiber) of the largest entry of ``norms`` (n, m); angle-major
+    order, so ties resolve to the first angle."""
+    return divmod(int(np.argmax(norms.T)), norms.shape[0])
 
 
 def vn_report(
@@ -231,14 +252,15 @@ def vn_report(
     F and the variety depend only on the pair and ``tol``; the most recent
     pair's variety is kept and reused while consecutive calls pass the same
     pair object and ``tol``, and it holds the last boundary grid it solved,
-    which a nested ``m`` reads or extends.
+    which a nested ``m`` reads or extends.  The products S^i P^j and the
+    powers of p over the grid are kept the same way, so each further
+    polynomial on that pair pays only for its own coefficients.
     """
     cur_m = sample_count(m)
     variety = _pair_variety(pair, tol)
     lhs = operator_norm(evaluate_pair(f, pair))
     while True:
-        p, s = variety._boundary(cur_m)
-        rhs, arg = _boundary_max(f, p, s)
+        rhs, arg = _boundary_max(f, variety, cur_m)
         holds = lhs <= rhs * (1.0 + _HOLDS_SLACK)
         if holds or cur_m >= _REFINE_CAP:
             break

@@ -10,7 +10,9 @@ radius oracle is the library's level-set loop with its pencil solved by
 ``scipy.linalg.eigvals``: it is the reference only for the direct LAPACK
 call that replaced it.  The full-grid membership sweep is the library's
 sweep as it was before it skipped phases, the reference for the
-refined one.
+refined one.  The matrix-polynomial evaluation on a pair is the library's
+as it was when each call built its own products S^i P^j, the reference
+for the held ones.
 """
 
 import math
@@ -149,6 +151,40 @@ def dilation_residual_oracle(model, pair, m_max, n_max):
             tv = tv @ model.V
         t_pow = t_pow @ model.T
     return best
+
+
+def evaluate_pair_oracle(f, pair):
+    """``evaluate_pair`` as it was when each call built its own powers and
+    products S^i P^j, kept verbatim."""
+    ds, dp = f.degrees
+    n = pair.dim
+    s_pows = [np.eye(n, dtype=complex)]
+    for _ in range(ds):
+        s_pows.append(s_pows[-1] @ pair.S)
+    p_pows = [np.eye(n, dtype=complex)]
+    for _ in range(dp):
+        p_pows.append(p_pows[-1] @ pair.P)
+    k = f.block_dim
+    ii, jj = np.nonzero(f.coeffs.reshape(ds + 1, dp + 1, -1).any(axis=2))
+    if ii.size == 0:
+        return np.zeros((k * n, k * n), dtype=complex)
+    terms = np.stack([s_pows[i] @ p_pows[j] for i, j in zip(ii, jj)])
+    return np.einsum("tab,txy->axby", f.coeffs[ii, jj], terms).reshape(k * n, k * n)
+
+
+def boundary_max_oracle(coeffs, p, s):
+    """Largest ||f(s, p)|| over grid points ``p`` (m,) and fibers ``s`` (n, m):
+    each value summed term by term from s^i p^j, then the SVD of every
+    value.  Returns (value, j, t) of the first maximum in angle-major
+    order, with j the fiber and t the angle."""
+    vals = sum(
+        coeffs[i, j][None, None] * (s**i * p**j)[:, :, None, None]
+        for i in range(coeffs.shape[0])
+        for j in range(coeffs.shape[1])
+    )
+    norms = np.linalg.svd(vals, compute_uv=False)[..., 0]
+    t, j = divmod(int(np.argmax(norms.T)), s.shape[0])
+    return float(norms[j, t]), j, t
 
 
 def poly_eval_oracle(coeffs, z, w):

@@ -3,10 +3,13 @@
 Each caches values derived from its matrices (norms and commutator
 defect, ``nr``, the boundary grid), so an in-place write would leave
 them stale: the write raises instead.  Equality and hash are by identity,
-and the constructors copy what the caller passes in.
+and the constructors copy what the caller passes in.  Pickle and copy
+rebuild through the constructor as well.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from symbidisc.generators import (
     rng_from_seed,
     scaled_pair,
 )
+from symbidisc import von_neumann
 from symbidisc.model_theory import build_model
+from symbidisc.numerics import DEFAULT_TOL
 from symbidisc.varieties import DeterminantalVariety
 from symbidisc.von_neumann import lambda_variety
 
@@ -72,3 +77,34 @@ def test_equal_content_pairs_are_distinct_keys():
     a, b = make_operator_pair(s, p), make_operator_pair(s, p)
     assert a != b
     assert len({a, b, a}) == 2
+
+
+COPIERS = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+
+
+@pytest.mark.parametrize("how", COPIERS)
+@pytest.mark.parametrize("name, obj, fields, given", CASES, ids=[c[0] for c in CASES])
+def test_copies_are_rebuilt_read_only_without_cached_values(name, obj, fields, given, how):
+    if hasattr(obj, "nr"):
+        obj.nr
+    if isinstance(obj, DeterminantalVariety):
+        obj._boundary(8)
+    dup = COPIERS[how](obj)
+    assert type(dup) is type(obj) and dup is not obj and dup != obj
+    for field in fields:
+        m = getattr(dup, field)
+        assert np.array_equal(m, getattr(obj, field))
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 7.0
+    assert not {"nr", "_grid"} & set(vars(dup))
+
+
+def test_a_pickled_pair_is_a_new_memo_key():
+    pair = CASES[0][1]
+    dup = pickle.loads(pickle.dumps(pair))
+    assert von_neumann._pair_variety(dup, DEFAULT_TOL) is not von_neumann._pair_variety(
+        pair, DEFAULT_TOL)

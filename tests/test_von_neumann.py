@@ -2,13 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from symbidisc import von_neumann
 from symbidisc.gamma_pairs import make_operator_pair
 from symbidisc.generators import (
-    random_commuting_contractions,
     random_matrix_polynomial,
     random_model_pair,
     random_strict_pair,
@@ -26,11 +23,12 @@ from symbidisc.varieties import (
 )
 from symbidisc.von_neumann import (
     MatrixPolynomial,
-    cup_transform,
     evaluate_pair,
     lambda_variety,
     vn_report,
 )
+
+from _oracles import boundary_max_oracle, evaluate_pair_oracle
 
 S_POLY = MatrixPolynomial.scalar([[0], [1]])  # f(s, p) = s
 P_POLY = MatrixPolynomial.scalar([[0, 1]])  # f(s, p) = p
@@ -67,32 +65,6 @@ class TestEvaluatePair:
         c[0, 0] = np.array([[1, 2], [3, 4]])
         f = MatrixPolynomial.from_coeffs(c)
         assert np.allclose(evaluate_pair(f, pair), np.kron(c[0, 0], np.eye(2)))
-
-
-class TestCupTransform:
-    def test_fixes_real_coordinate(self):
-        assert np.allclose(cup_transform(S_POLY).coeffs, S_POLY.coeffs)
-
-    def test_conjugates_scalars(self):
-        f = MatrixPolynomial.scalar([[0, 1j]])
-        assert np.allclose(cup_transform(f).coeffs[0, 1, 0, 0], -1j)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(1, 3))
-    def test_involution(self, seed, degree, block):
-        f = random_matrix_polynomial(rng_from_seed(seed), degree, block)
-        assert np.array_equal(cup_transform(cup_transform(f)).coeffs, f.coeffs)
-
-    def test_defining_identity(self):
-        rng = rng_from_seed(65)
-        for _ in range(10):
-            f = random_matrix_polynomial(rng)
-            t1, t2 = random_commuting_contractions(rng, 3)
-            pair = make_operator_pair(t1, t2)
-            adj = make_operator_pair(t1.conj().T, t2.conj().T)
-            lhs = evaluate_pair(cup_transform(f), pair)
-            rhs = evaluate_pair(f, adj).conj().T
-            assert operator_norm(lhs - rhs) <= 1e-12 * (1 + operator_norm(rhs))
 
 
 class TestLambdaVariety:
@@ -257,10 +229,10 @@ def test_evaluate_pair_matches_kron_sum():
 @pytest.mark.parametrize("block_dim", [1, 2, 3])
 def test_grid_values_match_monomial_sum(block_dim):
     rng = rng_from_seed(76)
-    pair = random_symmetrized_pair(rng, 3)
+    variety = lambda_variety(random_symmetrized_pair(rng, 3))
     f = random_matrix_polynomial(rng, 3, block_dim)
-    p, s = lambda_variety(pair)._boundary(8)
-    got = von_neumann._eval_grid(f, p, s)
+    p, s = variety._boundary(8)
+    got = von_neumann._eval_grid(f, von_neumann._grid_powers(variety, 8, f.degrees[1]), s)
     sb, pb = s[:, :, None, None], p[None, :, None, None]
     want = sum(
         f.coeffs[i, j][:, :, None, None] * (sb**i * pb**j)[None, None, :, :, 0, 0]
@@ -268,11 +240,52 @@ def test_grid_values_match_monomial_sum(block_dim):
         for j in range(f.coeffs.shape[1])
     )
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    norms = np.linalg.svd(np.moveaxis(want, (0, 1), (2, 3)), compute_uv=False)[..., 0]
-    rhs, arg = von_neumann._boundary_max(f, p, s)
-    assert abs(rhs - norms.max()) <= 1e-12 * norms.max()
-    j, t = np.unravel_index(np.argmax(norms), norms.shape)
+
+
+def _grid_coeffs(case, k, rng):
+    def draw(ds, dp):
+        shape = (ds + 1, dp + 1, k, k)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return {
+        "random": lambda: random_matrix_polynomial(rng, 3, k).coeffs,
+        "zero": lambda: np.zeros((2, 3, k, k)),
+        "constant": lambda: draw(0, 0),
+        "s_only": lambda: draw(3, 0),
+        "p_only": lambda: draw(0, 3),
+        "scaled_up": lambda: 1e200 * draw(3, 3),
+        "scaled_down": lambda: 1e-200 * draw(3, 3),
+    }[case]()
+
+
+# The 2x2 blocks of these cases rank outside [1e-290, 1e290] in squares.
+FALLBACK_CASES = ("zero", "scaled_up", "scaled_down")
+
+
+@pytest.mark.parametrize("block_dim", [1, 2, 3])
+@pytest.mark.parametrize(
+    "case", ["random", "zero", "constant", "s_only", "p_only", "scaled_up", "scaled_down"]
+)
+def test_boundary_max_matches_the_svd_of_every_value(case, block_dim, monkeypatch):
+    rng = rng_from_seed(76)
+    variety = lambda_variety(random_symmetrized_pair(rng, 3))
+    f = MatrixPolynomial.from_coeffs(_grid_coeffs(case, block_dim, rng))
+    fallbacks = []
+    norms_2x2 = von_neumann._norms_2x2
+
+    def counting(a):
+        fallbacks.append(a.shape)
+        return norms_2x2(a)
+
+    monkeypatch.setattr(von_neumann, "_norms_2x2", counting)
+    rhs, arg = von_neumann._boundary_max(f, variety, 64)
+    p, s = variety._boundary(64)
+    want, j, t = boundary_max_oracle(f.coeffs, p, s)
+    assert abs(rhs - want) <= 1e-12 * want
     assert arg == GammaPoint(complex(s[j, t]), complex(p[t]))
+    if case in ("zero", "constant"):
+        assert (j, t) == (0, 0)  # every value ties, so the first angle wins
+    assert len(fallbacks) == (block_dim == 2 and case in FALLBACK_CASES)
 
 
 class TestNorms2x2:
@@ -376,18 +389,73 @@ class TestPairMemo:
         assert isinstance(variety, DeterminantalVariety)
         held_p, held_s = variety._grid
         assert not held_p.flags.writeable
+        held_pows = von_neumann._grid_powers(variety, 128, f.degrees[1])
+        assert not held_pows.flags.writeable
+        assert held_pows[1].tobytes() == held_p.tobytes()
         seen = []
-        boundary_max = von_neumann._boundary_max
+        eval_grid = von_neumann._eval_grid
 
-        def recording(f, p, s):
-            seen.append((p, s))
-            return boundary_max(f, p, s)
+        def recording(f, p_pows, s):
+            seen.append((p_pows, s))
+            return eval_grid(f, p_pows, s)
 
-        monkeypatch.setattr(von_neumann, "_boundary_max", recording)
+        monkeypatch.setattr(von_neumann, "_eval_grid", recording)
         vn_report(f, pair, m=128)
         assert self.solves == 1
-        (p, s), = seen
-        assert np.shares_memory(p, held_p) and np.shares_memory(s, held_s)
+        (p_pows, s), = seen
+        assert p_pows is held_pows and np.shares_memory(s, held_s)
+
+
+class TestHeldPolynomialTerms:
+    """A report on a held pair reuses its products S^i P^j and the powers of
+    p over the held grid, so only its own coefficients are new work."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memos(self):
+        for memo in (von_neumann._pair_variety, von_neumann._pair_monomials,
+                     von_neumann._grid_powers):
+            memo.cache_clear()
+
+    def test_ten_polynomials_build_the_terms_once(self):
+        rng = rng_from_seed(79)
+        pair = random_symmetrized_pair(rng, 3)
+        polys = [random_matrix_polynomial(rng) for _ in range(10)]
+        for f in polys:
+            vn_report(f, pair, m=64)
+        assert von_neumann._pair_monomials.cache_info()[:2] == (9, 1)  # hits, misses
+        assert von_neumann._grid_powers.cache_info()[:2] == (9, 1)
+        stack = von_neumann._pair_monomials(pair, 3, 3)
+        assert stack.shape == (4, 4, 3, 3) and not stack.flags.writeable
+        # the key is the pair object: an equal-content copy builds again
+        twin = make_operator_pair(pair.S, pair.P)
+        assert vn_report(polys[0], twin, m=64) == vn_report(polys[0], pair, m=64)
+        assert von_neumann._pair_monomials.cache_info().misses == 3
+        assert von_neumann._grid_powers.cache_info().misses == 3
+
+    def test_doubling_m_replaces_the_powers(self):
+        f, pair = _refining_case()
+        assert vn_report(f, pair, m=4).m == 16
+        assert von_neumann._grid_powers.cache_info()[1:] == (3, 1, 1)  # misses, maxsize, size
+        variety = von_neumann._pair_variety(pair, DEFAULT_TOL)
+        held_p, _ = variety._grid
+        assert von_neumann._grid_powers(variety, 16, 1)[1].tobytes() == held_p.tobytes()
+
+    def test_evaluate_pair_is_bit_identical_to_per_call_products(self):
+        rng = rng_from_seed(80)
+        # higher degrees follow lower ones on the same pair, and lower higher
+        degrees = [(0, 0), (1, 0), (0, 2), (2, 1), (3, 3), (4, 4), (4, 2), (1, 4), (2, 2)]
+        for dim in (1, 3, 4):
+            pair = random_symmetrized_pair(rng, dim)
+            for k in (1, 2, 3):
+                for ds, dp in degrees:
+                    shape = (ds + 1, dp + 1, k, k)
+                    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    c[rng.random(shape[:2]) < 0.3] = 0.0
+                    f = MatrixPolynomial.from_coeffs(c)
+                    want = evaluate_pair_oracle(f, pair)
+                    assert evaluate_pair(f, pair).tobytes() == want.tobytes()
+            zero = MatrixPolynomial.from_coeffs(np.zeros((3, 2, 2, 2)))
+            assert evaluate_pair(zero, pair).tobytes() == evaluate_pair_oracle(zero, pair).tobytes()
 
 
 # (holds, m, ratio, rhs) of a seeded batch, recorded with the per-point
