@@ -19,22 +19,16 @@ from .geometry import (
     RegionTag,
     classify_point,
     classify_points,
-    point_roots,
-    symmetrize_point,
 )
 from .gamma_pairs import (
     DefectData,
-    NonCommutingRootError,
-    NoSquareRootError,
     OperatorPair,
     PairVerdict,
     check_gamma_contraction,
     check_gamma_isometry,
     check_pure,
     defect_operator,
-    desymmetrize_pair,
     make_operator_pair,
-    rho_pencil,
     symmetrize_pair,
 )
 from .fundamental import (

@@ -129,16 +129,7 @@ def truncated_model_from_F(
     nr = numerical_radius(fhat)
     if nr > 1.0 + tol.psd_tol:
         raise ValueError(f"numerical radius {nr:.12f} exceeds 1")
-    return make_operator_pair(*_block_shift_pair(fhat, n_blocks), tol)
-
-
-def _block_shift_pair(f: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense S and P of the converse model of ``truncated_model_from_F``.
-
-    Their adjoints are exactly the T and V of a truncated dilation model
-    with fundamental operator ``f``.
-    """
     shift = np.eye(n_blocks, k=1)
-    s = np.kron(np.eye(n_blocks), f) + np.kron(shift, f.conj().T)
-    p = np.kron(shift, np.eye(f.shape[0])).astype(complex)
-    return s, p
+    s = np.kron(np.eye(n_blocks), fhat) + np.kron(shift, fhat.conj().T)
+    p = np.kron(shift, np.eye(fhat.shape[0])).astype(complex)
+    return make_operator_pair(s, p, tol)

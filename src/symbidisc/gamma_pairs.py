@@ -23,12 +23,10 @@ grid minimum, and drops indices on which the pencil vanishes exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .numerics import (
     DEFAULT_TOL,
@@ -47,30 +45,18 @@ __all__ = [
     "OperatorPair",
     "PairVerdict",
     "PencilWitness",
-    "NoSquareRootError",
-    "NonCommutingRootError",
     "defect_operator",
     "make_operator_pair",
-    "rho_pencil",
     "check_gamma_contraction",
     "check_gamma_isometry",
     "check_pure",
     "symmetrize_pair",
-    "desymmetrize_pair",
 ]
 
 
 # Phases of the membership sweep's first pass; the rest are solved only
 # where a Weyl bound cannot rule out the grid minimum.
 _COARSE_PHASES = 64
-
-
-class NoSquareRootError(ValueError):
-    """S^2 - 4P admits no square root (e.g. defective nilpotent block)."""
-
-
-class NonCommutingRootError(ValueError):
-    """The principal square root exists but fails to commute with S and P."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,12 +163,6 @@ def _unitary_part(p: np.ndarray, dd: DefectData, tol: Tolerances) -> np.ndarray:
         rows = rows @ p
     lam, y = np.linalg.eigh(gram)
     return k @ y[:, lam <= tol.rank_tol]
-
-
-def rho_pencil(pair: OperatorPair) -> np.ndarray:
-    """2(I - P*P) - (S - S*P) - (S* - P*S), the pencil at alpha = 1."""
-    c, b = _defects(pair)
-    return circle_pencils(-b, np.ones(1), c)[0]
 
 
 def _defects(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray]:
@@ -322,44 +302,3 @@ def symmetrize_pair(t1, t2, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
     if max(n1, n2) > 1.0 + tol.psd_tol:
         raise ValueError("inputs must be contractions within tolerance")
     return make_operator_pair(t1 + t2, t1 @ t2, tol)
-
-
-def desymmetrize_pair(
-    pair: OperatorPair, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split (S, P) as (T1 + T2, T1 T2) through a commuting square root.
-
-    Computes the principal (Schur-based) square root R of S^2 - 4P and
-    returns ((S + R)/2, (S - R)/2) after verifying that R commutes with
-    S and P and that the product round-trips.  Success is sufficient but
-    not necessary: a non-principal commuting root may exist when the
-    principal branch fails, and no such search is attempted.  The factors
-    commute but need not be contractions.
-    """
-    s, p = pair.S, pair.P
-    m = s @ s - 4.0 * p
-    nm = operator_norm(m)
-    if nm == 0.0:
-        root = np.zeros_like(m)
-    else:
-        # A singular S^2 - 4P draws a LinAlgWarning; the residual check
-        # below decides whether the root is usable.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            root = scipy.linalg.sqrtm(m)
-    if not np.all(np.isfinite(root)) or operator_norm(root @ root - m) > tol.residual_tol * (
-        1.0 + nm
-    ):
-        raise NoSquareRootError(
-            "S^2 - 4P has no square root on the principal branch"
-        )
-    try:
-        require_commuting(root, s, tol, ("R", "S"))
-        require_commuting(root, p, tol, ("R", "P"))
-    except ValueError as exc:
-        raise NonCommutingRootError(f"principal root R: {exc}") from exc
-    t1 = 0.5 * (s + root)
-    t2 = 0.5 * (s - root)
-    if operator_norm(t1 @ t2 - p) > tol.residual_tol * (1.0 + pair.p_norm):
-        raise NonCommutingRootError("factor product fails to reproduce P")
-    return t1, t2

@@ -17,8 +17,6 @@ evaluates these moduli directly, so a tag keeps the full precision of
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,8 +27,6 @@ from .numerics import DEFAULT_TOL, Tolerances
 __all__ = [
     "GammaPoint",
     "RegionTag",
-    "symmetrize_point",
-    "point_roots",
     "classify_point",
     "classify_points",
     "REGION_TAGS",
@@ -65,36 +61,6 @@ ON_BGAMMA = np.array(
 
 # Relative rounding allowance of the diagonal test |s^2 - 4p| = |z1 - z2|^2.
 _DIAGONAL_EPS = 64 * np.finfo(float).eps
-
-
-def symmetrize_point(z1: complex, z2: complex) -> GammaPoint:
-    """Image of (z1, z2) under the symmetrization map."""
-    z1, z2 = complex(z1), complex(z2)
-    if not (cmath.isfinite(z1) and cmath.isfinite(z2)):
-        raise ValueError("inputs must be finite")
-    return GammaPoint(z1 + z2, z1 * z2)
-
-
-def point_roots(pt: GammaPoint) -> tuple[complex, complex]:
-    """Both roots of z^2 - s z + p = 0, sorted by (modulus, argument).
-
-    The larger-magnitude root is computed first and the other obtained as
-    p divided by it, which avoids the cancellation of the naive quadratic
-    formula.
-    """
-    s, p = complex(pt.s), complex(pt.p)
-    if not (cmath.isfinite(s) and cmath.isfinite(p)):
-        raise ValueError("point must be finite")
-    sq = cmath.sqrt(s * s - 4.0 * p)
-    if abs(s + sq) >= abs(s - sq):
-        big = 0.5 * (s + sq)
-    else:
-        big = 0.5 * (s - sq)
-    if big == 0:
-        roots = (0j, 0j)
-    else:
-        roots = (big, p / big)
-    return tuple(sorted(roots, key=lambda z: (abs(z), math.atan2(z.imag, z.real))))
 
 
 def classify_points(s, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

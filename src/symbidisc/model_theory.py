@@ -10,8 +10,9 @@ coefficient blocks, with N large enough that ||P^N|| is negligible,
 gives finite operators whose compressions reproduce the mixed powers
 S^m P^n up to a tail-controlled residual; the embedding that realizes
 the compression is h -> (D_{P*} P*^n h)_{n < N}.  T and V are applied
-block by block and never stored: T* sends block j to G x_j + G* x_{j+1},
-and V moves every block down by one.
+block by block and never formed: T* sends block j to G x_j + G* x_{j+1},
+and V moves every block down by one.  As dense matrices they are the
+adjoints of the S and P that ``truncated_model_from_F(G, N)`` builds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import FundamentalOperator, _block_shift_pair, solve_fundamental
+from .fundamental import FundamentalOperator, solve_fundamental
 from .gamma_pairs import OperatorPair, check_pure
 from .numerics import DEFAULT_TOL, Tolerances, _integer, operator_norm
 
@@ -42,8 +43,7 @@ class TruncatedModel:
     ``W`` embeds the original space into N blocks of defect-space
     coordinates of P*, each ``block_dim`` rows, and is isometric up to
     ``tail`` = ||P^N|| = ||P*^N|| (||W*W - I|| = tail^2 exactly in
-    arithmetic).  ``fund_adjoint.F`` is G; the dense ``T`` and ``V`` are
-    built only when read.
+    arithmetic).  ``fund_adjoint.F`` is G.
     """
 
     N: int
@@ -52,16 +52,6 @@ class TruncatedModel:
     block_dim: int
     fund_adjoint: FundamentalOperator
 
-    @property
-    def T(self) -> np.ndarray:
-        s, _ = _block_shift_pair(self.fund_adjoint.F, self.N)
-        return np.ascontiguousarray(s.conj().T)
-
-    @property
-    def V(self) -> np.ndarray:
-        _, p = _block_shift_pair(self.fund_adjoint.F, self.N)
-        return np.ascontiguousarray(p.conj().T)
-
 
 @dataclass(frozen=True)
 class DilationReport:
@@ -69,7 +59,6 @@ class DilationReport:
     shift_intertwine: float
     symbol_intertwine: float
     bound: float
-    tail: float
     embed_defect: float
 
 
@@ -182,4 +171,4 @@ def dilation_check(
     symbol_res = operator_norm(w @ pair.S.conj().T - t_adj_w[1].reshape(w.shape))
     bound = (1.0 + pair.s_norm) * (1.0 + m_max + n_max) * model.tail
     embed = operator_norm(w.conj().T @ w - np.eye(pair.dim))
-    return DilationReport(max_res, shift_res, symbol_res, bound, model.tail, embed)
+    return DilationReport(max_res, shift_res, symbol_res, bound, embed)

@@ -2,10 +2,9 @@
 
 These deliberately avoid the library's own code paths: dense grids with
 no refinement, direct eigenvalue formulas, raw polynomial arithmetic and
-exact rational arithmetic.  Two exceptions: the root-based region rule
-is built on the public ``point_roots``, and the boundary-row oracle
-reuses the library's fiber grid and tag kernel, since it is the
-reference only for how rows are assembled from them.  The scipy-path
+exact rational arithmetic.  The boundary-row oracle reuses the
+library's fiber grid and tag kernel, since it is the reference only for
+how rows are assembled from them.  The scipy-path
 radius oracle is the library's level-set loop with its pencil solved by
 ``scipy.linalg.eigvals``: it is the reference only for the direct LAPACK
 call that replaced it.  The full-grid membership sweep is the library's
@@ -15,6 +14,7 @@ as it was when each call built its own products S^i P^j, the reference
 for the held ones.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from symbidisc.gamma_pairs import PairVerdict, PencilWitness, _defects
-from symbidisc.geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points, point_roots
+from symbidisc.geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points
 from symbidisc.numerics import (
     DEFAULT_TOL,
     as_matrix,
@@ -135,21 +135,41 @@ def pencil_min_oracle(s, p, n_r=41, n_t=2048):
     return best
 
 
+def rho_oracle(s, p):
+    """2(I - P*P) - (S - S*P) - (S* - P*S), the pencil rho(S, P), entry by
+    entry from its definition."""
+    s = np.asarray(s, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    eye = np.eye(s.shape[0])
+    return 2.0 * (eye - p.conj().T @ p) - (s - s.conj().T @ p) - (s.conj().T - p.conj().T @ s)
+
+
+def dense_model(model):
+    """The dense T = I (x) G* + M_z (x) G and V = M_z (x) I of a truncated
+    dilation model, M_z the block shift down by one."""
+    g = model.fund_adjoint.F
+    down = np.eye(model.N, k=-1)
+    t = np.kron(np.eye(model.N), g.conj().T) + np.kron(down, g)
+    v = np.kron(down, np.eye(g.shape[0])).astype(complex)
+    return t, v
+
+
 def dilation_residual_oracle(model, pair, m_max, n_max):
     """max ||W* T^m V^n W - S^m P^n|| over the powers, one two-norm per
     power, as the per-power loop took it."""
     w = model.W
     wh = w.conj().T
+    t, v = dense_model(model)
     best = 0.0
-    t_pow = np.eye(model.T.shape[0], dtype=complex)
+    t_pow = np.eye(t.shape[0], dtype=complex)
     for m in range(m_max + 1):
         s_pow = np.linalg.matrix_power(pair.S, m)
         tv = t_pow.copy()
         for n in range(n_max + 1):
             res = wh @ tv @ w - s_pow @ np.linalg.matrix_power(pair.P, n)
             best = max(best, float(np.linalg.norm(res, 2)))
-            tv = tv @ model.V
-        t_pow = t_pow @ model.T
+            tv = tv @ v
+        t_pow = t_pow @ t
     return best
 
 
@@ -229,6 +249,28 @@ def symmetrize_exact_oracle(coeffs):
             if not prod[key]:
                 del prod[key]
     return q
+
+
+def point_roots(pt):
+    """Both roots of z^2 - s z + p = 0, sorted by (modulus, argument).
+
+    The larger-magnitude root is computed first and the other obtained as
+    p divided by it, which avoids the cancellation of the naive quadratic
+    formula.
+    """
+    s, p = complex(pt.s), complex(pt.p)
+    if not (cmath.isfinite(s) and cmath.isfinite(p)):
+        raise ValueError("point must be finite")
+    sq = cmath.sqrt(s * s - 4.0 * p)
+    if abs(s + sq) >= abs(s - sq):
+        big = 0.5 * (s + sq)
+    else:
+        big = 0.5 * (s - sq)
+    if big == 0:
+        roots = (0j, 0j)
+    else:
+        roots = (big, p / big)
+    return tuple(sorted(roots, key=lambda z: (abs(z), math.atan2(z.imag, z.real))))
 
 
 def root_region_tag(s, p, band):

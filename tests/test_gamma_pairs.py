@@ -4,20 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from symbidisc import gamma_pairs
 from symbidisc.gamma_pairs import (
-    NoSquareRootError,
-    NonCommutingRootError,
     _defects,
     check_gamma_contraction,
     check_gamma_isometry,
     check_pure,
-    desymmetrize_pair,
     make_operator_pair,
-    rho_pencil,
     symmetrize_pair,
 )
 from symbidisc.fundamental import solve_fundamental, truncated_model_from_F
@@ -40,7 +36,7 @@ from symbidisc.numerics import (
 )
 
 from _corpus import mixed_pair, near_unitary_pair
-from _oracles import membership_sweep_oracle, pencil_min_oracle
+from _oracles import membership_sweep_oracle, pencil_min_oracle, rho_oracle
 
 # Coarse circle grid for bulk property tests; verdicts are grid verdicts
 # at any configured resolution.
@@ -56,23 +52,6 @@ def _conjugated(pair, u):
 
 
 class TestRhoPencil:
-    def test_zero_pair(self):
-        pair = make_operator_pair(np.zeros((3, 3)), np.zeros((3, 3)))
-        assert np.allclose(rho_pencil(pair), 2 * np.eye(3))
-
-    def test_distinguished_scalar(self):
-        assert abs(rho_pencil(_scalar_pair(2, 1))[0, 0]) <= 1e-12
-
-    def test_interior_scalar(self):
-        # 2(1 - 0.0625) - 2 (1 - 0.25) = 0.375
-        assert abs(rho_pencil(_scalar_pair(1, 0.25))[0, 0] - 0.375) <= 1e-12
-
-    def test_hermitian_output(self):
-        rng = rng_from_seed(31)
-        pair = random_symmetrized_pair(rng, 4)
-        r = rho_pencil(pair)
-        assert np.linalg.norm(r - r.conj().T) <= 1e-12
-
     @pytest.mark.parametrize("family", ["symmetrized", "model", "strict"])
     def test_sweep_pencil_is_rho_of_the_scaled_pair(self, family):
         # the sweep's pencil at the phase w is rho(w S, w^2 P), and it is
@@ -90,8 +69,7 @@ class TestRhoPencil:
             stack = circle_pencils(-b, phases, c)
             assert np.array_equal(stack, np.conj(stack.transpose(0, 2, 1)))
             for w, got in zip(phases, stack):
-                scaled = make_operator_pair(w * pair.S, w**2 * pair.P)
-                assert np.max(np.abs(got - rho_pencil(scaled))) <= 1e-13
+                assert np.max(np.abs(got - rho_oracle(w * pair.S, w**2 * pair.P))) <= 1e-13
 
 
 class TestCheckGammaContraction:
@@ -144,7 +122,7 @@ class TestCheckGammaContraction:
             assert w.alpha in swept
             if dim == 3:
                 assert len(swept) <= DEFAULT_TOL.grid_angular // 4
-            rho = rho_pencil(make_operator_pair(w.alpha * pair.S, w.alpha**2 * pair.P))
+            rho = rho_oracle(w.alpha * pair.S, w.alpha**2 * pair.P)
             quad = np.vdot(w.vector, rho @ w.vector)
             assert abs(quad - w.lambda_min) <= 1e-12
 
@@ -173,13 +151,13 @@ class TestCheckGammaContraction:
             assert pair.p_norm <= 1 + 1e-9
 
     def test_defect_identity(self):
-        # 4 D_P^2 = rho(-S, P) + rho(S, P)
+        # 4 D_P^2 = rho(-S, P) + rho(S, P), the sweep's pencils at w = -1 and 1
         rng = rng_from_seed(36)
         for _ in range(20):
             pair = random_symmetrized_pair(rng, int(rng.integers(2, 6)))
-            neg = make_operator_pair(-pair.S, pair.P)
+            c, b = _defects(pair)
             lhs = 4 * (np.eye(pair.dim) - pair.P.conj().T @ pair.P)
-            rhs = rho_pencil(neg) + rho_pencil(pair)
+            rhs = circle_pencils(-b, np.array([-1.0, 1.0]), c).sum(axis=0)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(lhs))
 
     @pytest.mark.parametrize("s, p", [(2.0025 * np.exp(0.35j), np.exp(0.7j)), (3, 1)])
@@ -301,12 +279,20 @@ _SCALAR_PARTS = st.tuples(
 class TestCircleCriterion:
     @settings(max_examples=200, deadline=None)
     @given(_SCALAR_PARTS)
+    # (2, 1) lies on the distinguished boundary, margin 0; (1, 0.25) has
+    # margin 2 (1 - 0.0625) - 2 (1 - 0.25) = 0.375, reached only at w = 1
+    @example(parts=(2.0, 0.0, 1.0, 0.0))
+    @example(parts=(1.0, 0.0, 0.25, 0.0))
     def test_scalar_margin_is_the_closed_form(self, parts):
         s, p = _scalar(parts)
         w = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, COARSE.grid_angular, endpoint=False))
-        want = np.min(2 * (1 - abs(p) ** 2) - 2 * np.real(w * (s - s.conjugate() * p)))
-        got = check_gamma_contraction(_scalar_pair(s, p), COARSE).margin
-        assert abs(got - want) <= 1e-13 * (1 + abs(s)) * (1 + abs(p)) ** 2
+        closed = 2 * (1 - abs(p) ** 2) - 2 * np.real(w * (s - s.conjugate() * p))
+        verdict = check_gamma_contraction(_scalar_pair(s, p), COARSE)
+        allowance = 1e-13 * (1 + abs(s)) * (1 + abs(p)) ** 2
+        assert abs(verdict.margin - np.min(closed)) <= allowance
+        # the witness phase attains the margin
+        at = np.argmin(np.abs(w - verdict.witness.alpha))
+        assert abs(closed[at] - verdict.margin) <= allowance
 
     @settings(max_examples=300, deadline=None)
     @given(_SCALAR_PARTS)
@@ -561,40 +547,6 @@ class TestSymmetrizePair:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             symmetrize_pair(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
-class TestDesymmetrizePair:
-    def test_plus_minus_identity(self):
-        pair = make_operator_pair(np.zeros((2, 2)), -np.eye(2))
-        t1, t2 = desymmetrize_pair(pair)
-        assert np.allclose(t1, np.eye(2)) and np.allclose(t2, -np.eye(2))
-
-    def test_double_root_scalar(self):
-        t1, t2 = desymmetrize_pair(_scalar_pair(1, 0.25))
-        assert abs(t1[0, 0] - 0.5) <= 1e-12 and abs(t2[0, 0] - 0.5) <= 1e-12
-
-    def test_nilpotent_obstruction(self):
-        # S^2 - 4P is a nonzero nilpotent 2x2, which has no square root,
-        # although the pair itself is a member pair.
-        p = np.zeros((2, 2), complex)
-        p[0, 1] = -0.25
-        pair = make_operator_pair(np.zeros((2, 2)), p)
-        assert check_gamma_contraction(pair, COARSE).is_member
-        with pytest.raises(NoSquareRootError):
-            desymmetrize_pair(pair)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
-    def test_roundtrip_on_random_symmetrized_pairs(self, seed, dim):
-        pair = random_symmetrized_pair(rng_from_seed(seed), dim)
-        try:
-            t1, t2 = desymmetrize_pair(pair)
-        except (NoSquareRootError, NonCommutingRootError):
-            reject()
-        tol = DEFAULT_TOL.residual_tol
-        assert operator_norm(t1 @ t2 - t2 @ t1) <= tol * (1 + operator_norm(t1) * operator_norm(t2))
-        assert operator_norm(t1 + t2 - pair.S) <= tol * (1 + pair.s_norm)
-        assert operator_norm(t1 @ t2 - pair.P) <= tol * (1 + pair.p_norm)
 
 
 @functools.cache

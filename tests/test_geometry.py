@@ -10,33 +10,20 @@ from symbidisc.geometry import (
     RegionTag,
     classify_point,
     classify_points,
-    point_roots,
-    symmetrize_point,
 )
 from symbidisc.numerics import Tolerances
 
-from _oracles import DIAGONAL_EPS, exact_region_tag, root_region_tag
+from _oracles import DIAGONAL_EPS, exact_region_tag, point_roots, root_region_tag
 
 
-class TestSymmetrizePoint:
-    def test_basic(self):
-        pt = symmetrize_point(0.5, -0.5)
-        assert pt.s == 0 and pt.p == -0.25
-
-    def test_double(self):
-        pt = symmetrize_point(1, 1)
-        assert pt.s == 2 and pt.p == 1
-
-    def test_zero(self):
-        pt = symmetrize_point(0, 0)
-        assert pt.s == 0 and pt.p == 0
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            symmetrize_point(float("inf"), 0)
+def _symmetrized(z1, z2):
+    """The point pi(z1, z2) = (z1 + z2, z1 z2)."""
+    z1, z2 = complex(z1), complex(z2)
+    return GammaPoint(z1 + z2, z1 * z2)
 
 
 class TestPointRoots:
+    # the root oracle that root_region_tag is built on
     def test_inverse_of_symmetrization(self):
         assert point_roots(GammaPoint(0, -0.25)) == (0.5, -0.5)
 
@@ -56,7 +43,7 @@ class TestPointRoots:
         for _ in range(10000):
             z1 = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
             z2 = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-            r1, r2 = point_roots(symmetrize_point(z1, z2))
+            r1, r2 = point_roots(_symmetrized(z1, z2))
             direct = abs(r1 - z1) + abs(r2 - z2)
             swapped = abs(r1 - z2) + abs(r2 - z1)
             assert min(direct, swapped) <= 1e-10
@@ -67,7 +54,7 @@ class TestPointRoots:
             s = 2 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
             p = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
             z1, z2 = point_roots(GammaPoint(s, p))
-            back = symmetrize_point(z1, z2)
+            back = _symmetrized(z1, z2)
             scale = 1 + abs(s) + abs(p)
             assert abs(back.s - s) + abs(back.p - p) <= 1e-12 * scale
 
@@ -90,13 +77,13 @@ class TestClassifyPoint:
         for _ in range(10000):
             z1 = 0.999 * np.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             z2 = 0.999 * np.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            assert classify_point(symmetrize_point(z1, z2)) == RegionTag.INTERIOR_G
+            assert classify_point(_symmetrized(z1, z2)) == RegionTag.INTERIOR_G
 
     def test_torus_maps_to_distinguished_boundary(self):
         rng = np.random.default_rng(24)
         for _ in range(10000):
             t1, t2 = rng.uniform(0, 2 * np.pi, 2)
-            tag = classify_point(symmetrize_point(np.exp(1j * t1), np.exp(1j * t2)))
+            tag = classify_point(_symmetrized(np.exp(1j * t1), np.exp(1j * t2)))
             assert tag in (RegionTag.BGAMMA_NOT_BDGAMMA, RegionTag.BDGAMMA)
             gap = abs(np.exp(1j * t1) - np.exp(1j * t2))
             if gap > 1e-6:
@@ -107,7 +94,7 @@ class TestClassifyPoint:
         for _ in range(50):
             t = rng.uniform(0, 2 * np.pi)
             z = np.exp(1j * t)
-            assert classify_point(symmetrize_point(z, z)) == RegionTag.BDGAMMA
+            assert classify_point(_symmetrized(z, z)) == RegionTag.BDGAMMA
 
 
 BANDS = (1e-9, 1e-7)
@@ -314,20 +301,20 @@ class TestKernelProperties:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 1.0), _ANGLE, st.floats(0.0, 1.0), _ANGLE)
     def test_closed_bidisc_is_never_outside(self, r1, t1, r2, t2):
-        pt = symmetrize_point(_polar(r1, t1), _polar(r2, t2))
+        pt = _symmetrized(_polar(r1, t1), _polar(r2, t2))
         assert classify_point(pt) != RegionTag.OUTSIDE
 
     @settings(max_examples=300, deadline=None)
     @given(_ANGLE, _ANGLE)
     def test_torus_is_on_bgamma(self, t1, t2):
-        pt = symmetrize_point(_polar(1.0, t1), _polar(1.0, t2))
+        pt = _symmetrized(_polar(1.0, t1), _polar(1.0, t2))
         assert ON_BGAMMA[classify_points(pt.s, pt.p)]
 
     @settings(max_examples=300, deadline=None)
     @given(_ANGLE)
     def test_coincident_torus_pair_is_bdgamma(self, t):
         z = _polar(1.0, t)
-        assert classify_point(symmetrize_point(z, z)) == RegionTag.BDGAMMA
+        assert classify_point(_symmetrized(z, z)) == RegionTag.BDGAMMA
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -339,5 +326,5 @@ class TestKernelProperties:
         # d^2 - (1 - q^2)^2 = (|z1|^2 - 1)(1 - |z2|^2)|1 - conj(z1) z2|^2
         # puts g above 2e-8; with it at least 1, |p| exceeds 1 + 1e-6.
         # (Roots 1 +- 1e-6 on one ray lie within the band of bΓ instead.)
-        pt = symmetrize_point(_polar(r1, t1), _polar(r2, t2))
+        pt = _symmetrized(_polar(r1, t1), _polar(r2, t2))
         assert classify_point(pt) == RegionTag.OUTSIDE

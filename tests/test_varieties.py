@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from symbidisc.gamma_pairs import make_operator_pair
-from symbidisc.geometry import GammaPoint, RegionTag, classify_point, point_roots
+from symbidisc.geometry import GammaPoint, RegionTag, classify_point
 from symbidisc.numerics import Tolerances, numerical_radius
 from symbidisc import varieties
 from symbidisc.varieties import (
@@ -24,7 +24,7 @@ from symbidisc.varieties import (
 )
 from symbidisc.von_neumann import MatrixPolynomial, vn_report
 
-from _oracles import boundary_rows_oracle, poly_eval_oracle, symmetrize_exact_oracle
+from _oracles import boundary_rows_oracle, point_roots, poly_eval_oracle, symmetrize_exact_oracle
 
 
 def example_one_matrix():
