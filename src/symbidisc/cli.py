@@ -47,9 +47,11 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
-# Largest degree in s or in p of a polynomial document's term: it bounds
-# the (deg_s + 1) x (deg_p + 1) x k x k coefficient array before allocation.
+# Largest degree in s or in p of a polynomial document's term, and largest
+# (deg_s + 1)(deg_p + 1) k^2 entry count of its coefficient array, checked
+# before allocation.  Every degree under the cap fits with k <= 2.
 _MAX_DEGREE = 1024
+_MAX_COEFF_ENTRIES = (_MAX_DEGREE + 1) ** 2 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +115,9 @@ def write_matrix_file(path: str, m: np.ndarray) -> None:
 def poly_from_doc(doc: dict) -> MatrixPolynomial:
     """Polynomial document: {"block_dim": k, "terms": [{"i", "j", "matrix"}]}.
 
-    Degrees above ``_MAX_DEGREE`` raise ``ValueError`` before the
-    coefficient array is allocated.
+    Degrees above ``_MAX_DEGREE``, and coefficient arrays of more than
+    ``_MAX_COEFF_ENTRIES`` entries, raise ``ValueError`` before the array
+    is allocated.
     """
     try:
         k = _integer(doc["block_dim"], "block_dim")
@@ -140,6 +143,11 @@ def poly_from_doc(doc: dict) -> MatrixPolynomial:
             raise ValueError(f"term matrix shape {m.shape} does not match block_dim")
     deg_s = max(i for i, _, _ in parsed)
     deg_p = max(j for _, j, _ in parsed)
+    entries = (deg_s + 1) * (deg_p + 1) * k * k
+    if entries > _MAX_COEFF_ENTRIES:
+        raise ValueError(
+            f"coefficient array of {entries} entries exceeds the cap {_MAX_COEFF_ENTRIES}"
+        )
     coeffs = np.zeros((deg_s + 1, deg_p + 1, k, k), dtype=complex)
     for i, j, m in parsed:
         coeffs[i, j] += m

@@ -66,8 +66,9 @@ class DeterminantalVariety:
     It takes ownership of A, makes it read-only and compares by identity.
     ``nr``, the numerical radius of A, is solved on first read and kept,
     and so are the points over the last grid of unimodular p solved, as
-    ``p`` and its fibers angles-last, which a nested grid reads or extends
-    (see ``_boundary``, which keeps them as ``_grid``).
+    ``p`` and its fibers angles-last, which the same grid reads and a
+    finer nested grid extends (see ``_boundary``, which keeps them as
+    ``_grid``).
     """
 
     A: np.ndarray
@@ -105,10 +106,9 @@ class DeterminantalVariety:
         ``phase_grid(h * 2**j)[::2**j]`` equals ``phase_grid(h)`` bit for
         bit, and each angle's pencil and eigensolve do not depend on the
         other angles solved with it.  So a held grid at m is returned as it
-        is, a held grid at m 2^j is sliced, and a held grid at m / 2^j has
-        only its missing angles solved.  Other ratios (a factor of 3
-        does not nest by bytes) are solved whole.  The held arrays are
-        read-only.
+        is, and a held grid at m / 2^j has only its missing angles solved.
+        Any other m, coarser grids included, is solved whole and held in
+        its place.  The held arrays are read-only.
         """
         n, m = self.dim, sample_count(m)
         grid = self.__dict__.get("_grid")  # read once: a new solve replaces it whole
@@ -117,9 +117,6 @@ class DeterminantalVariety:
             h = p.size
             if h == m:
                 return grid
-            if h % m == 0 and _is_power_of_two(h // m):
-                step = h // m
-                return np.ascontiguousarray(p[::step]), np.ascontiguousarray(s[:, ::step])
             if m % h == 0 and _is_power_of_two(m // h):
                 step = m // h
                 thetas = phase_grid(m)

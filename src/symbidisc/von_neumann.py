@@ -79,13 +79,10 @@ class MatrixPolynomial:
 
 def evaluate_pair(f: MatrixPolynomial, pair: OperatorPair) -> np.ndarray:
     """Operator value sum of C[i, j] (tensor) S^i P^j as a block matrix."""
-    ds, dp = f.degrees
     n = pair.dim
     k = f.block_dim
-    ii, jj = np.nonzero(f.coeffs.reshape(ds + 1, dp + 1, -1).any(axis=2))
-    if ii.size == 0:
-        return np.zeros((k * n, k * n), dtype=complex)
-    terms = _pair_monomials(pair, ds, dp)[ii, jj]
+    ii, jj = np.nonzero(f.coeffs.any(axis=(2, 3)))
+    terms = _pair_monomials(pair, tuple(zip(ii.tolist(), jj.tolist())))
     # Kronecker products summed at once: out[a n + x, b n + y] = C[a, b] T[x, y]
     return np.einsum("tab,txy->axby", f.coeffs[ii, jj], terms).reshape(k * n, k * n)
 
@@ -132,20 +129,25 @@ def _pair_variety(pair: OperatorPair, tol: Tolerances) -> DeterminantalVariety:
 # One entry, for the same reason: each polynomial of a run on one pair reads
 # the same products S^i P^j.
 @functools.lru_cache(maxsize=1)
-def _pair_monomials(pair: OperatorPair, ds: int, dp: int) -> np.ndarray:
-    """S^i P^j for i <= ds and j <= dp, shape (ds + 1, dp + 1, n, n), read-only.
+def _pair_monomials(pair: OperatorPair, support: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """S^i P^j for each (i, j) of ``support``, shape (len(support), n, n),
+    read-only.
 
     One batched matmul forms every product by the same BLAS call as
     ``s_pows[i] @ p_pows[j]``, so each one is bit for bit that product.
+    Only the products a polynomial reads are held, so a one-term s^100 p^100
+    holds one matrix, not 101^2.
     """
     n = pair.dim
+    ii = [i for i, _ in support]
+    jj = [j for _, j in support]
     s_pows = [np.eye(n, dtype=complex)]
-    for _ in range(ds):
+    for _ in range(max(ii, default=0)):
         s_pows.append(s_pows[-1] @ pair.S)
     p_pows = [np.eye(n, dtype=complex)]
-    for _ in range(dp):
+    for _ in range(max(jj, default=0)):
         p_pows.append(p_pows[-1] @ pair.P)
-    stack = np.array(s_pows)[:, None] @ np.array(p_pows)
+    stack = np.array(s_pows)[ii] @ np.array(p_pows)[jj]
     stack.flags.writeable = False
     return stack
 
@@ -180,31 +182,19 @@ def _eval_grid(f: MatrixPolynomial, p_pows: np.ndarray, s: np.ndarray) -> np.nda
 
 
 def _sigma_sq_2x2(a: np.ndarray) -> np.ndarray:
-    """sigma_max^2 of 2x2 blocks, entries first, unscaled (see ``_norms_2x2``)."""
+    """sigma_max^2 of 2x2 blocks, entries first: a[i, j, ...].
+
+    sigma_max^2 = (||A||_F^2 + sqrt(||A||_F^4 - 4 |det A|^2)) / 2, with the
+    discriminant written as (x - y)^2 + 4 |z|^2 over the entries x, z, y of
+    A A*, a sum of nonnegative terms.  Unscaled: squares of entries near
+    1e+-154 and beyond overflow or underflow, which ``_boundary_max``
+    detects at the winner.
+    """
     sq = a.real**2 + a.imag**2
     x = sq[0, 0] + sq[0, 1]
     y = sq[1, 0] + sq[1, 1]
     z = a[0, 0] * np.conj(a[1, 0]) + a[0, 1] * np.conj(a[1, 1])
     return 0.5 * (x + y + np.hypot(x - y, 2.0 * np.abs(z)))
-
-
-def _norms_2x2(a: np.ndarray) -> np.ndarray:
-    """Largest singular values of 2x2 blocks, entries first: a[i, j, ...].
-
-    sigma_max^2 = (||A||_F^2 + sqrt(||A||_F^4 - 4 |det A|^2)) / 2, with the
-    discriminant written as (x - y)^2 + 4 |z|^2 over the entries x, z, y of
-    A A*, a sum of nonnegative terms.  Blocks whose squared entries may
-    leave the double range are scaled by their largest entry first, so
-    values near 1e+-200 neither overflow nor underflow.
-    """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        norms = np.sqrt(_sigma_sq_2x2(a))
-    off = ~((norms >= 1e-150) & (norms <= 1e150))
-    if off.any():
-        sub = a[:, :, off]
-        scale = np.abs(sub).max(axis=(0, 1))
-        norms[off] = scale * np.sqrt(_sigma_sq_2x2(sub / np.where(scale > 0, scale, 1.0)))
-    return norms
 
 
 def _boundary_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
@@ -213,19 +203,17 @@ def _boundary_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
     2x2 blocks are ranked by sigma_max^2, and the square root is taken at
     the winner alone.  A winner whose square is not finite or lies outside
     [1e-290, 1e290] may have lost its rank to overflow or underflow, so
-    then every block is ranked by the scaled ``_norms_2x2``.
+    then every block goes to the batched SVD, as other block sizes do.
     """
     p, s = variety._boundary(m)
     vals = _eval_grid(f, _grid_powers(variety, m, f.degrees[1]), s)
     if f.block_dim == 2:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            norms = _sigma_sq_2x2(vals)
-        t, j = _grid_argmax(norms)
-        if 1e-290 <= norms[j, t] <= 1e290:
-            return math.sqrt(norms[j, t]), GammaPoint(complex(s[j, t]), complex(p[t]))
-        norms = _norms_2x2(vals)
-    else:
-        norms = np.linalg.svd(np.moveaxis(vals, (0, 1), (2, 3)), compute_uv=False)[..., 0]
+            sq = _sigma_sq_2x2(vals)
+        t, j = _grid_argmax(sq)
+        if 1e-290 <= sq[j, t] <= 1e290:
+            return math.sqrt(sq[j, t]), GammaPoint(complex(s[j, t]), complex(p[t]))
+    norms = np.linalg.svd(np.moveaxis(vals, (0, 1), (2, 3)), compute_uv=False)[..., 0]
     t, j = _grid_argmax(norms)
     return float(norms[j, t]), GammaPoint(complex(s[j, t]), complex(p[t]))
 
@@ -252,9 +240,10 @@ def vn_report(
     F and the variety depend only on the pair and ``tol``; the most recent
     pair's variety is kept and reused while consecutive calls pass the same
     pair object and ``tol``, and it holds the last boundary grid it solved,
-    which a nested ``m`` reads or extends.  The products S^i P^j and the
-    powers of p over the grid are kept the same way, so each further
-    polynomial on that pair pays only for its own coefficients.
+    which the same ``m`` reads and a doubled ``m`` extends.  The products
+    S^i P^j at the polynomial's nonzero terms (i, j) and the powers of p
+    over the grid are kept the same way, so each further polynomial of the
+    same support on that pair pays only for its own coefficients.
     """
     cur_m = sample_count(m)
     variety = _pair_variety(pair, tol)

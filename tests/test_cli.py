@@ -156,6 +156,8 @@ def test_tolerance_defaults_are_default_tol(argv):
 
 _GOOD = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
 _POLY = {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": _GOOD}]}
+_EYE100 = {"rows": 100, "cols": 100,
+           "data": [[float(a == b), 0.0] for a in range(100) for b in range(100)]}
 
 
 @pytest.mark.parametrize(
@@ -182,6 +184,9 @@ _POLY = {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": _GOOD}]}
         (_GOOD, {"block_dim": 1, "terms": [{"i": 1025, "j": 0, "matrix": _GOOD}]}, 2),
         # raised before allocating: degree 1e10 asked for a 149 GiB array
         (_GOOD, {"block_dim": 1, "terms": [{"i": 10**10, "j": 0, "matrix": _GOOD}]}, 2),
+        # raised before allocating: a 100 x 100 block at the degree cap asked
+        # for a 168 GB array
+        (_GOOD, {"block_dim": 100, "terms": [{"i": 1024, "j": 1024, "matrix": _EYE100}]}, 2),
         # JSON true is not the integer 1: it read as one row, column or degree
         ({"rows": True, "cols": True, "data": [[0.5, 0.0]]}, _POLY, 2),
         ({"rows": 1, "cols": True, "data": [[0.5, 0.0]]}, _POLY, 2),
@@ -203,11 +208,20 @@ _POLY = {"block_dim": 1, "terms": [{"i": 1, "j": 0, "matrix": _GOOD}]}
          "negative-degree", "no-block-dim", "zero-block-dim", "no-terms",
          "term-shape-mismatch", "fractional-rows", "fractional-cols",
          "fractional-block-dim", "fractional-i", "fractional-j", "degree-at-cap",
-         "degree-above-cap", "huge-degree", "true-rows", "true-cols", "true-block-dim",
-         "true-i", "true-j", "string-entry", "underscore-string-entry", "true-entry",
-         "huge-integer-entry", "term-string-entry", "term-true-entry"],
+         "degree-above-cap", "huge-degree", "huge-block", "true-rows", "true-cols",
+         "true-block-dim", "true-i", "true-j", "string-entry", "underscore-string-entry",
+         "true-entry", "huge-integer-entry", "term-string-entry", "term-true-entry"],
 )
-def test_json_document_exit_code(tmp_path, capsys, matrix, poly, code):
+def test_json_document_exit_code(tmp_path, capsys, monkeypatch, matrix, poly, code):
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        # an oversized document must be refused, not allocated
+        if np.prod(shape, dtype=float) > 2**24:
+            raise MemoryError(f"np.zeros{shape} in a test")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)
     (tmp_path / "S.json").write_text(json.dumps(matrix))
     (tmp_path / "f.json").write_text(json.dumps(poly))
     p = _write(tmp_path / "P.json", [[0.0]])
@@ -319,13 +333,13 @@ class TestVarietyCommand:
         assert rep.read_bytes() == (data / "variety_report.json").read_bytes()
         assert out_csv.read_bytes() == (data / "variety_boundary.csv").read_bytes()
 
-    def test_sample_reads_the_verdict_grid(self, tmp_path, fiber_solves):
+    def test_coarser_sample_solves_its_own_grid(self, tmp_path, fiber_solves):
         data = Path(__file__).parent / "data"
         code = main(["variety", str(data / "variety_A.json"), "--angles", "256",
                      "--sample", "64", "--csv", str(tmp_path / "b.csv"),
                      "--out", str(tmp_path / "report.json")])
         assert code == 0
-        assert sum(fiber_solves) == 256
+        assert sum(fiber_solves) == 256 + 64
 
 
 class TestVnCommand:

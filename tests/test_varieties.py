@@ -351,9 +351,9 @@ class TestHeldGrid:
     def test_held_path_equals_a_fresh_solve(self, dim, m):
         a = _held_grid_matrix(dim)
         want = _grid_bytes(DeterminantalVariety.from_matrix(a), m)
-        # held at m 2^j is sliced, held at m / 2^j is extended and held at
-        # 3 m does not nest; m = 2 after m = 1 on 1 x 1 solves one angle,
-        # the unit-dimension product
+        # held at m 2^j and at 3 m is solved fresh, held at m / 2^j is
+        # extended; m = 2 after m = 1 on 1 x 1 solves one angle, the
+        # unit-dimension product
         helds = [m * 2, m * 4, m * 16, m * 3] + [m // d for d in (2, 4) if m % d == 0]
         for held in helds:
             v = DeterminantalVariety.from_matrix(a)
@@ -362,7 +362,8 @@ class TestHeldGrid:
             assert _grid_bytes(v, m) == want, held  # and again from the new hold
 
     @pytest.mark.parametrize("dim", range(1, 7))
-    @pytest.mark.parametrize("held, m", [(256, 100), (100, 300)])
+    # a coarser grid nests by bytes, but only a finer one extends the held grid
+    @pytest.mark.parametrize("held, m", [(256, 100), (100, 300), (512, 64)])
     def test_non_nesting_request_is_solved_fresh(self, dim, held, m, fiber_solves):
         a = _held_grid_matrix(dim)
         want = _grid_bytes(DeterminantalVariety.from_matrix(a), m)
@@ -377,9 +378,6 @@ class TestHeldGrid:
         v = DeterminantalVariety.from_matrix(_held_grid_matrix(dim))
         classify_distinguished(v, m=256)
         boundary_rows(v, 512)
-        assert sum(fiber_solves) == 512
-        boundary_sample(v, 64)
-        classify_distinguished(v, m=128)
         assert sum(fiber_solves) == 512
 
     def test_held_fibers_are_read_only(self):
