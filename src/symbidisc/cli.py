@@ -329,7 +329,6 @@ def _cmd_variety(args, tol: Tolerances) -> tuple[dict, int]:
         if verdict.witness
         else None,
         "s_margin": verdict.s_margin,
-        "track_gap": verdict.track_gap,
     }
     return report, EXIT_OK
 

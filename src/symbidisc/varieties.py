@@ -54,11 +54,6 @@ __all__ = [
     "symmetrize_bidisc_variety",
 ]
 
-# Radius of the exit fiber p = r e^{i theta} tracked against the limit
-# fiber at |p| = 1.
-_EXIT_RADIUS = 1.0 - 1e-14
-
-
 @dataclass(frozen=True, eq=False)
 class DeterminantalVariety:
     """Matrix representation of {(s, p) : det(A + p A* - s I) = 0}.
@@ -150,7 +145,6 @@ class DistinguishedVerdict:
     criterion: str
     witness: Optional[GammaPoint] = None
     s_margin: Optional[float] = None
-    track_gap: Optional[float] = None
 
 
 class BoundaryRow(NamedTuple):
@@ -258,14 +252,19 @@ def classify_distinguished(
     DISTINGUISHED_EMPIRICAL when every sampled closure point lies on the
     distinguished boundary, INCONCLUSIVE (never a certificate) otherwise,
     witnessed by the first point off it in angle-major order.
-    ``track_gap`` reports how far the limit fiber lies from the fiber at
-    the single radius p = (1 - 1e-14) e^{i theta}: the worst over angles
-    of the distance from a limit eigenvalue to that fiber.
+
+    No fiber over |p| = r < 1 is solved: the limit fiber fixes it in
+    advance, up to rounding.  At |p| = 1, A + p A* is e^{i theta/2} times a
+    Hermitian matrix, hence normal, and A + r p A* differs from it by E
+    with ||E||_2 = (1 - r) ||A||_2.  By Bauer-Fike (Numer. Math. 1960)
+    every eigenvalue of A + t E, 0 <= t <= 1, lies in the union of the n
+    discs of radius ||E||_2 about the limit fiber, and by continuity in t
+    each connected union of k such discs holds k of them.  So every limit
+    point lies within (2n - 1)(1 - r) ||A||_2 of the fiber at radius r,
+    about 1e-13 ||A||_2 at r = 1 - 1e-14, far inside the tag band.
     """
     m = sample_count(m)
-    a = variety.A
-    n = variety.dim
-    if n == 0:
+    if variety.dim == 0:
         return DistinguishedVerdict(
             DistinguishedStatus.DISTINGUISHED_CERTIFIED, "empty representation"
         )
@@ -277,7 +276,7 @@ def classify_distinguished(
             "numerical radius below one",
             s_margin=s_margin,
         )
-    eigs = np.linalg.eigvals(a)
+    eigs = np.linalg.eigvals(variety.A)
     uni = np.abs(np.abs(eigs) - 1.0) <= tol.psd_tol
     if np.any(uni):
         alpha = complex(eigs[int(np.argmax(uni))])
@@ -289,8 +288,6 @@ def classify_distinguished(
 
     phases, s = variety._boundary(m)
     limit = s.T
-    fiber = np.linalg.eigvals(a + (_EXIT_RADIUS * phases)[:, None, None] * a.conj().T)
-    track_gap = float(np.abs(limit[:, :, None] - fiber[:, None, :]).min(axis=2).max())
     off = ~ON_BGAMMA[classify_points(limit, phases[:, None], tol)]
     if off.any():
         k, j = np.unravel_index(int(np.argmax(off)), off.shape)
@@ -298,7 +295,6 @@ def classify_distinguished(
             DistinguishedStatus.INCONCLUSIVE,
             "sampled closure point off the distinguished boundary",
             witness=GammaPoint(complex(limit[k, j]), complex(phases[k])),
-            track_gap=track_gap,
         )
     # hypot, not np.abs: it rounds as abs() on a Python complex does
     s_max = float(np.max(np.hypot(limit.real, limit.imag)))
@@ -306,7 +302,6 @@ def classify_distinguished(
         DistinguishedStatus.DISTINGUISHED_EMPIRICAL,
         f"all sampled closure points at {m} angles on the distinguished boundary",
         s_margin=2.0 - s_max,
-        track_gap=track_gap,
     )
 
 

@@ -11,7 +11,9 @@ call that replaced it.  The full-grid membership sweep is the library's
 sweep as it was before it skipped phases, the reference for the
 refined one.  The matrix-polynomial evaluation on a pair is the library's
 as it was when each call built its own products S^i P^j, the reference
-for the held ones.
+for the held ones.  The exit-fiber gap is the diagnostic that
+``classify_distinguished`` once solved on every radius-one variety, kept
+to test the bound that made it redundant.
 """
 
 import cmath
@@ -350,3 +352,15 @@ def boundary_rows_oracle(variety, m, tol=DEFAULT_TOL):
         for t, row, p, row_codes in zip(thetas, svals.tolist(), plist, codes)
         for s, c in zip(row, row_codes)
     ]
+
+
+def exit_fiber_gap(variety, m, radius):
+    """The worst over the m held angles of the distance from a limit
+    eigenvalue over p = e^{i theta} to the fiber over p = radius e^{i theta},
+    by general eigensolves: ``classify_distinguished``'s old ``track_gap``,
+    kept verbatim."""
+    a = variety.A
+    phases, s = variety._boundary(m)
+    limit = s.T
+    fiber = np.linalg.eigvals(a + (radius * phases)[:, None, None] * a.conj().T)
+    return float(np.abs(limit[:, :, None] - fiber[:, None, :]).min(axis=2).max())

@@ -7,8 +7,7 @@ import pytest
 
 from symbidisc.gamma_pairs import make_operator_pair
 from symbidisc.geometry import GammaPoint, RegionTag, classify_point
-from symbidisc.numerics import Tolerances, numerical_radius
-from symbidisc import varieties
+from symbidisc.numerics import Tolerances, numerical_radius, operator_norm
 from symbidisc.varieties import (
     BivarPolynomial,
     BoundaryRow,
@@ -24,7 +23,16 @@ from symbidisc.varieties import (
 )
 from symbidisc.von_neumann import MatrixPolynomial, vn_report
 
-from _oracles import boundary_rows_oracle, point_roots, poly_eval_oracle, symmetrize_exact_oracle
+from _corpus import nilpotent_matrix
+from _oracles import (
+    boundary_rows_oracle,
+    exit_fiber_gap,
+    point_roots,
+    poly_eval_oracle,
+    symmetrize_exact_oracle,
+)
+
+EPS = np.finfo(float).eps
 
 
 def example_one_matrix():
@@ -178,7 +186,6 @@ class TestClassifyDistinguished:
             DeterminantalVariety.from_matrix(example_one_matrix())
         )
         assert verdict.status == DistinguishedStatus.DISTINGUISHED_EMPIRICAL
-        assert verdict.track_gap <= 1e-6
 
     def test_oversized_radius_inconclusive(self):
         a = np.zeros((2, 2), complex)
@@ -398,8 +405,34 @@ def test_boundary_rows_match_the_row_by_row_oracle(dim, m):
     assert all(type(r) is BoundaryRow for r in got)
 
 
-def test_exit_radius_is_the_last_radius_of_the_old_ladder():
-    assert varieties._EXIT_RADIUS == 1.0 - np.logspace(-6.0, -14.0, 64)[-1]
+# The radius of the exit fiber that classify_distinguished once solved.
+_EXIT_RADIUS = 1.0 - 1e-14
+
+
+def _omega_one(seed, n):
+    a = _rand(np.random.default_rng(seed), n)
+    return a / numerical_radius(a)
+
+
+EXIT_GAP_CASES = (
+    [("example_one", example_one_matrix())]
+    + [(f"nilpotent-{k}", nilpotent_matrix(k)) for k in range(2, 7)]
+    + [(f"omega_one-{n}-{seed}", _omega_one(seed, n)) for n in range(2, 7) for seed in range(4)]
+    + [("inconclusive", np.array([[0, 3], [0, 0]], dtype=complex))]
+)
+
+
+@pytest.mark.parametrize("radius", [_EXIT_RADIUS, 1.0 - 1e-10, 1.0 - 1e-6])
+@pytest.mark.parametrize("a", [a for _, a in EXIT_GAP_CASES], ids=[name for name, _ in EXIT_GAP_CASES])
+def test_exit_fiber_gap_within_the_bauer_fike_bound(a, radius):
+    # A + p A* is normal at |p| = 1 and moves by (1 - r) ||A||_2 at |p| = r,
+    # so no limit point lies farther than (2n - 1)(1 - r) ||A||_2 from the
+    # fiber at radius r (classify_distinguished's docstring); the allowance
+    # covers the two eigensolves and forming the pencils
+    v = DeterminantalVariety.from_matrix(a)
+    n, norm = v.dim, operator_norm(v.A)
+    allowance = 64 * n * EPS * (1.0 + norm)
+    assert exit_fiber_gap(v, 256, radius) <= (2 * n - 1) * (1.0 - radius) * norm + allowance
 
 
 def _cx(pair):
@@ -423,7 +456,6 @@ def test_golden_outputs(rec):
     assert d.status.value == rec["status"]
     assert d.criterion == rec["criterion"]
     assert d.s_margin == rec["s_margin"]
-    assert d.track_gap == rec["track_gap"]
     want_witness = rec["witness"] and GammaPoint(_cx(rec["witness"][0]), _cx(rec["witness"][1]))
     assert d.witness == want_witness
     got_rows = [(r.theta, r.s, r.p, r.tag.value) for r in boundary_rows(v, 16)]
