@@ -92,6 +92,13 @@ class DefectData:
     (eigenvalues of I - P*P above ``rank_tol``), ``kernel`` the remaining
     eigenvectors, and ``eigenvalues`` are all eigenvalues of I - P*P,
     ascending and clamped at 0, so the kept ones are the last ``rank``.
+
+    ``unitary`` is an orthonormal basis of the unitary part of P (n x 0
+    when P is pure): the common null space of U* P^k, U = ``basis``, inside
+    the span K of ``kernel`` under the same cut, sum_k ||U* P^k x||^2 <=
+    ``rank_tol`` ||x||^2.  P is isometric, so in finite dimension unitary,
+    on this invariant subspace, which reduces P; k <= dim K suffices, as the
+    null spaces shrink until two agree and stay fixed after.
     """
 
     D: np.ndarray
@@ -99,6 +106,7 @@ class DefectData:
     rank: int
     eigenvalues: np.ndarray
     kernel: np.ndarray
+    unitary: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,7 @@ def make_operator_pair(s, p, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
 
 
 def defect_operator(p, tol: Tolerances = DEFAULT_TOL) -> DefectData:
-    """Defect operator of a contraction by clamped Hermitian eigendecomposition."""
+    """Defect operator and split of a contraction (see ``DefectData``)."""
     p = require_square(as_matrix(p), "P")
     if operator_norm(p) > 1.0 + tol.psd_tol:
         raise ValueError("P is not a contraction within tolerance")
@@ -140,34 +148,27 @@ def defect_operator(p, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     lam, u = np.linalg.eigh(g) if n else (np.zeros(0), np.zeros((0, 0)))
     lam = np.clip(lam, 0.0, None)
     d = (u * np.sqrt(lam)) @ u.conj().T
-    keep = lam > tol.rank_tol
-    return DefectData(d, u[:, keep], int(np.count_nonzero(keep)), lam, u[:, ~keep])
-
-
-def _unitary_part(p: np.ndarray, dd: DefectData, tol: Tolerances) -> np.ndarray:
-    """Orthonormal basis of the unitary part of the contraction P.
-
-    It is the common null space of U* P^k, U = ``dd.basis``, taken inside
-    the span K of ``dd.kernel`` (so no direction also lies in the defect
-    space) with the same cut: sum_k ||U* P^k x||^2 <= ``rank_tol``
-    ||x||^2.  P is isometric on this invariant subspace, so in finite
-    dimension unitary there, and the subspace reduces P.  The null spaces
-    shrink until two agree and stay fixed after, so k <= dim K suffices.
-    """
-    k = dd.kernel
-    rows = dd.basis.conj().T @ p
-    gram = np.zeros((k.shape[1],) * 2, dtype=complex)
-    for _ in range(k.shape[1]):
-        block = rows @ k
-        gram += block.conj().T @ block
-        rows = rows @ p
-    lam, y = np.linalg.eigh(gram)
-    return k @ y[:, lam <= tol.rank_tol]
+    basis, kernel = u[:, lam > tol.rank_tol], u[:, lam <= tol.rank_tol]
+    unitary = np.zeros((n, 0), dtype=complex)
+    if kernel.shape[1]:
+        rows = basis.conj().T @ p
+        gram = np.zeros((kernel.shape[1],) * 2, dtype=complex)
+        for _ in range(kernel.shape[1]):
+            block = rows @ kernel
+            gram += block.conj().T @ block
+            rows = rows @ p
+        mu, y = np.linalg.eigh(gram)
+        unitary = kernel @ y[:, mu <= tol.rank_tol]
+    return DefectData(d, basis, basis.shape[1], lam, kernel, unitary)
 
 
 def _defects(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray]:
     """I - P*P and S - S*P: rho(w S, w^2 P) is Y + Y* with Y = (I - P*P) - w (S - S*P)."""
-    return np.eye(pair.dim) - pair.P.conj().T @ pair.P, pair.S - pair.S.conj().T @ pair.P
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, b = np.eye(pair.dim) - pair.P.conj().T @ pair.P, pair.S - pair.S.conj().T @ pair.P
+    if not (np.isfinite(c).all() and np.isfinite(b).all()):
+        raise ValueError("I - P*P or S - S*P overflows: no verdict on the pair holds")
+    return c, b
 
 
 def check_gamma_contraction(
@@ -262,8 +263,8 @@ def check_gamma_isometry(
     and r(S) <= 2.  Accepts iff ||S - S*P|| <= ``psd_tol``,
     r(S) <= 2 + ``psd_tol``, ||P|| <= 1 + ``psd_tol`` and
     ``defect_operator`` finds defect rank 0, so that the unitary part of
-    P is the whole space.  ``check_pure`` and ``lambda_variety`` read the
-    same ``rank_tol`` cut, so no pair is both isometric and pure.  The
+    P is the whole space.  ``check_pure`` and ``lambda_variety`` read that
+    split's ``unitary`` basis, so no pair is both isometric and pure.  The
     eigensolve of I - P*P runs only when the cheaper tests pass.  At a
     joint eigenvalue (s, p) with unit joint eigenvector x,
     s - conj(s) p = <x, (S - S*P) x>, so every joint eigenvalue of an
@@ -284,12 +285,9 @@ def check_gamma_isometry(
 
 
 def check_pure(p, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the unitary part of the contraction P is {0}, which in
-    finite dimension means P^n -> 0.  The unitary part is taken inside the
-    kernel of ``defect_operator``'s ``rank_tol`` cut, the split that
-    ``check_gamma_isometry`` and ``lambda_variety`` read as well."""
-    p = require_square(as_matrix(p), "P")
-    return _unitary_part(p, defect_operator(p, tol), tol).shape[1] == 0
+    """True iff the unitary part of the contraction P is {0}, which in finite
+    dimension means P^n -> 0: ``defect_operator(p).unitary`` has no column."""
+    return defect_operator(p, tol).unitary.shape[1] == 0
 
 
 def symmetrize_pair(t1, t2, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:

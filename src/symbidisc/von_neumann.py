@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundamental import solve_fundamental
-from .gamma_pairs import OperatorPair, _unitary_part
+from .gamma_pairs import OperatorPair
 from .geometry import GammaPoint
 from .numerics import DEFAULT_TOL, Tolerances, operator_norm, sample_count
 from .varieties import DeterminantalVariety
@@ -92,14 +92,14 @@ def lambda_variety(
 ) -> DeterminantalVariety:
     """Determinantal variety attached to a member pair.
 
-    F misses the unitary part of P, where the pair is Gamma-unitary: S_u
-    is normal, and at each joint eigenvalue (s0, p0), s0 = conj(s0) p0, so
-    the scalar s0 / 2 represents a line through (s0, p0).  The representing
-    matrix is A = F (+) S_u / 2, of numerical radius at most 1, solved only
-    if the variety's ``nr`` is read.
+    F misses the unitary part of P, where the pair is Gamma-unitary: S_u,
+    S compressed to ``fund.defect.unitary``, is normal, and at each joint
+    eigenvalue (s0, p0), s0 = conj(s0) p0, so the scalar s0 / 2 represents
+    a line through (s0, p0).  The representing matrix is A = F (+) S_u / 2,
+    of numerical radius at most 1, solved only if the variety's ``nr`` is read.
     """
     fund = solve_fundamental(pair, tol)
-    w = _unitary_part(pair.P, fund.defect, tol)
+    w = fund.defect.unitary
     r = fund.F.shape[0]
     a = np.zeros((r + w.shape[1],) * 2, dtype=complex)
     a[:r, :r] = fund.F

@@ -13,7 +13,10 @@ refined one.  The matrix-polynomial evaluation on a pair is the library's
 as it was when each call built its own products S^i P^j, the reference
 for the held ones.  The exit-fiber gap is the diagnostic that
 ``classify_distinguished`` once solved on every radius-one variety, kept
-to test the bound that made it redundant.
+to test the bound that made it redundant.  The unitary-part oracle is the
+function that once took the unitary part of P from a finished
+``defect_operator`` split, the reference for the basis that the split now
+holds itself.
 """
 
 import cmath
@@ -364,3 +367,24 @@ def exit_fiber_gap(variety, m, radius):
     limit = s.T
     fiber = np.linalg.eigvals(a + (radius * phases)[:, None, None] * a.conj().T)
     return float(np.abs(limit[:, :, None] - fiber[:, None, :]).min(axis=2).max())
+
+
+def unitary_part_oracle(p, dd, tol):
+    """Orthonormal basis of the unitary part of the contraction P.
+
+    It is the common null space of U* P^k, U = ``dd.basis``, taken inside
+    the span K of ``dd.kernel`` (so no direction also lies in the defect
+    space) with the same cut: sum_k ||U* P^k x||^2 <= ``rank_tol``
+    ||x||^2.  P is isometric on this invariant subspace, so in finite
+    dimension unitary there, and the subspace reduces P.  The null spaces
+    shrink until two agree and stay fixed after, so k <= dim K suffices.
+    """
+    k = dd.kernel
+    rows = dd.basis.conj().T @ p
+    gram = np.zeros((k.shape[1],) * 2, dtype=complex)
+    for _ in range(k.shape[1]):
+        block = rows @ k
+        gram += block.conj().T @ block
+        rows = rows @ p
+    lam, y = np.linalg.eigh(gram)
+    return k @ y[:, lam <= tol.rank_tol]

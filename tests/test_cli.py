@@ -102,6 +102,19 @@ class TestCheckCommand:
             main(["check", s, p, "--grid-radial", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("scale, code", [(1e200, 2), (1e150, 1)], ids=["overflow", "1e150"])
+    def test_large_pair_exit_code(self, tmp_path, capsys, scale, code):
+        # S = P = [[0, scale], [0, 0]]: at 1e200, P*P overflows, and check
+        # exits 2 with no report; at 1e150, P*P is finite, and the pair is
+        # refused with a report in strict JSON
+        m = _write(tmp_path / "M.json", [[0.0, scale], [0.0, 0.0]])
+        assert main(["check", m, m]) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and "overflows" in err
+        else:
+            assert _strict_json(out)["gamma_contraction"] is False
+
     def test_shape_mismatch_exits_two(self, tmp_path):
         s = _write(tmp_path / "S.json", np.zeros((2, 2)))
         p = _write(tmp_path / "P.json", [[0.0]])

@@ -13,6 +13,7 @@ from symbidisc.gamma_pairs import (
     check_gamma_contraction,
     check_gamma_isometry,
     check_pure,
+    defect_operator,
     make_operator_pair,
     symmetrize_pair,
 )
@@ -30,13 +31,19 @@ from symbidisc.generators import (
 from symbidisc.numerics import (
     DEFAULT_TOL,
     Tolerances,
+    as_matrix,
     circle_pencils,
     numerical_radius,
     operator_norm,
 )
 
-from _corpus import mixed_pair, near_unitary_pair
-from _oracles import membership_sweep_oracle, pencil_min_oracle, rho_oracle
+from _corpus import mixed_pair, near_unitary_pair, nilpotent_matrix
+from _oracles import (
+    membership_sweep_oracle,
+    pencil_min_oracle,
+    rho_oracle,
+    unitary_part_oracle,
+)
 
 # Coarse circle grid for bulk property tests; verdicts are grid verdicts
 # at any configured resolution.
@@ -487,6 +494,16 @@ class TestCheckGammaIsometry:
                 assert isometric
 
 
+@pytest.mark.parametrize("check", [check_gamma_contraction, check_gamma_isometry],
+                         ids=["contraction", "isometry"])
+def test_overflowing_products_raise(check):
+    # P*P holds 1e400: the sweep read -inf >= -inf as a pass, margin -inf,
+    # and the isometry margin NaN
+    big = np.array([[0.0, 1e200], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^I - P\*P or S - S\*P overflows"):
+        check(make_operator_pair(big, big))
+
+
 def test_make_operator_pair_rejects_empty():
     with pytest.raises(ValueError, match="positive dimension"):
         make_operator_pair(np.zeros((0, 0)), np.zeros((0, 0)))
@@ -518,6 +535,45 @@ class TestCheckPure:
     def test_rejects_expansive(self):
         with pytest.raises(ValueError):
             check_pure(np.array([[1.5]]))
+
+
+# The nilpotent corpus kind as the F of a three-block model: P is the block
+# backward shift, pure, with a kernel of I - P*P that the Gram has to clear.
+_SPLIT_KINDS = {
+    **_ISOMETRY_KINDS,
+    "nilpotent": lambda: (truncated_model_from_F(nilpotent_matrix(k), 3) for k in range(2, 7)),
+}
+
+
+class TestUnitaryPart:
+    @pytest.mark.parametrize("kind", list(_SPLIT_KINDS))
+    def test_equals_the_oracle(self, kind):
+        # bit for bit and shape for shape the basis that check_pure and
+        # lambda_variety once took from a second pass over the split
+        for pair in _SPLIT_KINDS[kind]():
+            for p in (pair.P, pair.P.conj().T):
+                dd = defect_operator(p)
+                want = unitary_part_oracle(as_matrix(p), dd, DEFAULT_TOL)
+                assert dd.unitary.shape == want.shape
+                assert np.array_equal(dd.unitary, want)
+
+    def test_empty_matrix_equals_the_oracle(self):
+        p = np.zeros((0, 0))
+        dd = defect_operator(p)
+        want = unitary_part_oracle(as_matrix(p), dd, DEFAULT_TOL)
+        assert dd.unitary.shape == want.shape == (0, 0)
+        assert np.array_equal(dd.unitary, want)
+
+    @pytest.mark.parametrize(
+        "kind", ["mixed", "nilpotent", "gamma_unitary", "symmetrized", "model", "strict"]
+    )
+    def test_adjoint_has_a_unitary_part_of_the_same_dimension(self, kind):
+        # in finite dimension the unitary part reduces P, so it is the
+        # unitary part of P* too; near_unitary is left out, as its defect
+        # 1 - (1 - delta)^4 sits in the band where the two Gram cuts may part
+        for pair in _SPLIT_KINDS[kind]():
+            dims = [defect_operator(p).unitary.shape[1] for p in (pair.P, pair.P.conj().T)]
+            assert dims[0] == dims[1]
 
 
 class TestSymmetrizePair:
