@@ -13,6 +13,7 @@ as the solution attached to an explicit finite pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,9 +89,30 @@ def solve_fundamental(
     solved here: the bound nr <= 1 + psd_tol is enforced and its
     violation raises ``FundamentalBoundError``.  Otherwise ``nr`` is
     solved on first read.
+
+    The solution is held per pair object and ``tol``, for the last two
+    pairs (a pair and the adjoint its dilation model solves), so a second
+    call returns the same object, with its ``nr`` if read; each call adds
+    only the bound check.  An error is not held, and raises again.  The
+    held solution goes stale if S or P is made writeable and changed in
+    place; a pickled or copied pair is a new key.
     """
+    fund = _held_fundamental(pair, tol)
+    if contraction_verified and fund.nr > 1.0 + tol.psd_tol:
+        raise FundamentalBoundError(
+            f"numerical radius {fund.nr:.12f} exceeds 1 on a verified member pair"
+        )
+    return fund
+
+
+@functools.lru_cache(maxsize=2)
+def _held_fundamental(pair: OperatorPair, tol: Tolerances) -> FundamentalOperator:
+    return _fundamental(pair, tol)
+
+
+def _fundamental(pair: OperatorPair, tol: Tolerances) -> FundamentalOperator:
     dd = defect_operator(pair.P, tol)
-    rhs = pair.S - pair.S.conj().T @ pair.P
+    rhs = pair.defects[1]
     w = dd.basis / np.sqrt(dd.eigenvalues[dd.eigenvalues.size - dd.rank :])
     f = w.conj().T @ rhs @ w
     recon = dd.D @ (dd.basis @ f @ dd.basis.conj().T) @ dd.D
@@ -101,12 +123,7 @@ def solve_fundamental(
             f"fundamental equation residual {residual:.3e} exceeds tolerance "
             f"at defect rank {dd.rank}"
         )
-    fund = FundamentalOperator(f, residual, dd)
-    if contraction_verified and fund.nr > 1.0 + tol.psd_tol:
-        raise FundamentalBoundError(
-            f"numerical radius {fund.nr:.12f} exceeds 1 on a verified member pair"
-        )
-    return fund
+    return FundamentalOperator(f, residual, dd)
 
 
 def truncated_model_from_F(

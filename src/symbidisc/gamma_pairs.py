@@ -18,12 +18,20 @@ verdict, margin and witness are those of a solve at every sampled phase,
 bit for bit, but ``check_gamma_contraction`` solves only the phases that
 a Weyl bound on the pencil's smallest eigenvalue cannot exclude from the
 grid minimum, and drops indices on which the pencil vanishes exactly.
+
+Each verdict on a pair reads what the others read, solved once: the pair
+holds C = I - P*P, B = S - S*P, r(S) and its adjoint pair for its
+lifetime (``OperatorPair``), and ``defect_operator`` holds the splits of
+the last two read-only matrices it was given, keyed by their identity and
+``tol``.  Held values go stale if S or P is made writeable and changed in
+place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -59,10 +67,28 @@ __all__ = [
 _COARSE_PHASES = 64
 
 
+def _defects(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray]:
+    """C = I - P*P and B = S - S*P, read-only: rho(w S, w^2 P) is Y + Y* with
+    Y = C - w B.  ``ValueError`` when either overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, b = np.eye(pair.dim) - pair.P.conj().T @ pair.P, pair.S - pair.S.conj().T @ pair.P
+    if not (np.isfinite(c).all() and np.isfinite(b).all()):
+        raise ValueError("I - P*P or S - S*P overflows: no verdict on the pair holds")
+    c.flags.writeable = b.flags.writeable = False
+    return c, b
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorPair:
     """A commuting pair (S, P) with cached commutator defect and norms; it
-    takes ownership of S and P, makes them read-only and compares by identity."""
+    takes ownership of S and P, makes them read-only and compares by identity.
+
+    What every verdict on the pair reads is solved on first read and held
+    by the pair: ``defects`` (C, B), ``s_radius`` r(S) and ``adjoint``
+    (S*, P*), whose S and P are read-only and own their data.  An error is
+    not held.  Pickle and copy carry none of them, and they go stale if S
+    or P is made writeable and changed in place.
+    """
 
     S: np.ndarray
     P: np.ndarray
@@ -75,12 +101,32 @@ class OperatorPair:
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, so the copy's
-        # arrays are read-only too, and the copy is a new object
+        # arrays are read-only too, the copy is a new object, and nothing
+        # held is carried over
         return type(self), (self.S, self.P, self.commutator_defect, self.s_norm, self.p_norm)
 
     @property
     def dim(self) -> int:
         return self.S.shape[0]
+
+    defects = cached_property(_defects)
+
+    @cached_property
+    def s_radius(self) -> float:
+        """r(S), the spectral radius of S."""
+        return spectral_radius(self.S)
+
+    @cached_property
+    def adjoint(self) -> OperatorPair:
+        """(S*, P*), with the same commutator defect and norms; S* and P* are
+        C-ordered arrays of their own."""
+        return OperatorPair(
+            np.ascontiguousarray(self.S.T).conj(),
+            np.ascontiguousarray(self.P.T).conj(),
+            self.commutator_defect,
+            self.s_norm,
+            self.p_norm,
+        )
 
 
 @dataclass(frozen=True)
@@ -107,6 +153,10 @@ class DefectData:
     eigenvalues: np.ndarray
     kernel: np.ndarray
     unitary: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.D, self.basis, self.eigenvalues, self.kernel, self.unitary):
+            a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -137,8 +187,35 @@ def make_operator_pair(s, p, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
     return OperatorPair(s.copy(), p.copy(), defect, ns, np_)
 
 
+# The last two splits of read-only matrices that own their data, newest
+# first, as (p, tol, split): a pair's P and its adjoint's.  The entry holds
+# p, so its identity is not reused while the split is held.
+_SPLITS: list[tuple[np.ndarray, Tolerances, DefectData]] = []
+
+
 def defect_operator(p, tol: Tolerances = DEFAULT_TOL) -> DefectData:
-    """Defect operator and split of a contraction (see ``DefectData``)."""
+    """Defect operator and split of a contraction (see ``DefectData``); its
+    arrays are read-only.
+
+    The split of a read-only ``p`` that owns its data, such as the P of an
+    ``OperatorPair`` or of its adjoint, is held, keyed by the identity of
+    ``p`` and by ``tol``, for the last two such matrices: ``check_pure``,
+    ``check_gamma_isometry``, ``solve_fundamental`` and ``build_model`` then
+    solve it once.  A held split goes stale if ``p`` is made writeable and
+    changed in place.  Any other ``p`` is split afresh; an error is not held.
+    """
+    held = isinstance(p, np.ndarray) and p.flags.owndata and not p.flags.writeable
+    if held:
+        for q, t, dd in _SPLITS:
+            if q is p and t == tol:
+                return dd
+    dd = _split(p, tol)
+    if held:
+        _SPLITS[:] = [(p, tol, dd), *_SPLITS[:1]]
+    return dd
+
+
+def _split(p, tol: Tolerances) -> DefectData:
     p = require_square(as_matrix(p), "P")
     if operator_norm(p) > 1.0 + tol.psd_tol:
         raise ValueError("P is not a contraction within tolerance")
@@ -160,15 +237,6 @@ def defect_operator(p, tol: Tolerances = DEFAULT_TOL) -> DefectData:
         mu, y = np.linalg.eigh(gram)
         unitary = kernel @ y[:, mu <= tol.rank_tol]
     return DefectData(d, basis, basis.shape[1], lam, kernel, unitary)
-
-
-def _defects(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray]:
-    """I - P*P and S - S*P: rho(w S, w^2 P) is Y + Y* with Y = (I - P*P) - w (S - S*P)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c, b = np.eye(pair.dim) - pair.P.conj().T @ pair.P, pair.S - pair.S.conj().T @ pair.P
-    if not (np.isfinite(c).all() and np.isfinite(b).all()):
-        raise ValueError("I - P*P or S - S*P overflows: no verdict on the pair holds")
-    return c, b
 
 
 def check_gamma_contraction(
@@ -209,7 +277,7 @@ def check_gamma_contraction(
     rule, nor fails the PSD test.  The witness is one ``eigh`` of the
     full pencil at its phase.
     """
-    c, b = _defects(pair)
+    c, b = pair.defects
     m = tol.grid_angular
     phases = np.exp(1j * phase_grid(m))
     live = np.flatnonzero(c.any(0) | c.any(1) | b.any(0) | b.any(1))
@@ -246,7 +314,7 @@ def check_gamma_contraction(
         solve(mids)
         solved = np.union1d(solved, mids)
     member = bool(np.all(lmin >= -tol.psd_tol * scale[solved])) and (
-        spectral_radius(pair.S) <= 2.0 + tol.psd_tol
+        pair.s_radius <= 2.0 + tol.psd_tol
     )
     k = int(solved[first])
     lam_k, vec = np.linalg.eigh(circle_pencils(-b, phases[k : k + 1], c)[0])
@@ -272,8 +340,8 @@ def check_gamma_isometry(
     The margin is minus the worst of ||I - P*P||, ||S - S*P|| and
     r(S) - 2.
     """
-    res_iso, res_sym = map(operator_norm, _defects(pair))
-    rs = spectral_radius(pair.S)
+    res_iso, res_sym = map(operator_norm, pair.defects)
+    rs = pair.s_radius
     worst = max(res_iso, res_sym, max(0.0, rs - 2.0))
     ok = (
         res_sym <= tol.psd_tol

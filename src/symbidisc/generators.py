@@ -126,10 +126,11 @@ def random_matrix_polynomial(
     max_total_degree: int = 3,
     block_dim: int = 2,
 ) -> MatrixPolynomial:
-    """Random matrix polynomial with total degree and block size capped."""
+    """Random matrix polynomial with total degree and block size capped; one
+    draw gives term (i, j) = (0, 0), (0, 1), ..., (d, 0) the next ``_ginibre``."""
     d = max_total_degree
     coeffs = np.zeros((d + 1, d + 1, block_dim, block_dim), dtype=complex)
-    for i in range(d + 1):
-        for j in range(d + 1 - i):
-            coeffs[i, j] = _ginibre(rng, block_dim, block_dim)
+    ii, jj = np.nonzero(np.add.outer(np.arange(d + 1), np.arange(d + 1)) <= d)
+    x = rng.standard_normal((ii.size, 2, block_dim, block_dim))
+    coeffs[ii, jj] = x[:, 0] + 1j * x[:, 1]
     return MatrixPolynomial.from_coeffs(coeffs)

@@ -98,14 +98,7 @@ def build_model(
         n = min(2 * n, _MAX_LEVEL)
         tail = _tail_norm(pair.P, n)
 
-    # (S*, P*) commutes with the same defect and norms as the validated pair
-    adjoint = OperatorPair(
-        np.ascontiguousarray(pair.S.conj().T),
-        np.ascontiguousarray(pair.P.conj().T),
-        pair.commutator_defect,
-        pair.s_norm,
-        pair.p_norm,
-    )
+    adjoint = pair.adjoint
     fund = solve_fundamental(adjoint, tol)
     bs = fund.defect.basis
     blocks = []

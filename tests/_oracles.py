@@ -16,7 +16,9 @@ for the held ones.  The exit-fiber gap is the diagnostic that
 to test the bound that made it redundant.  The unitary-part oracle is the
 function that once took the unitary part of P from a finished
 ``defect_operator`` split, the reference for the basis that the split now
-holds itself.
+holds itself.  The matrix-polynomial draw is ``random_matrix_polynomial``
+as it was when each term drew its own blocks, the reference for the one
+draw that replaced the loop.
 """
 
 import cmath
@@ -27,6 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from symbidisc.gamma_pairs import PairVerdict, PencilWitness, _defects
+from symbidisc.generators import _ginibre
 from symbidisc.geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points
 from symbidisc.numerics import (
     DEFAULT_TOL,
@@ -37,6 +40,7 @@ from symbidisc.numerics import (
     spectral_radius,
 )
 from symbidisc.varieties import BoundaryRow
+from symbidisc.von_neumann import MatrixPolynomial
 
 # The relative rounding allowance of the diagonal test in classify_points.
 DIAGONAL_EPS = 64 * np.finfo(float).eps
@@ -388,3 +392,13 @@ def unitary_part_oracle(p, dd, tol):
         rows = rows @ p
     lam, y = np.linalg.eigh(gram)
     return k @ y[:, lam <= tol.rank_tol]
+
+
+def matrix_polynomial_oracle(rng, max_total_degree=3, block_dim=2):
+    """``random_matrix_polynomial`` with one ``_ginibre`` draw per term."""
+    d = max_total_degree
+    coeffs = np.zeros((d + 1, d + 1, block_dim, block_dim), dtype=complex)
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            coeffs[i, j] = _ginibre(rng, block_dim, block_dim)
+    return MatrixPolynomial.from_coeffs(coeffs)

@@ -2,6 +2,8 @@ import sys
 
 import pytest
 
+import symbidisc.fundamental
+import symbidisc.gamma_pairs
 import symbidisc.numerics
 import symbidisc.varieties
 
@@ -21,6 +23,34 @@ def radius_solves(monkeypatch):
         if name.partition(".")[0] == "symbidisc" and getattr(module, "numerical_radius", None) is solve:
             monkeypatch.setattr(module, "numerical_radius", counting)
     return calls
+
+
+def _counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records its first argument."""
+    calls = []
+    solve = getattr(module, name)
+
+    def counting(x, *args):
+        calls.append(x)
+        return solve(x, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.fixture
+def split_solves(monkeypatch):
+    """List of the matrices P whose split ``defect_operator`` solves (one
+    eigensolve of I - P*P each) while the test runs; held splits are not
+    solved."""
+    return _counting(monkeypatch, symbidisc.gamma_pairs, "_split")
+
+
+@pytest.fixture
+def fundamental_solves(monkeypatch):
+    """List of the pairs whose fundamental equation ``solve_fundamental``
+    solves while the test runs; held solutions are not solved."""
+    return _counting(monkeypatch, symbidisc.fundamental, "_fundamental")
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,11 +240,20 @@ class TestRadiusOnRead:
         assert len(radius_solves) == 1
         assert repr(first) == repr(numerical_radius(fund.F))
 
-    def test_each_solve_starts_unsolved(self, radius_solves):
+    def test_a_second_solve_reads_the_held_radius(self, radius_solves, fundamental_solves):
+        # the same pair object and tol read the held F and its nr; a pickled
+        # copy of the pair is a new key and solves both again, bit for bit
         pair = random_symmetrized_pair(rng_from_seed(83), 2)
-        radii = [solve_fundamental(pair).nr for _ in range(2)]
-        assert len(radius_solves) == 2
-        assert radii[0] == radii[1]
+        fund = solve_fundamental(pair)
+        radius = fund.nr
+        assert solve_fundamental(pair) is fund
+        assert solve_fundamental(pair, contraction_verified=True) is fund
+        assert fund.nr is radius
+        assert len(radius_solves) == 1 and len(fundamental_solves) == 1
+        dup = solve_fundamental(pickle.loads(pickle.dumps(pair)))
+        assert dup is not fund
+        assert repr(dup.nr) == repr(radius) and dup.F.tobytes() == fund.F.tobytes()
+        assert len(radius_solves) == 2 and len(fundamental_solves) == 2
 
     def test_verified_pair_solves_it_for_the_bound(self, radius_solves):
         fund = solve_fundamental(_scalar_pair(1.0, 0.25), contraction_verified=True)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from symbidisc.fundamental import solve_fundamental, truncated_model_from_F
-from symbidisc.gamma_pairs import make_operator_pair, symmetrize_pair
+from symbidisc.gamma_pairs import defect_operator, make_operator_pair, symmetrize_pair
 from symbidisc.generators import (
     random_commuting_contractions,
     random_fhat,
@@ -108,3 +108,59 @@ def test_a_pickled_pair_is_a_new_memo_key():
     dup = pickle.loads(pickle.dumps(pair))
     assert von_neumann._pair_variety(dup, DEFAULT_TOL) is not von_neumann._pair_variety(
         pair, DEFAULT_TOL)
+
+
+HELD = {"defects", "s_radius", "adjoint"}
+
+
+def _held_pair():
+    """A fresh pair whose held values have all been read."""
+    t1, t2 = random_commuting_contractions(rng_from_seed(92), 3)
+    pair = make_operator_pair(t1 + t2, t1 @ t2)
+    pair.defects, pair.s_radius, pair.adjoint, defect_operator(pair.P)
+    return pair
+
+
+def test_held_state_is_read_only():
+    pair = _held_pair()
+    assert HELD <= set(vars(pair))
+    dd = defect_operator(pair.P)
+    assert defect_operator(pair.P) is dd
+    adj = pair.adjoint
+    assert adj.P.flags.owndata and adj.S.flags.owndata
+    assert np.array_equal(adj.S, pair.S.conj().T) and np.array_equal(adj.P, pair.P.conj().T)
+    held = [*pair.defects, adj.S, adj.P, dd.D, dd.basis, dd.eigenvalues, dd.kernel, dd.unitary]
+    for m in held:
+        assert not m.flags.writeable
+        if m.size:
+            with pytest.raises(ValueError, match="read-only"):
+                m[(0,) * m.ndim] = 7.0
+
+
+@pytest.mark.parametrize("how", COPIERS)
+def test_copies_carry_no_held_state(how):
+    pair = _held_pair()
+    fund = solve_fundamental(pair)
+    dup = COPIERS[how](pair)
+    assert not HELD & set(vars(dup))
+    assert solve_fundamental(dup) is not fund
+
+
+def test_a_writeable_matrix_is_split_afresh():
+    p = 0.5 * np.eye(2, dtype=complex)
+    first = defect_operator(p)
+    p[0, 0] = 0.0
+    second = defect_operator(p)
+    assert np.array_equal(first.eigenvalues, [0.75, 0.75])
+    assert np.array_equal(second.eigenvalues, [0.75, 1.0])
+
+
+def test_a_read_only_view_is_split_afresh():
+    # the view cannot be written, but the array it views can
+    base = 0.5 * np.eye(2, dtype=complex)
+    view = base[:]
+    view.flags.writeable = False
+    first = defect_operator(view)
+    base[0, 0] = 0.0
+    assert defect_operator(view) is not first
+    assert np.array_equal(defect_operator(view).eigenvalues, [0.75, 1.0])
