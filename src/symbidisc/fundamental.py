@@ -112,7 +112,7 @@ def _held_fundamental(pair: OperatorPair, tol: Tolerances) -> FundamentalOperato
 
 def _fundamental(pair: OperatorPair, tol: Tolerances) -> FundamentalOperator:
     dd = defect_operator(pair.P, tol)
-    rhs = pair.defects[1]
+    rhs = pair.B
     w = dd.basis / np.sqrt(dd.eigenvalues[dd.eigenvalues.size - dd.rank :])
     f = w.conj().T @ rhs @ w
     recon = dd.D @ (dd.basis @ f @ dd.basis.conj().T) @ dd.D

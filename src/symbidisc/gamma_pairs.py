@@ -21,10 +21,10 @@ grid minimum, and drops indices on which the pencil vanishes exactly.
 
 Each verdict on a pair reads what the others read, solved once: the pair
 holds C = I - P*P, B = S - S*P, r(S) and its adjoint pair for its
-lifetime (``OperatorPair``), and ``defect_operator`` holds the splits of
-the last two read-only matrices it was given, keyed by their identity and
-``tol``.  Held values go stale if S or P is made writeable and changed in
-place.
+lifetime, each from its own first read (``OperatorPair``), and
+``defect_operator`` holds the splits of the last two read-only matrices
+it was given, keyed by their identity and ``tol``.  Held values go stale
+if S or P is made writeable and changed in place.
 """
 
 from __future__ import annotations
@@ -67,15 +67,12 @@ __all__ = [
 _COARSE_PHASES = 64
 
 
-def _defects(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray]:
-    """C = I - P*P and B = S - S*P, read-only: rho(w S, w^2 P) is Y + Y* with
-    Y = C - w B.  ``ValueError`` when either overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c, b = np.eye(pair.dim) - pair.P.conj().T @ pair.P, pair.S - pair.S.conj().T @ pair.P
-    if not (np.isfinite(c).all() and np.isfinite(b).all()):
+def _held_product(x: np.ndarray) -> np.ndarray:
+    """``x`` read-only; ``ValueError`` when it overflowed."""
+    if not np.isfinite(x).all():
         raise ValueError("I - P*P or S - S*P overflows: no verdict on the pair holds")
-    c.flags.writeable = b.flags.writeable = False
-    return c, b
+    x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +81,13 @@ class OperatorPair:
     takes ownership of S and P, makes them read-only and compares by identity.
 
     What every verdict on the pair reads is solved on first read and held
-    by the pair: ``defects`` (C, B), ``s_radius`` r(S) and ``adjoint``
+    by the pair, each on its own: ``C`` = I - P*P and ``B`` = S - S*P, with
+    rho(w S, w^2 P) = Y + Y*, Y = C - w B; ``s_radius`` r(S); and ``adjoint``
     (S*, P*), whose S and P are read-only and own their data.  An error is
     not held.  Pickle and copy carry none of them, and they go stale if S
-    or P is made writeable and changed in place.
+    or P is made writeable and changed in place.  S or P that does not own
+    its data, such as an array unpickled under protocol 5, which views the
+    pickle's buffer, is copied first, so that the pair owns both.
     """
 
     S: np.ndarray
@@ -97,6 +97,10 @@ class OperatorPair:
     p_norm: float
 
     def __post_init__(self):
+        for name in ("S", "P"):
+            a = getattr(self, name)
+            if not a.flags.owndata:
+                object.__setattr__(self, name, a.copy())
         self.S.flags.writeable = self.P.flags.writeable = False
 
     def __reduce__(self):
@@ -109,7 +113,17 @@ class OperatorPair:
     def dim(self) -> int:
         return self.S.shape[0]
 
-    defects = cached_property(_defects)
+    @cached_property
+    def C(self) -> np.ndarray:
+        """I - P*P, read-only; ``ValueError`` when it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _held_product(np.eye(self.dim) - self.P.conj().T @ self.P)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """S - S*P, read-only; ``ValueError`` when it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _held_product(self.S - self.S.conj().T @ self.P)
 
     @cached_property
     def s_radius(self) -> float:
@@ -277,7 +291,7 @@ def check_gamma_contraction(
     rule, nor fails the PSD test.  The witness is one ``eigh`` of the
     full pencil at its phase.
     """
-    c, b = pair.defects
+    c, b = pair.C, pair.B
     m = tol.grid_angular
     phases = np.exp(1j * phase_grid(m))
     live = np.flatnonzero(c.any(0) | c.any(1) | b.any(0) | b.any(1))
@@ -340,7 +354,7 @@ def check_gamma_isometry(
     The margin is minus the worst of ||I - P*P||, ||S - S*P|| and
     r(S) - 2.
     """
-    res_iso, res_sym = map(operator_norm, pair.defects)
+    res_iso, res_sym = operator_norm(pair.C), operator_norm(pair.B)
     rs = pair.s_radius
     worst = max(res_iso, res_sym, max(0.0, rs - 2.0))
     ok = (

@@ -21,14 +21,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .fundamental import solve_fundamental
 from .gamma_pairs import OperatorPair
 from .geometry import GammaPoint
-from .numerics import DEFAULT_TOL, Tolerances, operator_norm, sample_count
-from .varieties import DeterminantalVariety
+from .numerics import DEFAULT_TOL, Tolerances, operator_norm, phase_grid, sample_count
+from .varieties import DeterminantalVariety, _solve_fibers
 
 __all__ = [
     "MatrixPolynomial",
@@ -40,6 +42,9 @@ __all__ = [
 
 _REFINE_CAP = 1 << 16
 _HOLDS_SLACK = 1e-6
+# Angles the pruned boundary maximum solves first; the rest are solved only
+# where a Lipschitz bound cannot rule out the grid maximum.
+_COARSE_ANGLES = 64
 
 
 @dataclass(frozen=True)
@@ -119,11 +124,42 @@ class VNReport:
     argmax_theta: float
 
 
-# One entry: reports on the same pair come in runs, and a larger cache only
-# holds more varieties.  The variety holds its own grid, so no m is keyed.
-@functools.lru_cache(maxsize=1)
-def _pair_variety(pair: OperatorPair, tol: Tolerances) -> DeterminantalVariety:
-    return lambda_variety(pair, tol)
+class _PairMemo:
+    """The last pair's variety, keyed by the pair object and ``tol``, and
+    the number of reports that read it.
+
+    One entry: reports on the same pair come in runs, and a larger memo only
+    holds more varieties.  The variety holds its own grid, so no m is
+    keyed.  Calling the memo returns the pair's variety, solved if the pair
+    is not the held one, and counts no report; ``cache_clear`` empties it.
+    """
+
+    def __init__(self) -> None:
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._entry = None  # (pair, tol, variety)
+        self._reports = 0
+
+    def _holds(self, pair: OperatorPair, tol: Tolerances) -> bool:
+        return self._entry is not None and self._entry[0] is pair and self._entry[1] == tol
+
+    def __call__(self, pair: OperatorPair, tol: Tolerances) -> DeterminantalVariety:
+        if not self._holds(pair, tol):
+            variety = lambda_variety(pair, tol)
+            self._entry, self._reports = (pair, tol, variety), 0
+        return self._entry[2]
+
+    def report(self, pair: OperatorPair, tol: Tolerances) -> tuple[DeterminantalVariety, bool]:
+        """The variety for one more report on the pair, and whether that
+        report is the first on a new pair right after a pair reported once."""
+        after_one = not self._holds(pair, tol) and self._entry is not None and self._reports == 1
+        variety = self(pair, tol)
+        self._reports += 1
+        return variety, after_one
+
+
+_pair_variety = _PairMemo()
 
 
 # One entry, for the same reason: each polynomial of a run on one pair reads
@@ -152,13 +188,14 @@ def _pair_monomials(pair: OperatorPair, support: tuple[tuple[int, int], ...]) ->
     return stack
 
 
-# One entry: the grid of the pair's variety at the m being reported on.  A
-# new pair or a doubled m replaces it.
+# One entry: the powers over the grid of the m being reported on.  A new m
+# or degree in p replaces it.
 @functools.lru_cache(maxsize=1)
-def _grid_powers(variety: DeterminantalVariety, m: int, deg: int) -> np.ndarray:
-    """p^0 .. p^deg over the variety's grid of m angles, shape (deg + 1, m),
-    each power the previous one times p; read-only."""
-    p, _ = variety._boundary(m)
+def _grid_powers(m: int, deg: int) -> np.ndarray:
+    """p^0 .. p^deg over p = exp(1j * phase_grid(m)), the p of every
+    variety's grid of m angles, shape (deg + 1, m), each power the previous
+    one times p; read-only.  No fiber is solved."""
+    p = np.exp(1j * phase_grid(m))
     pows = np.empty((deg + 1, m), dtype=complex)
     pows[0] = 1.0
     for j in range(deg):
@@ -173,7 +210,12 @@ def _eval_grid(f: MatrixPolynomial, p_pows: np.ndarray, s: np.ndarray) -> np.nda
 
     Entries come first: the result has shape (k, k, n, m).
     """
-    q = np.tensordot(f.coeffs, p_pows, axes=(1, 0))  # (deg_s + 1, k, k, m)
+    return _horner(np.tensordot(f.coeffs, p_pows, axes=(1, 0)), s)
+
+
+def _horner(q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_i q[i] s^i, q of shape (deg_s + 1, k, k, m) and s of shape (n, m),
+    as an array of shape (k, k, n, m)."""
     out = np.repeat(q[-1][:, :, None, :], s.shape[0], axis=2)
     for row in q[-2::-1]:
         out *= s
@@ -197,25 +239,178 @@ def _sigma_sq_2x2(a: np.ndarray) -> np.ndarray:
     return 0.5 * (x + y + np.hypot(x - y, 2.0 * np.abs(z)))
 
 
-def _boundary_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
+def _boundary_max(
+    f: MatrixPolynomial, variety: DeterminantalVariety, m: int, pruned: bool = False
+):
     """The largest ||f(s, p)|| over the variety's grid of m angles, and its point.
 
     2x2 blocks are ranked by sigma_max^2, and the square root is taken at
     the winner alone.  A winner whose square is not finite or lies outside
     [1e-290, 1e290] may have lost its rank to overflow or underflow, so
     then every block goes to the batched SVD, as other block sizes do.
+
+    ``pruned`` solves only the angles that may hold the maximum
+    (``_pruned_max``) when m exceeds ``_COARSE_ANGLES`` and the variety is
+    not empty, and holds none of them.  Otherwise, and when the pruned
+    maximum gives up, the whole grid is solved and held.
     """
+    if pruned and m > _COARSE_ANGLES and variety.dim:
+        found = _pruned_max(f, variety, m)
+        if found is not None:
+            return found
     p, s = variety._boundary(m)
-    vals = _eval_grid(f, _grid_powers(variety, m, f.degrees[1]), s)
+    vals = _eval_grid(f, _grid_powers(m, f.degrees[1]), s)
     if f.block_dim == 2:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             sq = _sigma_sq_2x2(vals)
         t, j = _grid_argmax(sq)
         if 1e-290 <= sq[j, t] <= 1e290:
             return math.sqrt(sq[j, t]), GammaPoint(complex(s[j, t]), complex(p[t]))
-    norms = np.linalg.svd(np.moveaxis(vals, (0, 1), (2, 3)), compute_uv=False)[..., 0]
+    norms = _block_norms(vals)
     t, j = _grid_argmax(norms)
     return float(norms[j, t]), GammaPoint(complex(s[j, t]), complex(p[t]))
+
+
+def _block_norms(vals: np.ndarray) -> np.ndarray:
+    """||v|| of every block of ``vals`` (k, k, n, m), by the batched SVD."""
+    return np.linalg.svd(np.moveaxis(vals, (0, 1), (2, 3)), compute_uv=False)[..., 0]
+
+
+class _Lipschitz(NamedTuple):
+    """What ``_gap_bound`` reads of a polynomial f on a variety of A."""
+
+    two_a: float  # 2 ||A||, the Weyl rate of the fibers in theta
+    ls: np.ndarray  # coefficients of L_s(R) = sum_ij i ||C_ij|| R^(i-1)
+    lp: np.ndarray  # coefficients of L_p(r) = sum_ij j ||C_ij|| r^i
+    grow: float  # 1 + the relative rounding of a computed bound
+    allowance: float
+
+
+def _lipschitz(f: MatrixPolynomial, variety: DeterminantalVariety) -> _Lipschitz:
+    """The Lipschitz data of f on the variety and the rounding allowance of
+    ``_pruned_max``, whose docstring derives both."""
+    eps = np.finfo(float).eps
+    (ds, dp), k, n = f.degrees, f.block_dim, variety.dim
+    norms = np.linalg.svd(f.coeffs, compute_uv=False)[..., 0]  # ||C_ij||, (ds + 1, dp + 1)
+    ls = (np.arange(1, ds + 1) * norms[1:].sum(axis=1)) if ds else np.zeros(1)
+    lp = norms @ np.arange(dp + 1.0)
+    two_a = 2.0 * operator_norm(variety.A)
+    r = two_a * (1.0 + 64 * n * eps)
+    scale = math.sqrt(k) * polyval(r, norms.sum(axis=1)) + two_a * polyval(r, ls) + polyval(r, lp)
+    d = ds + dp + 1
+    return _Lipschitz(two_a, ls, lp, 1.0 + (4 * d + 16 * k + 16) * eps,
+                      2 * (8 * d + 16 * k + 48 * n + 32) * eps * scale)
+
+
+def _gap_bound(v: np.ndarray, r: np.ndarray, h: np.ndarray, lip: _Lipschitz) -> np.ndarray:
+    """Upper bound of max_j ||f(s_j(theta), e^{i theta})|| over the angles
+    within ``h[t]`` of an angle whose fibers have moduli ``r[:, t]`` and
+    norms ``v[:, t]``, up to ``lip.allowance``: one value per column t.
+
+    By Weyl the fibers move at most 2 ||A|| |theta - theta'|, so within h
+    of the angle, s_j lies within delta = 2 ||A|| h of s_j there, |s_j| at
+    most r_j + delta, and ||f(s, p) - f(s_j, p_0)|| is at most
+    L_s(r_j + delta) delta + L_p(r_j) h.
+    """
+    delta = lip.two_a * h
+    return lip.grow * np.max(v + polyval(r + delta, lip.ls) * delta + polyval(r, lip.lp) * h,
+                             axis=0)
+
+
+def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
+    """``_boundary_max`` from the angles that may hold the grid maximum,
+    bit for bit, and nothing held; None, to fall back to the whole grid,
+    when a solved value or the allowance is not finite or a 2x2 winner's
+    square lies outside [1e-290, 1e290].
+
+    It solves ``_COARSE_ANGLES`` evenly spread angles, then halves every
+    gap between solved angles whose bound can still reach the running
+    maximum M less the allowance below.  At the ends e of a gap of
+    half-width h, every angle of the gap lies within h of an end, so at
+    or below max_e ``_gap_bound`` (derivation there: the sorted
+    eigenvalues of H(phi) = e^{-i phi} A + e^{i phi} A* move at most
+    2 ||A|| |dphi|, theta = 2 phi, |lambda_j| <= 2 ||A||, and
+    |p^j - p0^j| <= j |dtheta|).  A bound that falls short of
+    M - allowance leaves the gap unsolved.
+
+    The allowance is 2 (8 d + 16 k + 48 n + 32) eps N, d = deg_s + deg_p + 1,
+    k the block size, n the variety's dimension and
+    N = |f|(R) + 2 ||A|| L_s(R) + L_p(R) at R = 2 ||A|| (1 + 64 n eps), with
+    |f|(r) = sqrt(k) sum_ij ||C_ij|| r^i, at least the absolute-value
+    polynomial sum_ij ||C_ij||_F r^i on |p| = 1.
+    R bounds every computed fiber.  At each of two points, an end and an
+    unsolved angle, it covers:
+    - the evaluation rounding, entrywise at most 8 d eps |f|(|s|), so in
+      norm at most 8 d eps |f|(R);
+    - the rounding of the norm, closed form or SVD, at most 16 k eps |f|(R);
+    - the eigensolver's backward error, with the pencil's rounding and that
+      of s = e^{i theta / 2} lambda at most (40 n + 16) eps ||A|| on a fiber,
+      times L_s(R);
+    - the rounding of theta and p, at most 16 eps, times 2 ||A|| L_s(R) + L_p(R).
+    The computed bound is raised by the factor 1 + (4 d + 16 k + 16) eps for
+    its own rounding and that of ||A|| and ||C_ij||.  So every unsolved
+    angle's computed value lies strictly below the computed maximum: none
+    holds the maximum or ties it ahead of the winner under the first-angle
+    rule.
+
+    Each angle is solved and evaluated as the whole grid does: the fibers
+    by ``_solve_fibers``, one angle independent of the others, and f by
+    Horner's rule on the columns of the whole grid's contraction over p.
+    numpy rounds a complex product whose operands have only unit dimensions
+    differently, so a round that solves one angle evaluates it twice.
+    """
+    n, two_by_two = variety.dim, f.block_dim == 2
+    lip = _lipschitz(f, variety)
+    if not math.isfinite(lip.allowance):
+        return None
+    thetas = phase_grid(m)
+    q = np.tensordot(f.coeffs, _grid_powers(m, f.degrees[1]), axes=(1, 0))
+    fibers = np.empty((n, m), dtype=complex)
+    rank = np.empty((n, m))  # sigma_max^2 of 2x2 blocks, else the norm
+    norm = np.empty((n, m))
+    done = np.zeros(m, dtype=bool)
+
+    def solve(idx: np.ndarray) -> float:
+        fibers[:, idx] = _solve_fibers(variety.A, thetas[idx]).T
+        cols = np.repeat(idx, 2) if idx.size == 1 else idx
+        vals = _horner(q[..., cols], fibers[:, cols])
+        if two_by_two:
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                rank[:, idx] = _sigma_sq_2x2(vals)[:, : idx.size]
+            norm[:, idx] = np.sqrt(rank[:, idx])
+        else:
+            rank[:, idx] = norm[:, idx] = _block_norms(vals)[:, : idx.size]
+        done[idx] = True
+        return float(norm[:, idx].max())
+
+    # gaps (lo, hi) between solved angles; the last wraps round to angle 0
+    lo = np.arange(_COARSE_ANGLES) * m // _COARSE_ANGLES
+    hi = np.append(lo[1:], m)
+    best = solve(lo)
+    while math.isfinite(best):
+        lo, hi = lo[hi - lo > 1], hi[hi - lo > 1]
+        ends = np.concatenate([lo, hi % m])
+        h = np.tile(np.pi / m * (hi - lo), 2)
+        bound = _gap_bound(norm[:, ends], np.abs(fibers[:, ends]), h, lip)
+        # a gap stays unsolved once its bound falls short: the maximum only grows
+        live = ~(bound.reshape(2, -1).max(axis=0) < best - lip.allowance)
+        lo, hi = lo[live], hi[live]
+        if not lo.size:
+            break
+        mid = (lo + hi) // 2
+        best = max(best, solve(mid))
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    if not math.isfinite(best):
+        return None
+    solved = np.flatnonzero(done)
+    t, j = _grid_argmax(rank[:, solved])
+    t = int(solved[t])
+    top = rank[j, t]
+    if two_by_two:
+        if not 1e-290 <= top <= 1e290:
+            return None
+        top = math.sqrt(top)
+    return float(top), GammaPoint(complex(fibers[j, t]), complex(np.exp(1j * thetas[t])))
 
 
 def _grid_argmax(norms: np.ndarray) -> tuple[int, int]:
@@ -239,17 +434,31 @@ def vn_report(
 
     F and the variety depend only on the pair and ``tol``; the most recent
     pair's variety is kept and reused while consecutive calls pass the same
-    pair object and ``tol``, and it holds the last boundary grid it solved,
-    which the same ``m`` reads and a doubled ``m`` extends.  The products
-    S^i P^j at the polynomial's nonzero terms (i, j) and the powers of p
-    over the grid are kept the same way, so each further polynomial of the
-    same support on that pair pays only for its own coefficients.
+    pair object and ``tol``, together with the number of reports on it.
+    The maximum over the grid takes one of two paths, with the same
+    ``rhs``, ``argmax``, ``argmax_theta``, ``ratio``, ``holds``, ``m`` and
+    ``sample_count`` bit for bit:
+    - the first report on a new pair, right after a pair reported exactly
+      once, solves only the angles that may hold the maximum (64 evenly
+      spread, then the gaps a Lipschitz bound cannot rule out; see
+      ``_pruned_max``), and the variety holds none of them;
+    - every other report (a repeat on the held pair, a new pair after one
+      reported twice or more, the first report in a process or after the
+      memo is cleared), and any m of at most 64 or an empty variety, solves
+      the whole grid, which the variety holds: the same ``m`` reads it and
+      a doubled ``m`` extends it.
+    A pair reported once thus pays for about a sixth of its angles, and a
+    run of reports on one pair for each angle once.  The products S^i P^j
+    at the polynomial's nonzero terms (i, j) are kept for the last pair and
+    support, and the powers of p over the grid for the last m and degree,
+    so each further polynomial of the same support on that pair pays only
+    for its own coefficients.
     """
     cur_m = sample_count(m)
-    variety = _pair_variety(pair, tol)
+    variety, pruned = _pair_variety.report(pair, tol)
     lhs = operator_norm(evaluate_pair(f, pair))
     while True:
-        rhs, arg = _boundary_max(f, variety, cur_m)
+        rhs, arg = _boundary_max(f, variety, cur_m, pruned)
         holds = lhs <= rhs * (1.0 + _HOLDS_SLACK)
         if holds or cur_m >= _REFINE_CAP:
             break

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from symbidisc.gamma_pairs import PairVerdict, PencilWitness, _defects
+from symbidisc.gamma_pairs import PairVerdict, PencilWitness
 from symbidisc.generators import _ginibre
 from symbidisc.geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points
 from symbidisc.numerics import (
@@ -91,7 +91,7 @@ def numerical_radius_scipy_oracle(a):
 def membership_sweep_oracle(pair, tol=DEFAULT_TOL):
     """``check_gamma_contraction`` as it was when one batched eigensolve
     covered every phase of the grid, kept verbatim."""
-    c, b = _defects(pair)
+    c, b = pair.C, pair.B
     phases = np.exp(1j * phase_grid(tol.grid_angular))
     pencils = circle_pencils(-b, phases, c)
     lam = np.linalg.eigvalsh(pencils)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from symbidisc.fundamental import solve_fundamental
 from symbidisc.gamma_pairs import check_gamma_contraction, check_pure, make_operator_pair
@@ -54,6 +55,18 @@ class TestMixed:
         for pair, k in mixed:
             assert solve_fundamental(pair).defect.rank == pair.dim - k
             assert lambda_variety(pair).dim == pair.dim
+
+    def test_pure_part_is_strict_and_its_variety_distinguished(self, mixed):
+        # the unitary part of P reduces the pair, and on its complement lies
+        # the pure pair that mixed_pair planted the points next to: on these
+        # 100 pairs each is strict, and the paper says that the variety of a
+        # strict pair is distinguished
+        for pair, _ in mixed:
+            w = scipy.linalg.null_space(solve_fundamental(pair).defect.unitary.conj().T)
+            pure = make_operator_pair(w.conj().T @ pair.S @ w, w.conj().T @ pair.P @ w)
+            assert check_gamma_contraction(pure).margin > DEFAULT_TOL.psd_tol
+            verdict = classify_distinguished(lambda_variety(pure))
+            assert verdict.status == DistinguishedStatus.DISTINGUISHED_CERTIFIED
 
     def test_variety_of_the_adjoint_pair_is_the_adjoint_one(self, mixed):
         # ROADMAP item 9 across the S_u / 2 block: B* + p B has the fibers

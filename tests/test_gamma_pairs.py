@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from symbidisc import gamma_pairs
 from symbidisc.gamma_pairs import (
-    _defects,
     check_gamma_contraction,
     check_gamma_isometry,
     check_pure,
@@ -72,7 +71,7 @@ class TestRhoPencil:
         phases = np.exp(1j * np.array([0.0, 0.7, 2.0, 4.5]))
         for _ in range(3):
             pair = make()
-            c, b = _defects(pair)
+            c, b = pair.C, pair.B
             stack = circle_pencils(-b, phases, c)
             assert np.array_equal(stack, np.conj(stack.transpose(0, 2, 1)))
             for w, got in zip(phases, stack):
@@ -162,7 +161,7 @@ class TestCheckGammaContraction:
         rng = rng_from_seed(36)
         for _ in range(20):
             pair = random_symmetrized_pair(rng, int(rng.integers(2, 6)))
-            c, b = _defects(pair)
+            c, b = pair.C, pair.B
             lhs = 4 * (np.eye(pair.dim) - pair.P.conj().T @ pair.P)
             rhs = circle_pencils(-b, np.array([-1.0, 1.0]), c).sum(axis=0)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(lhs))

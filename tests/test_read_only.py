@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from symbidisc.fundamental import solve_fundamental, truncated_model_from_F
-from symbidisc.gamma_pairs import defect_operator, make_operator_pair, symmetrize_pair
+from symbidisc.gamma_pairs import check_pure, defect_operator, make_operator_pair, symmetrize_pair
 from symbidisc.generators import (
     random_commuting_contractions,
     random_fhat,
@@ -110,14 +110,14 @@ def test_a_pickled_pair_is_a_new_memo_key():
         pair, DEFAULT_TOL)
 
 
-HELD = {"defects", "s_radius", "adjoint"}
+HELD = {"C", "B", "s_radius", "adjoint"}
 
 
 def _held_pair():
     """A fresh pair whose held values have all been read."""
     t1, t2 = random_commuting_contractions(rng_from_seed(92), 3)
     pair = make_operator_pair(t1 + t2, t1 @ t2)
-    pair.defects, pair.s_radius, pair.adjoint, defect_operator(pair.P)
+    pair.C, pair.B, pair.s_radius, pair.adjoint, defect_operator(pair.P)
     return pair
 
 
@@ -129,12 +129,41 @@ def test_held_state_is_read_only():
     adj = pair.adjoint
     assert adj.P.flags.owndata and adj.S.flags.owndata
     assert np.array_equal(adj.S, pair.S.conj().T) and np.array_equal(adj.P, pair.P.conj().T)
-    held = [*pair.defects, adj.S, adj.P, dd.D, dd.basis, dd.eigenvalues, dd.kernel, dd.unitary]
+    held = [pair.C, pair.B, adj.S, adj.P, dd.D, dd.basis, dd.eigenvalues, dd.kernel, dd.unitary]
     for m in held:
         assert not m.flags.writeable
         if m.size:
             with pytest.raises(ValueError, match="read-only"):
                 m[(0,) * m.ndim] = 7.0
+
+
+def test_the_adjoints_fundamental_solve_holds_b_alone():
+    # G of (S*, P*) reads S* - S P* but not I - P P*
+    pair = _held_pair()
+    adj = pair.adjoint
+    solve_fundamental(adj)
+    assert "B" in vars(adj) and "C" not in vars(adj)
+
+
+PROTOCOL_COPIERS = {
+    **{f"pickle-{k}": lambda obj, k=k: pickle.loads(pickle.dumps(obj, protocol=k)) for k in (4, 5)},
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+
+
+@pytest.mark.parametrize("how", PROTOCOL_COPIERS)
+def test_a_copied_pair_owns_its_matrices_and_splits_p_once(how, split_solves):
+    # under protocol 5 numpy unpickles an array as a read-only view of the
+    # pickle's buffer, whose split ``defect_operator`` would not hold
+    t1, t2 = random_commuting_contractions(rng_from_seed(93), 3)
+    dup = PROTOCOL_COPIERS[how](make_operator_pair(t1 + t2, t1 @ t2))
+    assert dup.S.flags.owndata and dup.P.flags.owndata
+    assert not dup.S.flags.writeable and not dup.P.flags.writeable
+    check_pure(dup.P)
+    check_pure(dup.P)
+    solve_fundamental(dup)
+    assert len(split_solves) == 1
 
 
 @pytest.mark.parametrize("how", COPIERS)

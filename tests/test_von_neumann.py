@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbidisc import von_neumann
-from symbidisc.gamma_pairs import make_operator_pair
+from symbidisc.gamma_pairs import check_gamma_contraction, make_operator_pair
 from symbidisc.generators import (
     random_matrix_polynomial,
     random_model_pair,
@@ -28,6 +30,7 @@ from symbidisc.von_neumann import (
     vn_report,
 )
 
+from _corpus import mixed_pair, near_unitary_pair, nilpotent_matrix
 from _oracles import boundary_max_oracle, evaluate_pair_oracle
 
 S_POLY = MatrixPolynomial.scalar([[0], [1]])  # f(s, p) = s
@@ -107,13 +110,17 @@ class TestLambdaVariety:
         assert abs(fiber_at_p(v, p0)[0] - want) <= 1e-12
 
     def test_strict_pairs_give_certified_varieties(self):
-        rng = rng_from_seed(66)
-        for r in (0.5, 0.8):
-            pair = random_strict_pair(rng, 3, r)
-            v = lambda_variety(pair)
-            assert v.nr < 1
-            verdict = classify_distinguished(v)
-            assert verdict.status == DistinguishedStatus.DISTINGUISHED_CERTIFIED
+        # the paper: the variety of a strict pair is distinguished
+        rng = rng_from_seed(11)
+        for r in (0.5, 0.8, 0.95, 0.999):
+            for n in range(2, 7):
+                for _ in range(10):
+                    pair = random_strict_pair(rng, n, r)
+                    assert check_gamma_contraction(pair).margin > DEFAULT_TOL.psd_tol
+                    v = lambda_variety(pair)
+                    assert v.nr < 1
+                    verdict = classify_distinguished(v)
+                    assert verdict.status == DistinguishedStatus.DISTINGUISHED_CERTIFIED
 
 
 class TestRadiusOnRead:
@@ -232,7 +239,7 @@ def test_grid_values_match_monomial_sum(block_dim):
     variety = lambda_variety(random_symmetrized_pair(rng, 3))
     f = random_matrix_polynomial(rng, 3, block_dim)
     p, s = variety._boundary(8)
-    got = von_neumann._eval_grid(f, von_neumann._grid_powers(variety, 8, f.degrees[1]), s)
+    got = von_neumann._eval_grid(f, von_neumann._grid_powers(8, f.degrees[1]), s)
     sb, pb = s[:, :, None, None], p[None, :, None, None]
     want = sum(
         f.coeffs[i, j][:, :, None, None] * (sb**i * pb**j)[None, None, :, :, 0, 0]
@@ -261,6 +268,17 @@ def _grid_coeffs(case, k, rng):
 # The 2x2 blocks of these cases rank outside [1e-290, 1e290] in squares, so
 # they fall through to the batched SVD.
 FALLBACK_CASES = ("zero", "scaled_up", "scaled_down")
+
+# The three families and the pair kinds of tests/_corpus.py; the scalar pair
+# has a one-point fiber.
+PRUNED_PAIRS = {
+    "symmetrized": random_symmetrized_pair(rng_from_seed(95), 4),
+    "model": random_model_pair(rng_from_seed(95)),
+    "strict": random_strict_pair(rng_from_seed(95), 5, 0.95),
+    "mixed": mixed_pair(rng_from_seed(95))[0],
+    "near_unitary": near_unitary_pair(1e-11),
+    "scalar": _scalar_pair(1, 0.25),
+}
 
 
 @pytest.mark.parametrize("block_dim", [1, 2, 3])
@@ -388,7 +406,7 @@ class TestPairMemo:
         assert isinstance(variety, DeterminantalVariety)
         held_p, held_s = variety._grid
         assert not held_p.flags.writeable
-        held_pows = von_neumann._grid_powers(variety, 128, f.degrees[1])
+        held_pows = von_neumann._grid_powers(128, f.degrees[1])
         assert not held_pows.flags.writeable
         assert held_pows[1].tobytes() == held_p.tobytes()
         seen = []
@@ -428,11 +446,12 @@ class TestHeldPolynomialTerms:
         stack = von_neumann._pair_monomials(pair, support)
         assert von_neumann._pair_monomials.cache_info()[:2] == (10, 1)
         assert stack.shape == (10, 3, 3) and not stack.flags.writeable
-        # the key is the pair object: an equal-content copy builds again
+        # the products are keyed by the pair object: an equal-content copy
+        # builds them again, while the powers of p depend on m and deg_p alone
         twin = make_operator_pair(pair.S, pair.P)
         assert vn_report(polys[0], twin, m=64) == vn_report(polys[0], pair, m=64)
         assert von_neumann._pair_monomials.cache_info().misses == 3
-        assert von_neumann._grid_powers.cache_info().misses == 3
+        assert von_neumann._grid_powers.cache_info().misses == 1
 
     def test_one_term_holds_one_product(self):
         pair = random_strict_pair(rng_from_seed(81), 12, 0.5)
@@ -450,7 +469,7 @@ class TestHeldPolynomialTerms:
         assert von_neumann._grid_powers.cache_info()[1:] == (3, 1, 1)  # misses, maxsize, size
         variety = von_neumann._pair_variety(pair, DEFAULT_TOL)
         held_p, _ = variety._grid
-        assert von_neumann._grid_powers(variety, 16, 1)[1].tobytes() == held_p.tobytes()
+        assert von_neumann._grid_powers(16, 1)[1].tobytes() == held_p.tobytes()
 
     def test_evaluate_pair_is_bit_identical_to_per_call_products(self):
         rng = rng_from_seed(80)
@@ -523,6 +542,158 @@ def test_golden_batch():
         assert (holds, m) == want[:2]
         assert abs(ratio - want[2]) <= 1e-12 * want[2]
         assert abs(rhs - want[3]) <= 1e-12 * want[3]
+
+
+class TestPrunedMaximum:
+    """The first report on a new pair right after a pair reported once
+    solves only the angles that may hold the grid maximum, holds none of
+    them, and reports what the whole grid reports, bit for bit."""
+
+    PRIMER = _scalar_pair(0.5, 0.25)
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        von_neumann._pair_variety.cache_clear()
+        yield
+        von_neumann._pair_variety.cache_clear()
+
+    def _both(self, f, pair, m, fiber_solves):
+        """(full-grid report, pruned report, fibers the pruned one solved)."""
+        von_neumann._pair_variety.cache_clear()
+        want = vn_report(f, pair, m=m)
+        von_neumann._pair_variety.cache_clear()
+        vn_report(S_POLY, self.PRIMER, m=m)
+        fiber_solves.clear()
+        got = vn_report(f, pair, m=m)
+        return want, got, sum(fiber_solves)
+
+    @pytest.mark.parametrize("m", [1, 8, 64, 65, 256, 2048])
+    @pytest.mark.parametrize("block_dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", PRUNED_PAIRS)
+    def test_report_is_the_full_grid_report(self, kind, block_dim, m, fiber_solves):
+        pair = PRUNED_PAIRS[kind]
+        f = random_matrix_polynomial(rng_from_seed(96 + block_dim), 3, block_dim)
+        want, got, solved = self._both(f, pair, m, fiber_solves)
+        assert repr(got) == repr(want)
+        variety = von_neumann._pair_variety(pair, DEFAULT_TOL)
+        if m > 64:
+            assert "_grid" not in vars(variety)
+            if got.m == m >= 256:
+                assert solved < m
+            if got.m == m == 2048:
+                assert solved < m / 2
+        elif got.m <= 64:  # the whole grid, extended as m doubles
+            assert variety._grid[0].size == got.m and solved == got.m
+
+    def test_ties_keep_the_first_angle(self, fiber_solves):
+        # a constant f ties at every boundary point: every angle is solved
+        c = np.zeros((1, 1, 2, 2), complex)
+        c[0, 0] = np.array([[1, 2], [0, 1j]])
+        f = MatrixPolynomial.from_coeffs(c)
+        pair = PRUNED_PAIRS["strict"]
+        want, got, solved = self._both(f, pair, 256, fiber_solves)
+        assert repr(got) == repr(want)
+        assert got.argmax_theta == 0.0 and solved == 256
+
+    def test_every_doubled_m_is_pruned(self, fiber_solves):
+        # as in _refining_case, with the peak so sharp that the grid doubles
+        # from 65 angles to 520 before a point comes within the slack
+        c = np.zeros((1, 2, 2, 2), complex)
+        c[0, 0] = np.eye(2)
+        c[0, 1] = np.exp(-1j) * np.diag([1.0, 0.5])
+        f = MatrixPolynomial.from_coeffs(c)
+        pair = _scalar_pair(0, 0.99999 * np.exp(1j))
+        want, got, solved = self._both(f, pair, 65, fiber_solves)
+        assert repr(got) == repr(want)
+        assert got.m == 520 and solved < 65 + 130 + 260 + 520
+
+    @pytest.mark.parametrize("block_dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "case", ["random", "zero", "constant", "s_only", "p_only", "scaled_up", "scaled_down"]
+    )
+    def test_boundary_max_matches_the_full_grid(self, case, block_dim):
+        rng = rng_from_seed(76)
+        a = lambda_variety(random_symmetrized_pair(rng, 3)).A
+        f = MatrixPolynomial.from_coeffs(_grid_coeffs(case, block_dim, rng))
+        pruned = DeterminantalVariety.from_matrix(a)
+        got = von_neumann._boundary_max(f, pruned, 256, pruned=True)
+        want = von_neumann._boundary_max(f, DeterminantalVariety.from_matrix(a), 256)
+        assert repr(got) == repr(want)
+        # an out-of-range 2x2 winner falls back to the whole grid, held
+        fell_back = block_dim == 2 and case in FALLBACK_CASES
+        assert ("_grid" in vars(pruned)) == fell_back
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3),
+           st.sampled_from([65, 100, 256, 2048]), st.integers(1, 6))
+    def test_seeded_varieties_match_the_full_grid(self, seed, n, block_dim, m, degree):
+        # random representations of numerical radius 0.3 to 1, where the
+        # bound prunes most, and polynomials up to total degree 6
+        rng = rng_from_seed(seed)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a *= rng.uniform(0.3, 1.0) / numerical_radius(a)
+        f = random_matrix_polynomial(rng, degree, block_dim)
+        pruned = DeterminantalVariety.from_matrix(a)
+        got = von_neumann._boundary_max(f, pruned, m, pruned=True)
+        want = von_neumann._boundary_max(f, DeterminantalVariety.from_matrix(a), m)
+        assert repr(got) == repr(want)
+        assert "_grid" not in vars(pruned)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("block_dim", [1, 2, 3])
+    def test_nilpotent_variety(self, k, block_dim):
+        f = random_matrix_polynomial(rng_from_seed(98 + k), 3, block_dim)
+        a = nilpotent_matrix(k)
+        got = von_neumann._boundary_max(f, DeterminantalVariety.from_matrix(a), 2048, pruned=True)
+        want = von_neumann._boundary_max(f, DeterminantalVariety.from_matrix(a), 2048)
+        assert repr(got) == repr(want)
+
+    def test_empty_variety_takes_the_full_grid(self):
+        f = random_matrix_polynomial(rng_from_seed(99), 3, 2)
+        for pruned in (False, True):
+            empty = DeterminantalVariety.from_matrix(np.zeros((0, 0)))
+            with pytest.raises(ValueError, match="empty sequence"):
+                von_neumann._boundary_max(f, empty, 256, pruned=pruned)
+
+    def test_runs_of_reports_solve_each_fiber_once(self, fiber_solves):
+        rng = rng_from_seed(97)
+        pairs = [random_symmetrized_pair(rng, 3), random_model_pair(rng),
+                 random_strict_pair(rng, 4, 0.8)]
+        for pair in pairs:
+            fiber_solves.clear()
+            for _ in range(10):
+                vn_report(random_matrix_polynomial(rng), pair)
+            assert sum(fiber_solves) == 2048
+
+    def test_pairs_reported_once_prune_from_the_second(self, fiber_solves):
+        rng = rng_from_seed(97)
+        pairs = [random_symmetrized_pair(rng, 3), random_model_pair(rng),
+                 random_strict_pair(rng, 4, 0.8), random_symmetrized_pair(rng, 5)]
+        for i, pair in enumerate(pairs):
+            fiber_solves.clear()
+            vn_report(random_matrix_polynomial(rng), pair)
+            assert sum(fiber_solves) == 2048 if i == 0 else sum(fiber_solves) < 2048
+
+    def test_which_reports_prune(self, fiber_solves):
+        rng = rng_from_seed(97)
+        a, b, c = (random_symmetrized_pair(rng, 3) for _ in range(3))
+        f = random_matrix_polynomial(rng)
+        full = 2048
+
+        def solves(pair):
+            fiber_solves.clear()
+            vn_report(f, pair)
+            return sum(fiber_solves)
+
+        assert solves(a) == full  # the first report in a process
+        assert solves(b) < full  # a new pair after one reported once
+        assert solves(b) == full  # the held pair again: nothing was held
+        assert solves(b) == 0
+        assert solves(c) == full  # a new pair after one reported three times
+        von_neumann._pair_variety(a, DEFAULT_TOL)  # a look-up is no report
+        assert solves(b) == full
+        von_neumann._pair_variety.cache_clear()
+        assert solves(c) == full  # the first report after the memo is cleared
 
 
 def _refining_case():
