@@ -39,6 +39,7 @@ import numpy as np
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _bisect_circle,
     as_matrix,
     circle_pencils,
     operator_norm,
@@ -60,11 +61,6 @@ __all__ = [
     "check_pure",
     "symmetrize_pair",
 ]
-
-
-# Phases of the membership sweep's first pass; the rest are solved only
-# where a Weyl bound cannot rule out the grid minimum.
-_COARSE_PHASES = 64
 
 
 def _held_product(x: np.ndarray) -> np.ndarray:
@@ -273,16 +269,15 @@ def check_gamma_contraction(
     solved.  An index whose row and column vanish exactly in both
     C = I - P*P and B = S - S*P carries the eigenvalue 0 at every phase,
     so the pencil is solved on the other indices and 0 joins each
-    phase's minimum.  The sweep solves ``_COARSE_PHASES`` evenly spread
-    phases, then halves the gaps between solved phases.  By Weyl,
-    |lambda_min(H(w)) - lambda_min(H(w'))| <= 2 ||B|| |w - w'|, so the
-    phases strictly inside a gap whose ends hold la and lb, an arc d
-    apart, lie at or above (la + lb - 2 ||B|| d) / 2.  A gap's midpoint
-    is solved unless that bound exceeds both the margin so far
-    and -``psd_tol`` by the allowance (64 + 32 n) ulps x
-    (1 + 2 ||C|| + 2 ||B||), n the number of indices left.  Of that, 64 ulps
-    cover the witness tie rule, whose scale is at most
-    1 + 2 ||C|| + 2 ||B||, and 16 n ulps at each end of the gap cover
+    phase's minimum.  ``_bisect_circle`` bisects the phases for the grid
+    minimum.  By Weyl, |lambda_min(H(w)) - lambda_min(H(w'))| <=
+    2 ||B|| |w - w'|, so the phases strictly inside a gap whose ends hold
+    la and lb, an arc d apart, lie at or above the bound
+    (la + lb - 2 ||B|| d) / 2.  A gap is marked unless its bound exceeds
+    both the margin so far and -``psd_tol`` by the allowance
+    (64 + 32 n) ulps x (1 + 2 ||C|| + 2 ||B||), n the number of indices
+    left.  Of that, 64 ulps cover the witness tie rule, whose scale is at
+    most 1 + 2 ||C|| + 2 ||B||, and 16 n ulps at each end of the gap cover
     the rounding of the pencil, of ``eigvalsh`` and of the two norms.
     Where indices were dropped and the margin lies within the allowance
     of 0, an unsolved phase reads 0 and may meet the tie rule, so every
@@ -309,24 +304,23 @@ def check_gamma_contraction(
         low[idx] = lam[:, 0] if live.size else math.inf
         scale[idx] = 1.0 + np.abs(lam).max(axis=1, initial=0.0)
 
-    coarse = min(_COARSE_PHASES, m)
-    solved = np.arange(coarse) * m // coarse
-    solve(solved)
-    while True:
+    def ties(solved: np.ndarray) -> tuple[np.ndarray, float, int]:
+        # each solved phase's minimum, the margin, and the witness's place
         lmin = np.minimum(low[solved], 0.0) if decoupled else low[solved]
         margin = float(lmin.min())
-        first = int(np.argmax(lmin <= margin + 64 * eps * scale[solved]))
-        ends = np.append(solved[1:], m)  # the last gap wraps round to phase 0
-        bound = 0.5 * (low[solved] + low[ends % m] - slope * (ends - solved))
-        refine = bound <= max(margin, -tol.psd_tol) + allowance
+        return lmin, margin, int(np.argmax(lmin <= margin + 64 * eps * scale[solved]))
+
+    def refine(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        _, margin, first = ties(lo)
+        bound = 0.5 * (low[lo] + low[hi % m] - slope * (hi - lo))
+        marks = bound <= max(margin, -tol.psd_tol) + allowance
         if decoupled and margin + allowance >= 0.0:
             # an unsolved phase reads 0 and may tie before the witness
-            refine |= solved < solved[first]
-        mids = (solved + ends)[refine & (ends - solved > 1)] // 2
-        if not mids.size:
-            break
-        solve(mids)
-        solved = np.union1d(solved, mids)
+            marks |= lo < lo[first]
+        return marks
+
+    solved = _bisect_circle(m, solve, refine)
+    lmin, margin, first = ties(solved)
     member = bool(np.all(lmin >= -tol.psd_tol * scale[solved])) and (
         pair.s_radius <= 2.0 + tol.psd_tol
     )

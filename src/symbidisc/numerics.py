@@ -8,7 +8,9 @@ result is attained, so a lower bound.  Its pencils go straight to LAPACK
 ``zggev`` (eigenvalues only), whose workspace size is queried once per
 pencil size and kept in a module dict: the same routine, column-major
 data and workspace as ``scipy.linalg.eigvals``, without its per-call
-query, copy and inf/nan rebuild.
+query, copy and inf/nan rebuild.  ``_bisect_circle`` is the one bisection
+of a grid round the circle for an extremum, which the membership sweep
+and the pruned von Neumann boundary maximum both run.
 """
 
 from __future__ import annotations
@@ -119,6 +121,35 @@ def spectral_radius(m: np.ndarray) -> float:
 def phase_grid(m) -> np.ndarray:
     """The m angles 2 pi k / m, k = 0, ..., m - 1, of the unit circle."""
     return 2.0 * math.pi * np.arange(sample_count(m)) / m
+
+
+# Evenly spread points that ``_bisect_circle`` solves first
+_COARSE_POINTS = 64
+
+
+def _bisect_circle(m: int, solve, refine) -> np.ndarray:
+    """The ascending indices of a grid of m points round the circle that a
+    bisection for an extremum solves.
+
+    ``solve(idx)`` solves one batch of indices.  The first batch is
+    min(m, ``_COARSE_POINTS``) evenly spread indices, k m // c.  The
+    solved indices cut the circle into gaps (lo, hi), hi the next solved
+    index; the last gap wraps round to index 0, written as hi = m.
+    ``refine(lo, hi)`` marks, with one bool per gap, the gaps whose
+    interior may still hold the extremum, and the midpoint (lo + hi) // 2
+    of every marked gap with an interior is solved as the next batch.
+    The rounds end when no marked gap has an interior.
+    """
+    coarse = min(_COARSE_POINTS, m)
+    solved = np.arange(coarse) * m // coarse
+    solve(solved)
+    while True:
+        ends = np.append(solved[1:], m)
+        mids = (solved + ends)[refine(solved, ends) & (ends - solved > 1)] // 2
+        if not mids.size:
+            return solved
+        solve(mids)
+        solved = np.union1d(solved, mids)
 
 
 def circle_pencils(k: np.ndarray, w: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -29,7 +28,15 @@ from numpy.polynomial.polynomial import polyval
 from .fundamental import solve_fundamental
 from .gamma_pairs import OperatorPair
 from .geometry import GammaPoint
-from .numerics import DEFAULT_TOL, Tolerances, operator_norm, phase_grid, sample_count
+from .numerics import (
+    _COARSE_POINTS,
+    DEFAULT_TOL,
+    Tolerances,
+    _bisect_circle,
+    operator_norm,
+    phase_grid,
+    sample_count,
+)
 from .varieties import DeterminantalVariety, _solve_fibers
 
 __all__ = [
@@ -42,9 +49,6 @@ __all__ = [
 
 _REFINE_CAP = 1 << 16
 _HOLDS_SLACK = 1e-6
-# Angles the pruned boundary maximum solves first; the rest are solved only
-# where a Lipschitz bound cannot rule out the grid maximum.
-_COARSE_ANGLES = 64
 
 
 @dataclass(frozen=True)
@@ -204,22 +208,20 @@ def _grid_powers(m: int, deg: int) -> np.ndarray:
     return pows
 
 
-def _eval_grid(f: MatrixPolynomial, p_pows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """f at every grid point: sum_j C[i, j] p^j for each i as one contraction
-    against the powers of p, then Horner's rule in s.
-
-    Entries come first: the result has shape (k, k, n, m).
-    """
-    return _horner(np.tensordot(f.coeffs, p_pows, axes=(1, 0)), s)
+def _over_p(f: MatrixPolynomial, m: int) -> np.ndarray:
+    """sum_j C[i, j] p^j for each i over the grid of m angles, one
+    contraction against the held powers of p: shape (deg_s + 1, k, k, m)."""
+    return np.tensordot(f.coeffs, _grid_powers(m, f.degrees[1]), axes=(1, 0))
 
 
 def _horner(q: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_i q[i] s^i, q of shape (deg_s + 1, k, k, m) and s of shape (n, m),
-    as an array of shape (k, k, n, m)."""
+    as an array of shape (k, k, n, m).  Overflow is left to ``_winner``."""
     out = np.repeat(q[-1][:, :, None, :], s.shape[0], axis=2)
-    for row in q[-2::-1]:
-        out *= s
-        out += row[:, :, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in q[-2::-1]:
+            out *= s
+            out += row[:, :, None, :]
     return out
 
 
@@ -229,8 +231,7 @@ def _sigma_sq_2x2(a: np.ndarray) -> np.ndarray:
     sigma_max^2 = (||A||_F^2 + sqrt(||A||_F^4 - 4 |det A|^2)) / 2, with the
     discriminant written as (x - y)^2 + 4 |z|^2 over the entries x, z, y of
     A A*, a sum of nonnegative terms.  Unscaled: squares of entries near
-    1e+-154 and beyond overflow or underflow, which ``_boundary_max``
-    detects at the winner.
+    1e+-154 and beyond overflow or underflow, which ``_winner`` detects.
     """
     sq = a.real**2 + a.imag**2
     x = sq[0, 0] + sq[0, 1]
@@ -239,184 +240,154 @@ def _sigma_sq_2x2(a: np.ndarray) -> np.ndarray:
     return 0.5 * (x + y + np.hypot(x - y, 2.0 * np.abs(z)))
 
 
+def _rank(vals: np.ndarray, squared: bool) -> np.ndarray:
+    """Rank of the blocks of ``vals`` (k, k, n, m), shape (n, m):
+    sigma_max^2 of 2x2 blocks if ``squared``, else the norm by the batched
+    SVD.  Overflow and invalid values are left to ``_winner``."""
+    if squared:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return _sigma_sq_2x2(vals)
+    return np.linalg.svd(np.moveaxis(vals, (0, 1), (2, 3)), compute_uv=False)[..., 0]
+
+
+def _winner(rank: np.ndarray, s: np.ndarray, p: np.ndarray, squared: bool):
+    """The norm at the largest entry of ``rank`` (n, m), and its point
+    (s[j, t], p[t]); angle-major order, so ties resolve to the first angle.
+
+    None if ``squared`` and the winner lies outside [1e-290, 1e290]: it may
+    have lost its rank to overflow or underflow.  ``ValueError`` if the
+    winner is not finite; ``np.argmax`` brings a NaN anywhere to the front.
+    """
+    t, j = divmod(int(np.argmax(rank.T)), rank.shape[0])
+    top = float(rank[j, t])
+    if squared:
+        if not 1e-290 <= top <= 1e290:
+            return None
+        top = math.sqrt(top)
+    if not math.isfinite(top):
+        raise ValueError("f(s, p) overflows on the variety's boundary: no maximum holds")
+    return top, GammaPoint(complex(s[j, t]), complex(p[t]))
+
+
 def _boundary_max(
     f: MatrixPolynomial, variety: DeterminantalVariety, m: int, pruned: bool = False
 ):
-    """The largest ||f(s, p)|| over the variety's grid of m angles, and its point.
+    """The largest ||f(s, p)|| over the variety's grid of m angles, and its
+    point; ``ValueError`` when f is not finite there.
 
-    2x2 blocks are ranked by sigma_max^2, and the square root is taken at
-    the winner alone.  A winner whose square is not finite or lies outside
-    [1e-290, 1e290] may have lost its rank to overflow or underflow, so
-    then every block goes to the batched SVD, as other block sizes do.
+    f is ``_over_p``, then Horner's rule in s.  2x2 blocks are ranked by
+    sigma_max^2, and the square root is taken at the winner alone; a
+    winner out of range (``_winner``) sends every block to the batched
+    SVD, as other block sizes do.
 
     ``pruned`` solves only the angles that may hold the maximum
-    (``_pruned_max``) when m exceeds ``_COARSE_ANGLES`` and the variety is
-    not empty, and holds none of them.  Otherwise, and when the pruned
-    maximum gives up, the whole grid is solved and held.
+    (``_pruned_max``) when m exceeds the coarse points of
+    ``_bisect_circle`` and the variety is not empty, and holds none of
+    them.  Otherwise, and when the pruned maximum gives up, the whole grid
+    is solved and held.
     """
-    if pruned and m > _COARSE_ANGLES and variety.dim:
+    if pruned and m > _COARSE_POINTS and variety.dim:
         found = _pruned_max(f, variety, m)
         if found is not None:
             return found
     p, s = variety._boundary(m)
-    vals = _eval_grid(f, _grid_powers(m, f.degrees[1]), s)
-    if f.block_dim == 2:
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            sq = _sigma_sq_2x2(vals)
-        t, j = _grid_argmax(sq)
-        if 1e-290 <= sq[j, t] <= 1e290:
-            return math.sqrt(sq[j, t]), GammaPoint(complex(s[j, t]), complex(p[t]))
-    norms = _block_norms(vals)
-    t, j = _grid_argmax(norms)
-    return float(norms[j, t]), GammaPoint(complex(s[j, t]), complex(p[t]))
+    vals, squared = _horner(_over_p(f, m), s), f.block_dim == 2
+    found = _winner(_rank(vals, squared), s, p, squared)
+    return found or _winner(_rank(vals, False), s, p, False)
 
 
-def _block_norms(vals: np.ndarray) -> np.ndarray:
-    """||v|| of every block of ``vals`` (k, k, n, m), by the batched SVD."""
-    return np.linalg.svd(np.moveaxis(vals, (0, 1), (2, 3)), compute_uv=False)[..., 0]
+@np.errstate(over="ignore", invalid="ignore")  # an infinite bound marks its gap
+def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
+    """``_boundary_max`` from the angles that may hold the grid maximum,
+    bit for bit, and nothing held; None, to fall back to the whole grid,
+    when a solved value or the allowance is not finite or ``_winner`` gives
+    None.
 
+    ``_bisect_circle`` bisects the angles for the grid maximum, with
+    Shubert's tent bound.  The largest norm at an angle,
+    g(theta) = max_j ||f(s_j(theta), e^{i theta})||, is L-Lipschitz on a
+    gap of width d radians, so every angle of the gap lies at or below
+    (v_lo + v_hi + L d) / 2, v the values of g at the ends, with
+    L = 2 ||A|| L_s(r) + L_p(r), L_s(r) = sum_ij i ||C_ij|| r^(i-1),
+    L_p(r) = sum_ij j ||C_ij|| r^i and r = max(end moduli) + 2 ||A|| d.
+    The sorted eigenvalues of H(phi) = e^{-i phi} A + e^{i phi} A* move at
+    most 2 ||A|| |dphi|, theta = 2 phi and s = e^{i theta / 2} lambda, so
+    each fiber moves at most 2 ||A|| |dtheta| and its modulus at most
+    ||A|| |dtheta|; an angle of the gap lies within d / 2 of an end, so r
+    exceeds every fiber modulus in the gap by at least 1.5 ||A|| d, far
+    more than the eigensolver's error at the ends; and
+    |p^j - p0^j| <= j |dtheta|.  A gap is marked unless its computed
+    bound, raised by the factor 1 + (4 D + 16 k + 16) eps for its own
+    rounding and that of ||A|| and ||C_ij||, falls short of the largest
+    value M solved so far less the allowance.
 
-class _Lipschitz(NamedTuple):
-    """What ``_gap_bound`` reads of a polynomial f on a variety of A."""
+    The allowance is 2 e with e = (8 D + 16 k + 48 n + 32) eps N,
+    D = deg_s + deg_p + 1, k the block size, n the variety's dimension and
+    N = |f|(R) + 2 ||A|| L_s(R) + L_p(R) at R = 2 ||A|| (1 + 64 n eps),
+    with |f|(r) = sqrt(k) sum_ij ||C_ij|| r^i, at least the
+    absolute-value polynomial sum_ij ||C_ij||_F r^i on |p| = 1.
+    R bounds every computed fiber.  At one angle, e bounds the distance
+    from the computed largest norm to g at the exact grid angle:
+    - the evaluation rounding, entrywise at most 8 D eps |f|(|s|), so in
+      norm at most 8 D eps |f|(R);
+    - the rounding of the norm, closed form or SVD, at most 16 k eps |f|(R);
+    - the eigensolver's backward error, with the pencil's rounding and that
+      of s = e^{i theta / 2} lambda at most (40 n + 16) eps ||A|| on a fiber,
+      times L_s(R);
+    - the rounding of theta and p, at most 16 eps, times 2 ||A|| L_s(R) + L_p(R).
+    The tent over computed ends then lies at most e / 2 + e / 2 below the
+    tent over exact ones, and an unsolved angle's computed value at most e
+    above g there: every unsolved angle's computed value lies strictly
+    below M, so none holds the maximum or ties it ahead of the winner under
+    the first-angle rule.
 
-    two_a: float  # 2 ||A||, the Weyl rate of the fibers in theta
-    ls: np.ndarray  # coefficients of L_s(R) = sum_ij i ||C_ij|| R^(i-1)
-    lp: np.ndarray  # coefficients of L_p(r) = sum_ij j ||C_ij|| r^i
-    grow: float  # 1 + the relative rounding of a computed bound
-    allowance: float
-
-
-def _lipschitz(f: MatrixPolynomial, variety: DeterminantalVariety) -> _Lipschitz:
-    """The Lipschitz data of f on the variety and the rounding allowance of
-    ``_pruned_max``, whose docstring derives both."""
+    Each angle is solved and evaluated as the whole grid does: the fibers
+    by ``_solve_fibers``, one angle independent of the others, and f by
+    Horner's rule on the columns of the whole grid's ``_over_p``.  numpy
+    rounds a complex product whose operands have only unit dimensions
+    differently, so a round that solves one angle evaluates it twice.
+    """
     eps = np.finfo(float).eps
     (ds, dp), k, n = f.degrees, f.block_dim, variety.dim
     norms = np.linalg.svd(f.coeffs, compute_uv=False)[..., 0]  # ||C_ij||, (ds + 1, dp + 1)
     ls = (np.arange(1, ds + 1) * norms[1:].sum(axis=1)) if ds else np.zeros(1)
     lp = norms @ np.arange(dp + 1.0)
     two_a = 2.0 * operator_norm(variety.A)
-    r = two_a * (1.0 + 64 * n * eps)
-    scale = math.sqrt(k) * polyval(r, norms.sum(axis=1)) + two_a * polyval(r, ls) + polyval(r, lp)
-    d = ds + dp + 1
-    return _Lipschitz(two_a, ls, lp, 1.0 + (4 * d + 16 * k + 16) * eps,
-                      2 * (8 * d + 16 * k + 48 * n + 32) * eps * scale)
-
-
-def _gap_bound(v: np.ndarray, r: np.ndarray, h: np.ndarray, lip: _Lipschitz) -> np.ndarray:
-    """Upper bound of max_j ||f(s_j(theta), e^{i theta})|| over the angles
-    within ``h[t]`` of an angle whose fibers have moduli ``r[:, t]`` and
-    norms ``v[:, t]``, up to ``lip.allowance``: one value per column t.
-
-    By Weyl the fibers move at most 2 ||A|| |theta - theta'|, so within h
-    of the angle, s_j lies within delta = 2 ||A|| h of s_j there, |s_j| at
-    most r_j + delta, and ||f(s, p) - f(s_j, p_0)|| is at most
-    L_s(r_j + delta) delta + L_p(r_j) h.
-    """
-    delta = lip.two_a * h
-    return lip.grow * np.max(v + polyval(r + delta, lip.ls) * delta + polyval(r, lip.lp) * h,
-                             axis=0)
-
-
-def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
-    """``_boundary_max`` from the angles that may hold the grid maximum,
-    bit for bit, and nothing held; None, to fall back to the whole grid,
-    when a solved value or the allowance is not finite or a 2x2 winner's
-    square lies outside [1e-290, 1e290].
-
-    It solves ``_COARSE_ANGLES`` evenly spread angles, then halves every
-    gap between solved angles whose bound can still reach the running
-    maximum M less the allowance below.  At the ends e of a gap of
-    half-width h, every angle of the gap lies within h of an end, so at
-    or below max_e ``_gap_bound`` (derivation there: the sorted
-    eigenvalues of H(phi) = e^{-i phi} A + e^{i phi} A* move at most
-    2 ||A|| |dphi|, theta = 2 phi, |lambda_j| <= 2 ||A||, and
-    |p^j - p0^j| <= j |dtheta|).  A bound that falls short of
-    M - allowance leaves the gap unsolved.
-
-    The allowance is 2 (8 d + 16 k + 48 n + 32) eps N, d = deg_s + deg_p + 1,
-    k the block size, n the variety's dimension and
-    N = |f|(R) + 2 ||A|| L_s(R) + L_p(R) at R = 2 ||A|| (1 + 64 n eps), with
-    |f|(r) = sqrt(k) sum_ij ||C_ij|| r^i, at least the absolute-value
-    polynomial sum_ij ||C_ij||_F r^i on |p| = 1.
-    R bounds every computed fiber.  At each of two points, an end and an
-    unsolved angle, it covers:
-    - the evaluation rounding, entrywise at most 8 d eps |f|(|s|), so in
-      norm at most 8 d eps |f|(R);
-    - the rounding of the norm, closed form or SVD, at most 16 k eps |f|(R);
-    - the eigensolver's backward error, with the pencil's rounding and that
-      of s = e^{i theta / 2} lambda at most (40 n + 16) eps ||A|| on a fiber,
-      times L_s(R);
-    - the rounding of theta and p, at most 16 eps, times 2 ||A|| L_s(R) + L_p(R).
-    The computed bound is raised by the factor 1 + (4 d + 16 k + 16) eps for
-    its own rounding and that of ||A|| and ||C_ij||.  So every unsolved
-    angle's computed value lies strictly below the computed maximum: none
-    holds the maximum or ties it ahead of the winner under the first-angle
-    rule.
-
-    Each angle is solved and evaluated as the whole grid does: the fibers
-    by ``_solve_fibers``, one angle independent of the others, and f by
-    Horner's rule on the columns of the whole grid's contraction over p.
-    numpy rounds a complex product whose operands have only unit dimensions
-    differently, so a round that solves one angle evaluates it twice.
-    """
-    n, two_by_two = variety.dim, f.block_dim == 2
-    lip = _lipschitz(f, variety)
-    if not math.isfinite(lip.allowance):
+    big_r = two_a * (1.0 + 64 * n * eps)
+    size = (math.sqrt(k) * polyval(big_r, norms.sum(axis=1)) + two_a * polyval(big_r, ls)
+            + polyval(big_r, lp))
+    grow = 1.0 + (4 * (ds + dp + 1) + 16 * k + 16) * eps
+    allowance = 2 * (8 * (ds + dp + 1) + 16 * k + 48 * n + 32) * eps * size
+    if not math.isfinite(allowance):
         return None
-    thetas = phase_grid(m)
-    q = np.tensordot(f.coeffs, _grid_powers(m, f.degrees[1]), axes=(1, 0))
+    squared, q, thetas = k == 2, _over_p(f, m), phase_grid(m)
     fibers = np.empty((n, m), dtype=complex)
-    rank = np.empty((n, m))  # sigma_max^2 of 2x2 blocks, else the norm
-    norm = np.empty((n, m))
-    done = np.zeros(m, dtype=bool)
+    rank = np.empty((n, m))
+    top = np.empty(m)  # g, the largest norm at an angle
+    moduli = np.empty(m)  # the largest fiber modulus at an angle
 
-    def solve(idx: np.ndarray) -> float:
+    def solve(idx: np.ndarray) -> None:
         fibers[:, idx] = _solve_fibers(variety.A, thetas[idx]).T
         cols = np.repeat(idx, 2) if idx.size == 1 else idx
-        vals = _horner(q[..., cols], fibers[:, cols])
-        if two_by_two:
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                rank[:, idx] = _sigma_sq_2x2(vals)[:, : idx.size]
-            norm[:, idx] = np.sqrt(rank[:, idx])
-        else:
-            rank[:, idx] = norm[:, idx] = _block_norms(vals)[:, : idx.size]
-        done[idx] = True
-        return float(norm[:, idx].max())
+        rank[:, idx] = _rank(_horner(q[..., cols], fibers[:, cols]), squared)[:, : idx.size]
+        top[idx] = rank[:, idx].max(axis=0)
+        if squared:
+            top[idx] = np.sqrt(top[idx])
+        moduli[idx] = np.abs(fibers[:, idx]).max(axis=0)
 
-    # gaps (lo, hi) between solved angles; the last wraps round to angle 0
-    lo = np.arange(_COARSE_ANGLES) * m // _COARSE_ANGLES
-    hi = np.append(lo[1:], m)
-    best = solve(lo)
-    while math.isfinite(best):
-        lo, hi = lo[hi - lo > 1], hi[hi - lo > 1]
-        ends = np.concatenate([lo, hi % m])
-        h = np.tile(np.pi / m * (hi - lo), 2)
-        bound = _gap_bound(norm[:, ends], np.abs(fibers[:, ends]), h, lip)
-        # a gap stays unsolved once its bound falls short: the maximum only grows
-        live = ~(bound.reshape(2, -1).max(axis=0) < best - lip.allowance)
-        lo, hi = lo[live], hi[live]
-        if not lo.size:
-            break
-        mid = (lo + hi) // 2
-        best = max(best, solve(mid))
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    if not math.isfinite(best):
+    def refine(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        best = top[lo].max()
+        if not math.isfinite(best):
+            return np.zeros(lo.size, dtype=bool)
+        d = 2.0 * math.pi / m * (hi - lo)
+        r = np.maximum(moduli[lo], moduli[hi % m]) + two_a * d
+        lip = two_a * polyval(r, ls) + polyval(r, lp)
+        return ~(grow * 0.5 * (top[lo] + top[hi % m] + lip * d) < best - allowance)
+
+    solved = _bisect_circle(m, solve, refine)
+    if not np.isfinite(top[solved]).all():
         return None
-    solved = np.flatnonzero(done)
-    t, j = _grid_argmax(rank[:, solved])
-    t = int(solved[t])
-    top = rank[j, t]
-    if two_by_two:
-        if not 1e-290 <= top <= 1e290:
-            return None
-        top = math.sqrt(top)
-    return float(top), GammaPoint(complex(fibers[j, t]), complex(np.exp(1j * thetas[t])))
-
-
-def _grid_argmax(norms: np.ndarray) -> tuple[int, int]:
-    """(angle, fiber) of the largest entry of ``norms`` (n, m); angle-major
-    order, so ties resolve to the first angle."""
-    return divmod(int(np.argmax(norms.T)), norms.shape[0])
+    return _winner(rank[:, solved], fibers[:, solved], np.exp(1j * thetas[solved]), squared)
 
 
 def vn_report(

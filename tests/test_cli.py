@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symbidisc import cli
+from symbidisc import cli, von_neumann
 from symbidisc.geometry import GammaPoint
 from symbidisc.numerics import DEFAULT_TOL
 from symbidisc.von_neumann import VNReport
@@ -420,6 +420,27 @@ class TestVnCommand:
         report = json.loads(out1.read_text())
         assert report["all_hold"] is True
         assert report["count"] == 3
+
+    @pytest.mark.parametrize("primed", [False, True], ids=["whole-grid", "pruned"])
+    def test_overflowing_boundary_exits_two(self, scalar_pair_files, tmp_path, capsys, primed):
+        # 1e308 s^3 on a strict pair: ||f(S, P)|| is finite, but f overflows
+        # on the boundary, so no maximum holds: exit 2, no report, no doubled
+        # grid.  After a report on another pair, the pruned path falls back
+        # to the whole grid first.
+        von_neumann._pair_variety.cache_clear()
+        prefix = str(tmp_path / "x")
+        assert main(["gen", "strict", "--seed", "7", "--dim", "3", "--prefix", prefix]) == 0
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"block_dim": 1, "terms": [
+            {"i": 3, "j": 0, "matrix": {"rows": 1, "cols": 1, "data": [[1e308, 0.0]]}}]}))
+        if primed:
+            poly = tmp_path / "f.json"
+            poly.write_text(json.dumps(_POLY))
+            assert main(["vn", *scalar_pair_files, "--poly", str(poly)]) == 0
+        capsys.readouterr()
+        assert main(["vn", f"{prefix}-S.json", f"{prefix}-P.json", "--poly", str(big)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "overflows" in err
 
     def test_missing_inputs_is_an_error(self):
         assert main(["vn"]) == 2

@@ -239,7 +239,7 @@ def test_grid_values_match_monomial_sum(block_dim):
     variety = lambda_variety(random_symmetrized_pair(rng, 3))
     f = random_matrix_polynomial(rng, 3, block_dim)
     p, s = variety._boundary(8)
-    got = von_neumann._eval_grid(f, von_neumann._grid_powers(8, f.degrees[1]), s)
+    got = von_neumann._horner(von_neumann._over_p(f, 8), s)
     sb, pb = s[:, :, None, None], p[None, :, None, None]
     want = sum(
         f.coeffs[i, j][:, :, None, None] * (sb**i * pb**j)[None, None, :, :, 0, 0]
@@ -410,17 +410,21 @@ class TestPairMemo:
         assert not held_pows.flags.writeable
         assert held_pows[1].tobytes() == held_p.tobytes()
         seen = []
-        eval_grid = von_neumann._eval_grid
+        horner = von_neumann._horner
 
-        def recording(f, p_pows, s):
-            seen.append((p_pows, s))
-            return eval_grid(f, p_pows, s)
+        def recording(q, s):
+            seen.append((q, s))
+            return horner(q, s)
 
-        monkeypatch.setattr(von_neumann, "_eval_grid", recording)
+        monkeypatch.setattr(von_neumann, "_horner", recording)
+        misses = von_neumann._grid_powers.cache_info().misses
         vn_report(f, pair, m=128)
         assert self.solves == 1
-        (p_pows, s), = seen
-        assert p_pows is held_pows and np.shares_memory(s, held_s)
+        (q, s), = seen
+        # the held powers, read without a miss, are what f is contracted over
+        assert von_neumann._grid_powers.cache_info().misses == misses
+        assert q.tobytes() == np.tensordot(f.coeffs, held_pows, axes=(1, 0)).tobytes()
+        assert np.shares_memory(s, held_s)
 
 
 class TestHeldPolynomialTerms:
@@ -694,6 +698,63 @@ class TestPrunedMaximum:
         assert solves(b) == full
         von_neumann._pair_variety.cache_clear()
         assert solves(c) == full  # the first report after the memo is cleared
+
+
+def _overflowing(block_dim):
+    # 1e308 s^3 in the first diagonal entry: f(S, P) is finite, but f
+    # overflows at the boundary fibers of modulus above 1
+    c = np.zeros((4, 1, block_dim, block_dim), complex)
+    c[3, 0] = np.eye(block_dim)
+    c[3, 0, 0, 0] = 1e308
+    return MatrixPolynomial.from_coeffs(c)
+
+
+class TestOverflowingBoundary:
+    """f that overflows on the boundary gives no maximum: ``ValueError``,
+    without a doubled grid, and without a RuntimeWarning on the way."""
+
+    PAIR = random_strict_pair(rng_from_seed(7), 3, 0.9)  # ``gen strict --seed 7 --dim 3``
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        von_neumann._pair_variety.cache_clear()
+        yield
+        von_neumann._pair_variety.cache_clear()
+
+    @pytest.mark.parametrize("block_dim", [1, 2, 3])
+    def test_whole_grid_raises_without_doubling(self, block_dim, fiber_solves):
+        f = _overflowing(block_dim)
+        assert math.isfinite(operator_norm(evaluate_pair(f, self.PAIR)))
+        with pytest.raises(ValueError, match="overflows"):
+            vn_report(f, self.PAIR)
+        assert sum(fiber_solves) == 2048
+
+    @pytest.mark.parametrize("block_dim", [1, 2, 3])
+    def test_pruned_path_falls_back_then_raises(self, block_dim, fiber_solves, monkeypatch):
+        pruned, found = von_neumann._pruned_max, []
+
+        def recording(*args):
+            found.append(pruned(*args))
+            return found[-1]
+
+        monkeypatch.setattr(von_neumann, "_pruned_max", recording)
+        vn_report(S_POLY, TestPrunedMaximum.PRIMER)
+        fiber_solves.clear()
+        with pytest.raises(ValueError, match="overflows"):
+            vn_report(_overflowing(block_dim), self.PAIR)
+        # the rounding allowance overflows with f, so no angle is solved
+        # before the whole grid
+        assert found == [None] and sum(fiber_solves) == 2048
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_winner_that_is_not_finite_raises(self, bad):
+        # a NaN wins over the larger finite values before it, and so does inf
+        rank = np.array([[1.0, 4.0, 3.0], [2.0, 0.5, bad]])
+        s, p = np.zeros((2, 3), complex), np.ones(3, complex)
+        with pytest.raises(ValueError, match="overflows"):
+            von_neumann._winner(rank, s, p, squared=False)
+        # a square out of range goes to the SVD instead
+        assert von_neumann._winner(rank, s, p, squared=True) is None
 
 
 def _refining_case():
