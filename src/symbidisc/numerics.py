@@ -1,26 +1,43 @@
 """Dense complex spectral primitives used throughout the package.
 
 All matrices are plain ``numpy.ndarray`` objects with complex128 entries.
-Standard decompositions (Hermitian eigenvalues, Schur, SVD) are delegated
-to numpy/scipy.  The one nonstandard operation implemented here is
+Standard decompositions (Hermitian eigenvalues, SVD) are delegated to
+numpy.  The one nonstandard operation implemented here is
 ``numerical_radius``, the level-set iteration of Mengi and Overton; the
 result is attained, so a lower bound.  Its pencils go straight to LAPACK
 ``zggev`` (eigenvalues only), whose workspace size is queried once per
 pencil size and kept in a module dict: the same routine, column-major
 data and workspace as ``scipy.linalg.eigvals``, without its per-call
-query, copy and inf/nan rebuild.  ``_bisect_circle`` is the one bisection
-of a grid round the circle for an extremum, which the membership sweep
-and the pruned von Neumann boundary maximum both run.
+query, copy and inf/nan rebuild.
+
+``zggev`` is the one routine the package takes from scipy.  It is read
+from scipy's f2py LAPACK wrapper, the extension ``scipy/linalg/_flapack``,
+loaded by file without running ``scipy/linalg/__init__.py``: importing
+that package would nearly double the resident memory and the start-up
+time of every process that imports symbidisc.  The loaded module is
+taken out of ``sys.modules`` again, so a later ``import scipy.linalg``
+imports its ``_flapack`` as usual; an f2py module is initialised once
+per process, so the routine is the very object that
+``scipy.linalg.get_lapack_funcs("ggev", dtype=complex)`` returns,
+whichever of the two is imported first.  A scipy without that file
+gets the routine from ``get_lapack_funcs``.
+
+``_bisect_circle`` is the one bisection of a grid round the circle for
+an extremum, which the membership sweep and the pruned von Neumann
+boundary maximum both run.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Tolerances",
@@ -149,7 +166,8 @@ def _bisect_circle(m: int, solve, refine) -> np.ndarray:
         if not mids.size:
             return solved
         solve(mids)
-        solved = np.union1d(solved, mids)
+        # the midpoints lie strictly inside gaps, so they are new indices
+        solved = np.sort(np.concatenate((solved, mids)))
 
 
 def circle_pencils(k: np.ndarray, w: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
@@ -186,9 +204,36 @@ def require_commuting(
     return norm_a, norm_b, defect
 
 
+def _lapack_zggev():
+    """scipy's f2py ``zggev``, from ``scipy.linalg._flapack`` loaded by file
+    (or already imported) without importing ``scipy.linalg``; from
+    ``scipy.linalg.get_lapack_funcs`` when no such file exists."""
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        linalg = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(linalg, "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                flapack = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader)
+                )
+                loader.exec_module(flapack)
+                # registered without its package, which would then lack
+                # the attribute ``_flapack``
+                sys.modules.pop(name, None)
+                break
+        else:
+            import scipy.linalg
+
+            return scipy.linalg.get_lapack_funcs("ggev", dtype=complex)
+    return flapack.zggev
+
+
 # LAPACK zggev, and its workspace size by pencil size: the lwork = -1
 # query that scipy.linalg.eigvals runs on every call, run once per size
-_zggev = scipy.linalg.get_lapack_funcs("ggev", dtype=complex)
+_zggev = _lapack_zggev()
 _ZGGEV_LWORK: dict[int, int] = {}
 
 

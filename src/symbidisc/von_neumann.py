@@ -402,6 +402,7 @@ def vn_report(
     attached variety.  ``holds`` allows the multiplicative slack 1 + 1e-6
     for grid under-sampling of the maximum; on apparent violation the
     angular grid is doubled (up to 2^16) before a violation is reported.
+    ``ValueError`` when f(S, P) overflows, or f on the boundary grid.
 
     F and the variety depend only on the pair and ``tol``; the most recent
     pair's variety is kept and reused while consecutive calls pass the same
@@ -427,7 +428,11 @@ def vn_report(
     """
     cur_m = sample_count(m)
     variety, pruned = _pair_variety.report(pair, tol)
-    lhs = operator_norm(evaluate_pair(f, pair))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = evaluate_pair(f, pair)
+    if not np.isfinite(value).all():
+        raise ValueError("f(S, P) overflows: ||f(S, P)|| is not finite")
+    lhs = operator_norm(value)
     while True:
         rhs, arg = _boundary_max(f, variety, cur_m, pruned)
         holds = lhs <= rhs * (1.0 + _HOLDS_SLACK)

@@ -442,6 +442,17 @@ class TestVnCommand:
         out, err = capsys.readouterr()
         assert out == "" and "overflows" in err
 
+    def test_overflowing_value_exits_two(self, tmp_path, capsys):
+        # 1e308 s^3 on S = 2, P = 1: f(S, P) = 8e308 overflows, so there is
+        # no left-hand side: exit 2 and no report
+        pair = _write(tmp_path / "S.json", [[2.0]]), _write(tmp_path / "P.json", [[1.0]])
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"block_dim": 1, "terms": [
+            {"i": 3, "j": 0, "matrix": {"rows": 1, "cols": 1, "data": [[1e308, 0.0]]}}]}))
+        assert main(["vn", *pair, "--poly", str(big)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "f(S, P) overflows" in err
+
     def test_missing_inputs_is_an_error(self):
         assert main(["vn"]) == 2
 

@@ -1,5 +1,8 @@
+import importlib.machinery
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +202,44 @@ def test_zggev_failure_raises(monkeypatch):
     monkeypatch.setattr(symbidisc.numerics, "_zggev", failing)
     with pytest.raises(np.linalg.LinAlgError, match="zggev"):
         numerical_radius(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _fresh_interpreter(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports this symbidisc, with
+    every warning an error."""
+    path = str(Path(symbidisc.numerics.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, "-W", "error", "-c", f"import sys; sys.path.insert(0, {path!r}); {code}"],
+        check=True,
+    )
+
+
+class TestZggevLoad:
+    """``_zggev`` comes from scipy's LAPACK wrapper without ``scipy.linalg``."""
+
+    def test_import_leaves_scipy_linalg_out(self):
+        _fresh_interpreter(
+            "import symbidisc, symbidisc.cli; "
+            "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules)"
+        )
+
+    @pytest.mark.parametrize(
+        "first, second", [("symbidisc.numerics", "scipy.linalg"), ("scipy.linalg", "symbidisc.numerics")]
+    )
+    def test_same_routine_in_either_import_order(self, first, second):
+        # and scipy.linalg holds its _flapack as it does on its own
+        _fresh_interpreter(
+            f"import {first}, {second}, symbidisc.numerics, scipy.linalg; "
+            "assert symbidisc.numerics._zggev is scipy.linalg.get_lapack_funcs('ggev', dtype=complex); "
+            "assert scipy.linalg._flapack is sys.modules['scipy.linalg._flapack']"
+        )
+
+    @pytest.mark.parametrize("suffixes", [None, []], ids=["by-file", "get_lapack_funcs"])
+    def test_each_path_gives_the_imported_routine(self, suffixes, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        if suffixes is not None:
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", suffixes)
+        assert symbidisc.numerics._lapack_zggev() is symbidisc.numerics._zggev
 
 
 @settings(max_examples=300, deadline=None)

@@ -746,6 +746,13 @@ class TestOverflowingBoundary:
         # before the whole grid
         assert found == [None] and sum(fiber_solves) == 2048
 
+    def test_overflowing_value_raises(self, fiber_solves):
+        # 1e308 s^3 on S = 2, P = 1: f(S, P) = 8e308 itself overflows, so
+        # ||f(S, P)|| is not read and no boundary angle is solved
+        with pytest.raises(ValueError, match=r"f\(S, P\) overflows"):
+            vn_report(_overflowing(1), _scalar_pair(2, 1))
+        assert sum(fiber_solves) == 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_winner_that_is_not_finite_raises(self, bad):
         # a NaN wins over the larger finite values before it, and so does inf
