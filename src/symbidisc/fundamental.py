@@ -90,12 +90,11 @@ def solve_fundamental(
     violation raises ``FundamentalBoundError``.  Otherwise ``nr`` is
     solved on first read.
 
-    The solution is held per pair object and ``tol``, for the last two
-    pairs (a pair and the adjoint its dilation model solves), so a second
-    call returns the same object, with its ``nr`` if read; each call adds
-    only the bound check.  An error is not held, and raises again.  The
-    held solution goes stale if S or P is made writeable and changed in
-    place; a pickled or copied pair is a new key.
+    The solution is held per pair object and ``tol``, for the last pair,
+    so a second call on it returns the same object, with its ``nr`` if
+    read; each call adds only the bound check.  An error is not held, and
+    raises again.  The held solution goes stale if S or P is made
+    writeable and changed in place; a pickled or copied pair is a new key.
     """
     fund = _held_fundamental(pair, tol)
     if contraction_verified and fund.nr > 1.0 + tol.psd_tol:
@@ -105,7 +104,7 @@ def solve_fundamental(
     return fund
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _held_fundamental(pair: OperatorPair, tol: Tolerances) -> FundamentalOperator:
     return _fundamental(pair, tol)
 

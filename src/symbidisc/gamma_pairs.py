@@ -20,11 +20,11 @@ a Weyl bound on the pencil's smallest eigenvalue cannot exclude from the
 grid minimum, and drops indices on which the pencil vanishes exactly.
 
 Each verdict on a pair reads what the others read, solved once: the pair
-holds C = I - P*P, B = S - S*P, r(S) and its adjoint pair for its
-lifetime, each from its own first read (``OperatorPair``), and
-``defect_operator`` holds the splits of the last two read-only matrices
-it was given, keyed by their identity and ``tol``.  Held values go stale
-if S or P is made writeable and changed in place.
+holds C = I - P*P, B = S - S*P and r(S) for its lifetime, each from its
+own first read (``OperatorPair``), and ``defect_operator`` holds the
+split of the last read-only matrix it was given, keyed by its identity
+and ``tol``.  Held values go stale if S or P is made writeable and
+changed in place.
 """
 
 from __future__ import annotations
@@ -78,9 +78,8 @@ class OperatorPair:
 
     What every verdict on the pair reads is solved on first read and held
     by the pair, each on its own: ``C`` = I - P*P and ``B`` = S - S*P, with
-    rho(w S, w^2 P) = Y + Y*, Y = C - w B; ``s_radius`` r(S); and ``adjoint``
-    (S*, P*), whose S and P are read-only and own their data.  An error is
-    not held.  Pickle and copy carry none of them, and they go stale if S
+    rho(w S, w^2 P) = Y + Y*, Y = C - w B; and ``s_radius`` r(S).  An error
+    is not held.  Pickle and copy carry none of them, and they go stale if S
     or P is made writeable and changed in place.  S or P that does not own
     its data, such as an array unpickled under protocol 5, which views the
     pickle's buffer, is copied first, so that the pair owns both.
@@ -125,18 +124,6 @@ class OperatorPair:
     def s_radius(self) -> float:
         """r(S), the spectral radius of S."""
         return spectral_radius(self.S)
-
-    @cached_property
-    def adjoint(self) -> OperatorPair:
-        """(S*, P*), with the same commutator defect and norms; S* and P* are
-        C-ordered arrays of their own."""
-        return OperatorPair(
-            np.ascontiguousarray(self.S.T).conj(),
-            np.ascontiguousarray(self.P.T).conj(),
-            self.commutator_defect,
-            self.s_norm,
-            self.p_norm,
-        )
 
 
 @dataclass(frozen=True)
@@ -197,9 +184,9 @@ def make_operator_pair(s, p, tol: Tolerances = DEFAULT_TOL) -> OperatorPair:
     return OperatorPair(s.copy(), p.copy(), defect, ns, np_)
 
 
-# The last two splits of read-only matrices that own their data, newest
-# first, as (p, tol, split): a pair's P and its adjoint's.  The entry holds
-# p, so its identity is not reused while the split is held.
+# The last split of a read-only matrix that owns its data, as (p, tol,
+# split), or nothing.  The entry holds p, so its identity is not reused
+# while the split is held.
 _SPLITS: list[tuple[np.ndarray, Tolerances, DefectData]] = []
 
 
@@ -208,20 +195,19 @@ def defect_operator(p, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     arrays are read-only.
 
     The split of a read-only ``p`` that owns its data, such as the P of an
-    ``OperatorPair`` or of its adjoint, is held, keyed by the identity of
-    ``p`` and by ``tol``, for the last two such matrices: ``check_pure``,
+    ``OperatorPair``, is held, keyed by the identity of ``p`` and by
+    ``tol``, for the last such matrix: ``check_pure``,
     ``check_gamma_isometry``, ``solve_fundamental`` and ``build_model`` then
-    solve it once.  A held split goes stale if ``p`` is made writeable and
-    changed in place.  Any other ``p`` is split afresh; an error is not held.
+    solve it once per pair.  A held split goes stale if ``p`` is made
+    writeable and changed in place.  Any other ``p`` is split afresh; an
+    error is not held.
     """
     held = isinstance(p, np.ndarray) and p.flags.owndata and not p.flags.writeable
-    if held:
-        for q, t, dd in _SPLITS:
-            if q is p and t == tol:
-                return dd
+    if held and _SPLITS and _SPLITS[0][0] is p and _SPLITS[0][1] == tol:
+        return _SPLITS[0][2]
     dd = _split(p, tol)
     if held:
-        _SPLITS[:] = [(p, tol, dd), *_SPLITS[:1]]
+        _SPLITS[:] = [(p, tol, dd)]
     return dd
 
 

@@ -98,7 +98,15 @@ def build_model(
         n = min(2 * n, _MAX_LEVEL)
         tail = _tail_norm(pair.P, n)
 
-    adjoint = pair.adjoint
+    # (S*, P*), formed here for its one reader: C-ordered arrays of their own,
+    # so that defect_operator holds the split of P*
+    adjoint = OperatorPair(
+        np.ascontiguousarray(pair.S.T).conj(),
+        np.ascontiguousarray(pair.P.T).conj(),
+        pair.commutator_defect,
+        pair.s_norm,
+        pair.p_norm,
+    )
     fund = solve_fundamental(adjoint, tol)
     bs = fund.defect.basis
     blocks = []

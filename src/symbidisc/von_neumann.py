@@ -128,42 +128,24 @@ class VNReport:
     argmax_theta: float
 
 
-class _PairMemo:
-    """The last pair's variety, keyed by the pair object and ``tol``, and
-    the number of reports that read it.
-
-    One entry: reports on the same pair come in runs, and a larger memo only
-    holds more varieties.  The variety holds its own grid, so no m is
-    keyed.  Calling the memo returns the pair's variety, solved if the pair
-    is not the held one, and counts no report; ``cache_clear`` empties it.
-    """
-
-    def __init__(self) -> None:
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self._entry = None  # (pair, tol, variety)
-        self._reports = 0
-
-    def _holds(self, pair: OperatorPair, tol: Tolerances) -> bool:
-        return self._entry is not None and self._entry[0] is pair and self._entry[1] == tol
-
-    def __call__(self, pair: OperatorPair, tol: Tolerances) -> DeterminantalVariety:
-        if not self._holds(pair, tol):
-            variety = lambda_variety(pair, tol)
-            self._entry, self._reports = (pair, tol, variety), 0
-        return self._entry[2]
-
-    def report(self, pair: OperatorPair, tol: Tolerances) -> tuple[DeterminantalVariety, bool]:
-        """The variety for one more report on the pair, and whether that
-        report is the first on a new pair right after a pair reported once."""
-        after_one = not self._holds(pair, tol) and self._entry is not None and self._reports == 1
-        variety = self(pair, tol)
-        self._reports += 1
-        return variety, after_one
+# The last pair reported on, as (pair, tol, variety, reports), or nothing.
+# One entry: reports on the same pair come in runs, and a larger memo only
+# holds more varieties.  The variety holds its own grid, so no m is keyed.
+_REPORTED: list[tuple[OperatorPair, Tolerances, DeterminantalVariety, int]] = []
 
 
-_pair_variety = _PairMemo()
+def _report_variety(pair: OperatorPair, tol: Tolerances) -> tuple[DeterminantalVariety, bool]:
+    """The pair's variety for one more report on it, solved unless the pair
+    and ``tol`` are the held ones, and whether that report is the first on
+    a new pair right after a pair reported exactly once."""
+    held = _REPORTED[0] if _REPORTED else None
+    if held is not None and held[0] is pair and held[1] == tol:
+        variety, reports, pruned = held[2], held[3], False
+    else:
+        variety, reports = lambda_variety(pair, tol), 0
+        pruned = held is not None and held[3] == 1
+    _REPORTED[:] = [(pair, tol, variety, reports + 1)]
+    return variety, pruned
 
 
 # One entry, for the same reason: each polynomial of a run on one pair reads
@@ -404,9 +386,10 @@ def vn_report(
     angular grid is doubled (up to 2^16) before a violation is reported.
     ``ValueError`` when f(S, P) overflows, or f on the boundary grid.
 
-    F and the variety depend only on the pair and ``tol``; the most recent
-    pair's variety is kept and reused while consecutive calls pass the same
-    pair object and ``tol``, together with the number of reports on it.
+    F and the variety depend only on the pair and ``tol``; a one-entry
+    record holds the most recent pair's variety and the number of reports
+    on it, reused while consecutive calls pass the same pair object and
+    ``tol``.
     The maximum over the grid takes one of two paths, with the same
     ``rhs``, ``argmax``, ``argmax_theta``, ``ratio``, ``holds``, ``m`` and
     ``sample_count`` bit for bit:
@@ -416,7 +399,7 @@ def vn_report(
       ``_pruned_max``), and the variety holds none of them;
     - every other report (a repeat on the held pair, a new pair after one
       reported twice or more, the first report in a process or after the
-      memo is cleared), and any m of at most 64 or an empty variety, solves
+      record is emptied), and any m of at most 64 or an empty variety, solves
       the whole grid, which the variety holds: the same ``m`` reads it and
       a doubled ``m`` extends it.
     A pair reported once thus pays for about a sixth of its angles, and a
@@ -427,7 +410,7 @@ def vn_report(
     for its own coefficients.
     """
     cur_m = sample_count(m)
-    variety, pruned = _pair_variety.report(pair, tol)
+    variety, pruned = _report_variety(pair, tol)
     with np.errstate(over="ignore", invalid="ignore"):
         value = evaluate_pair(f, pair)
     if not np.isfinite(value).all():

@@ -6,6 +6,18 @@ import symbidisc.fundamental
 import symbidisc.gamma_pairs
 import symbidisc.numerics
 import symbidisc.varieties
+import symbidisc.von_neumann
+
+
+@pytest.fixture(autouse=True)
+def _empty_memos():
+    """Each test starts with nothing held: no vn record, split, fundamental
+    operator, monomials or powers of p over a grid."""
+    symbidisc.von_neumann._REPORTED.clear()
+    symbidisc.gamma_pairs._SPLITS.clear()
+    symbidisc.fundamental._held_fundamental.cache_clear()
+    symbidisc.von_neumann._pair_monomials.cache_clear()
+    symbidisc.von_neumann._grid_powers.cache_clear()
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symbidisc import cli, von_neumann
+from symbidisc import cli
 from symbidisc.geometry import GammaPoint
 from symbidisc.numerics import DEFAULT_TOL
 from symbidisc.von_neumann import VNReport
@@ -427,7 +427,6 @@ class TestVnCommand:
         # on the boundary, so no maximum holds: exit 2, no report, no doubled
         # grid.  After a report on another pair, the pruned path falls back
         # to the whole grid first.
-        von_neumann._pair_variety.cache_clear()
         prefix = str(tmp_path / "x")
         assert main(["gen", "strict", "--seed", "7", "--dim", "3", "--prefix", prefix]) == 0
         big = tmp_path / "big.json"

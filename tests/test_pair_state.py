@@ -4,16 +4,22 @@ the split of P, the split of P* and each fundamental operator once.
 The order is ``check`` (membership, isometry, purity), ``fundop``, ``vn``
 and ``model`` (the dilation model and its check).  A pickled copy of a
 pair is a new key of everything held, so the same order on copies solves
-each object afresh and is the reference, bit for bit.
+each object afresh and is the reference, bit for bit.  Each memo holds
+one entry, so what the order leaves held is the last pair's, or that of
+the (S*, P*) its model formed.
 """
 
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
+import symbidisc.fundamental
 import symbidisc.gamma_pairs
+import symbidisc.von_neumann
 from symbidisc.fundamental import (
     FundamentalBoundError,
     ResidualTooLargeError,
@@ -103,10 +109,12 @@ def test_one_split_and_one_solution_per_pair(kind, split_solves, fundamental_sol
         # P, and P* for the model; F of the pair, and G of the adjoint
         assert [len(split_solves), len(fundamental_solves), len(radii)] == [
             1 + modelled, 1 + modelled, 1]
-        # a second run reads everything held and solves nothing
+        # a second run solves P's split and F again where the model's P* and
+        # G replaced them, and then P*'s and G for a new (S*, P*)
+        del split_solves[:], fundamental_solves[:], radii[:]
         assert repr(_cli_order(pair, poly)[0]) == repr(got)
         assert [len(split_solves), len(fundamental_solves), len(radii)] == [
-            1 + modelled, 1 + modelled, 1]
+            2 * modelled, 2 * modelled, 0]
         want, _ = _cli_order(pickle.loads(pickle.dumps(pair)), poly)
         assert repr(got) == repr(want)
 
@@ -138,8 +146,34 @@ def test_held_per_tol(split_solves, fundamental_solves):
     # rank_tol and above 1e-11
     pair = near_unitary_pair(2e-11)
     fine = Tolerances(rank_tol=1e-11)
-    for _ in range(2):
-        assert [check_pure(pair.P), check_pure(pair.P, fine)] == [False, True]
-        ranks = [solve_fundamental(pair, tol).defect.rank for tol in (DEFAULT_TOL, fine)]
-        assert ranks == [1, 2]
+    for tol, pure, rank in ((DEFAULT_TOL, False, 1), (fine, True, 2)):
+        for _ in range(2):
+            assert check_pure(pair.P, tol) is pure
+            assert solve_fundamental(pair, tol).defect.rank == rank
     assert len(split_solves) == len(fundamental_solves) == 2
+    # one entry each: the first tol again is solved again
+    assert solve_fundamental(pair).defect.rank == 1
+    assert len(split_solves) == len(fundamental_solves) == 3
+
+
+def test_each_memo_holds_the_last_pair_alone(fundamental_solves):
+    rng = rng_from_seed(65)
+    a, b = (random_symmetrized_pair(rng, 3) for _ in range(2))
+    poly = random_matrix_polynomial(rng)
+    assert _cli_order(a, poly)[1]
+    # A and the (S*, P*) of its model
+    gone = [weakref.ref(x) for x in fundamental_solves]
+    del a, fundamental_solves[:]
+    assert _cli_order(b, poly)[1]
+    adj = fundamental_solves[-1]
+    assert np.array_equal(adj.S, b.S.conj().T) and np.array_equal(adj.P, b.P.conj().T)
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None]
+    (p, _, split), = symbidisc.gamma_pairs._SPLITS
+    (pair, _, _, reports), = symbidisc.von_neumann._REPORTED
+    assert p is adj.P and pair is b and reports == 1
+    held = symbidisc.fundamental._held_fundamental
+    assert held.cache_info().currsize == 1
+    assert held(adj, DEFAULT_TOL).defect is split and len(fundamental_solves) == 2
+    for memo in (symbidisc.von_neumann._pair_monomials, symbidisc.von_neumann._grid_powers):
+        assert memo.cache_info().currsize == 1

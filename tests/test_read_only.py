@@ -24,9 +24,10 @@ from symbidisc.generators import (
 )
 from symbidisc import von_neumann
 from symbidisc.model_theory import build_model
-from symbidisc.numerics import DEFAULT_TOL
 from symbidisc.varieties import DeterminantalVariety
-from symbidisc.von_neumann import lambda_variety
+from symbidisc.von_neumann import MatrixPolynomial, lambda_variety, vn_report
+
+S_POLY = MatrixPolynomial.scalar([[0], [1]])  # f(s, p) = s
 
 
 def _cases():
@@ -106,27 +107,37 @@ def test_copies_are_rebuilt_read_only_without_cached_values(name, obj, fields, g
 def test_a_pickled_pair_is_a_new_memo_key():
     pair = CASES[0][1]
     dup = pickle.loads(pickle.dumps(pair))
-    assert von_neumann._pair_variety(dup, DEFAULT_TOL) is not von_neumann._pair_variety(
-        pair, DEFAULT_TOL)
+    vn_report(S_POLY, pair, m=8)
+    (_, _, variety, _), = von_neumann._REPORTED
+    vn_report(S_POLY, dup, m=8)
+    (held, _, dup_variety, _), = von_neumann._REPORTED
+    assert held is dup and dup_variety is not variety
 
 
-HELD = {"C", "B", "s_radius", "adjoint"}
+HELD = {"C", "B", "s_radius"}
 
 
 def _held_pair():
     """A fresh pair whose held values have all been read."""
     t1, t2 = random_commuting_contractions(rng_from_seed(92), 3)
     pair = make_operator_pair(t1 + t2, t1 @ t2)
-    pair.C, pair.B, pair.s_radius, pair.adjoint, defect_operator(pair.P)
+    pair.C, pair.B, pair.s_radius, defect_operator(pair.P)
     return pair
 
 
-def test_held_state_is_read_only():
+def test_the_model_leaves_no_adjoint_on_the_pair():
+    pair = _held_pair()
+    build_model(pair)
+    assert set(vars(pair)) == {f.name for f in dataclasses.fields(pair)} | HELD
+
+
+def test_held_state_is_read_only(fundamental_solves):
     pair = _held_pair()
     assert HELD <= set(vars(pair))
     dd = defect_operator(pair.P)
     assert defect_operator(pair.P) is dd
-    adj = pair.adjoint
+    build_model(pair)
+    adj = fundamental_solves[-1]  # (S*, P*), formed by the model
     assert adj.P.flags.owndata and adj.S.flags.owndata
     assert np.array_equal(adj.S, pair.S.conj().T) and np.array_equal(adj.P, pair.P.conj().T)
     held = [pair.C, pair.B, adj.S, adj.P, dd.D, dd.basis, dd.eigenvalues, dd.kernel, dd.unitary]
@@ -137,11 +148,10 @@ def test_held_state_is_read_only():
                 m[(0,) * m.ndim] = 7.0
 
 
-def test_the_adjoints_fundamental_solve_holds_b_alone():
+def test_the_adjoints_fundamental_solve_holds_b_alone(fundamental_solves):
     # G of (S*, P*) reads S* - S P* but not I - P P*
-    pair = _held_pair()
-    adj = pair.adjoint
-    solve_fundamental(adj)
+    build_model(_held_pair())
+    adj = fundamental_solves[-1]
     assert "B" in vars(adj) and "C" not in vars(adj)
 
 

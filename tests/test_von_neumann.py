@@ -41,6 +41,13 @@ def _scalar_pair(s, p):
     return make_operator_pair(np.array([[s]], complex), np.array([[p]], complex))
 
 
+def _held_variety(pair):
+    """The variety of the vn record, which must hold the pair at the default tol."""
+    (held, tol, variety, _), = von_neumann._REPORTED
+    assert held is pair and tol == DEFAULT_TOL
+    return variety
+
+
 class TestEvaluatePair:
     def test_coordinate_s(self):
         rng = rng_from_seed(61)
@@ -125,7 +132,6 @@ class TestLambdaVariety:
 
 class TestRadiusOnRead:
     def test_report_and_variety_solve_no_radius(self, radius_solves):
-        von_neumann._pair_variety.cache_clear()
         rng = rng_from_seed(67)
         pairs = [random_symmetrized_pair(rng, 3), random_model_pair(rng),
                  random_strict_pair(rng, 3, 0.8)]
@@ -340,8 +346,7 @@ class TestNorms2x2:
 
 class TestPairMemo:
     @pytest.fixture(autouse=True)
-    def _empty_memo(self, monkeypatch):
-        von_neumann._pair_variety.cache_clear()
+    def _count_solves(self, monkeypatch):
         self.solves = 0
         solve = von_neumann.lambda_variety
 
@@ -357,7 +362,7 @@ class TestPairMemo:
         polys = [random_matrix_polynomial(rng) for _ in range(4)]
         reps = [vn_report(f, pair, m=128) for f in polys]
         assert self.solves == 1
-        von_neumann._pair_variety.cache_clear()
+        von_neumann._REPORTED.clear()
         assert [vn_report(f, pair, m=128) for f in polys] == reps
 
     def test_equal_contents_solve_again(self):
@@ -402,7 +407,7 @@ class TestPairMemo:
         pair = random_symmetrized_pair(rng, 3)
         f = random_matrix_polynomial(rng, 3, 2)
         vn_report(f, pair, m=128)
-        variety = von_neumann._pair_variety(pair, DEFAULT_TOL)
+        variety = _held_variety(pair)
         assert isinstance(variety, DeterminantalVariety)
         held_p, held_s = variety._grid
         assert not held_p.flags.writeable
@@ -430,12 +435,6 @@ class TestPairMemo:
 class TestHeldPolynomialTerms:
     """A report on a held pair reuses its products S^i P^j and the powers of
     p over the held grid, so only its own coefficients are new work."""
-
-    @pytest.fixture(autouse=True)
-    def _empty_memos(self):
-        for memo in (von_neumann._pair_variety, von_neumann._pair_monomials,
-                     von_neumann._grid_powers):
-            memo.cache_clear()
 
     def test_ten_polynomials_build_the_terms_once(self):
         rng = rng_from_seed(79)
@@ -471,8 +470,7 @@ class TestHeldPolynomialTerms:
         f, pair = _refining_case()
         assert vn_report(f, pair, m=4).m == 16
         assert von_neumann._grid_powers.cache_info()[1:] == (3, 1, 1)  # misses, maxsize, size
-        variety = von_neumann._pair_variety(pair, DEFAULT_TOL)
-        held_p, _ = variety._grid
+        held_p, _ = _held_variety(pair)._grid
         assert von_neumann._grid_powers(16, 1)[1].tobytes() == held_p.tobytes()
 
     def test_evaluate_pair_is_bit_identical_to_per_call_products(self):
@@ -555,17 +553,11 @@ class TestPrunedMaximum:
 
     PRIMER = _scalar_pair(0.5, 0.25)
 
-    @pytest.fixture(autouse=True)
-    def _empty_memo(self):
-        von_neumann._pair_variety.cache_clear()
-        yield
-        von_neumann._pair_variety.cache_clear()
-
     def _both(self, f, pair, m, fiber_solves):
         """(full-grid report, pruned report, fibers the pruned one solved)."""
-        von_neumann._pair_variety.cache_clear()
+        von_neumann._REPORTED.clear()
         want = vn_report(f, pair, m=m)
-        von_neumann._pair_variety.cache_clear()
+        von_neumann._REPORTED.clear()
         vn_report(S_POLY, self.PRIMER, m=m)
         fiber_solves.clear()
         got = vn_report(f, pair, m=m)
@@ -579,7 +571,7 @@ class TestPrunedMaximum:
         f = random_matrix_polynomial(rng_from_seed(96 + block_dim), 3, block_dim)
         want, got, solved = self._both(f, pair, m, fiber_solves)
         assert repr(got) == repr(want)
-        variety = von_neumann._pair_variety(pair, DEFAULT_TOL)
+        variety = _held_variety(pair)
         if m > 64:
             assert "_grid" not in vars(variety)
             if got.m == m >= 256:
@@ -694,10 +686,9 @@ class TestPrunedMaximum:
         assert solves(b) == full  # the held pair again: nothing was held
         assert solves(b) == 0
         assert solves(c) == full  # a new pair after one reported three times
-        von_neumann._pair_variety(a, DEFAULT_TOL)  # a look-up is no report
-        assert solves(b) == full
-        von_neumann._pair_variety.cache_clear()
-        assert solves(c) == full  # the first report after the memo is cleared
+        assert solves(b) < full  # a new pair after one reported once
+        von_neumann._REPORTED.clear()
+        assert solves(c) == full  # the first report after the record is emptied
 
 
 def _overflowing(block_dim):
@@ -714,12 +705,6 @@ class TestOverflowingBoundary:
     without a doubled grid, and without a RuntimeWarning on the way."""
 
     PAIR = random_strict_pair(rng_from_seed(7), 3, 0.9)  # ``gen strict --seed 7 --dim 3``
-
-    @pytest.fixture(autouse=True)
-    def _empty_memo(self):
-        von_neumann._pair_variety.cache_clear()
-        yield
-        von_neumann._pair_variety.cache_clear()
 
     @pytest.mark.parametrize("block_dim", [1, 2, 3])
     def test_whole_grid_raises_without_doubling(self, block_dim, fiber_solves):
@@ -786,7 +771,6 @@ def test_refinement_doubles_until_it_holds():
 
 
 def test_refinement_solves_only_the_new_angles(fiber_solves):
-    von_neumann._pair_variety.cache_clear()
     f, pair = _refining_case()
     assert vn_report(f, pair, m=4).m == 16
     assert sum(fiber_solves) == 16  # 4 + 4 + 8, where solving each grid whole takes 28
