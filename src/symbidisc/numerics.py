@@ -62,11 +62,15 @@ def _integer(x, what: str) -> int:
     return int(x)
 
 
+# The largest sample count, which the doubled von Neumann grid stops at
+_MAX_SAMPLES = 1 << 16
+
+
 def sample_count(m) -> int:
-    """``m`` as an int; ``ValueError`` unless it is a positive integer."""
+    """``m`` as an int; ``ValueError`` unless 1 <= m <= 2^16."""
     m = _integer(m, "sample count")
-    if m < 1:
-        raise ValueError("sample count must be positive")
+    if not 1 <= m <= _MAX_SAMPLES:
+        raise ValueError(f"sample count must be positive and at most {_MAX_SAMPLES}, got {m}")
     return m
 
 
@@ -94,7 +98,7 @@ class Tolerances:
         tols = (self.psd_tol, self.rank_tol, self.residual_tol)
         if not all(isinstance(t, numbers.Real) and 0 <= t < math.inf for t in tols):
             raise ValueError("tolerances must be finite and nonnegative real numbers")
-        if _integer(self.grid_angular, "sample count") < 2:
+        if sample_count(self.grid_angular) < 2:
             raise ValueError("grid sizes must be at least 2")
 
 

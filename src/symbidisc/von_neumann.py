@@ -23,13 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .fundamental import solve_fundamental
 from .gamma_pairs import OperatorPair
 from .geometry import GammaPoint
 from .numerics import (
     _COARSE_POINTS,
+    _MAX_SAMPLES,
     DEFAULT_TOL,
     Tolerances,
     _bisect_circle,
@@ -47,7 +48,6 @@ __all__ = [
     "vn_report",
 ]
 
-_REFINE_CAP = 1 << 16
 _HOLDS_SLACK = 1e-6
 
 
@@ -263,12 +263,11 @@ def _boundary_max(
     SVD, as other block sizes do.
 
     ``pruned`` solves only the angles that may hold the maximum
-    (``_pruned_max``) when m exceeds the coarse points of
-    ``_bisect_circle`` and the variety is not empty, and holds none of
-    them.  Otherwise, and when the pruned maximum gives up, the whole grid
-    is solved and held.
+    (``_pruned_max``), and holds none, when m > ``_COARSE_POINTS`` and the
+    variety's dimension exceeds 1, where that costs less.  Otherwise, and
+    when the pruned maximum gives up, the whole grid is solved and held.
     """
-    if pruned and m > _COARSE_POINTS and variety.dim:
+    if pruned and m > _COARSE_POINTS and variety.dim > 1:
         found = _pruned_max(f, variety, m)
         if found is not None:
             return found
@@ -276,6 +275,18 @@ def _boundary_max(
     vals, squared = _horner(_over_p(f, m), s), f.block_dim == 2
     found = _winner(_rank(vals, squared), s, p, squared)
     return found or _winner(_rank(vals, False), s, p, False)
+
+
+def _lipschitz(f: MatrixPolynomial, variety: DeterminantalVariety) -> tuple[float, float]:
+    """L, a Lipschitz constant of g over the whole circle, and the rounding
+    allowance 2 e, both of ``_pruned_max``."""
+    eps, (ds, dp), k, n = np.finfo(float).eps, f.degrees, f.block_dim, variety.dim
+    norms = np.linalg.svd(f.coeffs, compute_uv=False)[..., 0]  # ||C_ij||, (ds + 1, dp + 1)
+    two_a, by_s = 2.0 * operator_norm(variety.A), norms.sum(axis=1)
+    big_r = two_a * (1.0 + 64 * n * eps)
+    lip = float(two_a * polyval(big_r, polyder(by_s)) + polyval(big_r, norms @ np.arange(dp + 1.0)))
+    size = math.sqrt(k) * float(polyval(big_r, by_s)) + lip
+    return lip, 2 * (8 * (ds + dp + 1) + 16 * k + 48 * n + 32) * eps * size
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an infinite bound marks its gap
@@ -287,26 +298,23 @@ def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
 
     ``_bisect_circle`` bisects the angles for the grid maximum, with
     Shubert's tent bound.  The largest norm at an angle,
-    g(theta) = max_j ||f(s_j(theta), e^{i theta})||, is L-Lipschitz on a
-    gap of width d radians, so every angle of the gap lies at or below
-    (v_lo + v_hi + L d) / 2, v the values of g at the ends, with
-    L = 2 ||A|| L_s(r) + L_p(r), L_s(r) = sum_ij i ||C_ij|| r^(i-1),
-    L_p(r) = sum_ij j ||C_ij|| r^i and r = max(end moduli) + 2 ||A|| d.
-    The sorted eigenvalues of H(phi) = e^{-i phi} A + e^{i phi} A* move at
-    most 2 ||A|| |dphi|, theta = 2 phi and s = e^{i theta / 2} lambda, so
-    each fiber moves at most 2 ||A|| |dtheta| and its modulus at most
-    ||A|| |dtheta|; an angle of the gap lies within d / 2 of an end, so r
-    exceeds every fiber modulus in the gap by at least 1.5 ||A|| d, far
-    more than the eigensolver's error at the ends; and
-    |p^j - p0^j| <= j |dtheta|.  A gap is marked unless its computed
-    bound, raised by the factor 1 + (4 D + 16 k + 16) eps for its own
-    rounding and that of ||A|| and ||C_ij||, falls short of the largest
-    value M solved so far less the allowance.
+    g(theta) = max_j ||f(s_j(theta), e^{i theta})||, is L-Lipschitz with
+    L = 2 ||A|| L_s(R) + L_p(R) (``_lipschitz``), L_s(r) = sum_ij i ||C_ij|| r^(i-1),
+    L_p(r) = sum_ij j ||C_ij|| r^i and R = 2 ||A|| (1 + 64 n eps): every
+    exact fiber has |s| <= ||A + p A*|| <= 2 ||A|| <= R; the sorted
+    eigenvalues of H(phi) = e^{-i phi} A + e^{i phi} A* move at most
+    2 ||A|| |dphi|, theta = 2 phi and s = e^{i theta / 2} lambda, so each
+    fiber moves at most 2 ||A|| |dtheta|; and |p^j - p0^j| <= j |dtheta|.
+    Every angle of a gap of width d radians thus lies at or below
+    (v_lo + v_hi + L d) / 2, v the values of g at the ends.  A gap is
+    marked unless its computed bound, raised by the factor
+    1 + (4 D + 16 k + 16) eps for its own rounding and that of ||A|| and
+    ||C_ij||, falls short of the largest value M solved so far less the
+    allowance.
 
     The allowance is 2 e with e = (8 D + 16 k + 48 n + 32) eps N,
     D = deg_s + deg_p + 1, k the block size, n the variety's dimension and
-    N = |f|(R) + 2 ||A|| L_s(R) + L_p(R) at R = 2 ||A|| (1 + 64 n eps),
-    with |f|(r) = sqrt(k) sum_ij ||C_ij|| r^i, at least the
+    N = |f|(R) + L, with |f|(r) = sqrt(k) sum_ij ||C_ij|| r^i, at least the
     absolute-value polynomial sum_ij ||C_ij||_F r^i on |p| = 1.
     R bounds every computed fiber.  At one angle, e bounds the distance
     from the computed largest norm to g at the exact grid angle:
@@ -316,7 +324,7 @@ def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
     - the eigensolver's backward error, with the pencil's rounding and that
       of s = e^{i theta / 2} lambda at most (40 n + 16) eps ||A|| on a fiber,
       times L_s(R);
-    - the rounding of theta and p, at most 16 eps, times 2 ||A|| L_s(R) + L_p(R).
+    - the rounding of theta and p, at most 16 eps, times L.
     The tent over computed ends then lies at most e / 2 + e / 2 below the
     tent over exact ones, and an unsolved angle's computed value at most e
     above g there: every unsolved angle's computed value lies strictly
@@ -329,24 +337,14 @@ def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
     rounds a complex product whose operands have only unit dimensions
     differently, so a round that solves one angle evaluates it twice.
     """
-    eps = np.finfo(float).eps
-    (ds, dp), k, n = f.degrees, f.block_dim, variety.dim
-    norms = np.linalg.svd(f.coeffs, compute_uv=False)[..., 0]  # ||C_ij||, (ds + 1, dp + 1)
-    ls = (np.arange(1, ds + 1) * norms[1:].sum(axis=1)) if ds else np.zeros(1)
-    lp = norms @ np.arange(dp + 1.0)
-    two_a = 2.0 * operator_norm(variety.A)
-    big_r = two_a * (1.0 + 64 * n * eps)
-    size = (math.sqrt(k) * polyval(big_r, norms.sum(axis=1)) + two_a * polyval(big_r, ls)
-            + polyval(big_r, lp))
-    grow = 1.0 + (4 * (ds + dp + 1) + 16 * k + 16) * eps
-    allowance = 2 * (8 * (ds + dp + 1) + 16 * k + 48 * n + 32) * eps * size
+    lip, allowance = _lipschitz(f, variety)
     if not math.isfinite(allowance):
         return None
+    (ds, dp), k, n = f.degrees, f.block_dim, variety.dim
+    grow = 1.0 + (4 * (ds + dp + 1) + 16 * k + 16) * np.finfo(float).eps
     squared, q, thetas = k == 2, _over_p(f, m), phase_grid(m)
-    fibers = np.empty((n, m), dtype=complex)
-    rank = np.empty((n, m))
+    fibers, rank = np.empty((n, m), dtype=complex), np.empty((n, m))
     top = np.empty(m)  # g, the largest norm at an angle
-    moduli = np.empty(m)  # the largest fiber modulus at an angle
 
     def solve(idx: np.ndarray) -> None:
         fibers[:, idx] = _solve_fibers(variety.A, thetas[idx]).T
@@ -355,15 +353,12 @@ def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
         top[idx] = rank[:, idx].max(axis=0)
         if squared:
             top[idx] = np.sqrt(top[idx])
-        moduli[idx] = np.abs(fibers[:, idx]).max(axis=0)
 
     def refine(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         best = top[lo].max()
         if not math.isfinite(best):
             return np.zeros(lo.size, dtype=bool)
         d = 2.0 * math.pi / m * (hi - lo)
-        r = np.maximum(moduli[lo], moduli[hi % m]) + two_a * d
-        lip = two_a * polyval(r, ls) + polyval(r, lp)
         return ~(grow * 0.5 * (top[lo] + top[hi % m] + lip * d) < best - allowance)
 
     solved = _bisect_circle(m, solve, refine)
@@ -383,7 +378,7 @@ def vn_report(
     The right-hand side samples only the unimodular-|p| fibers of the
     attached variety.  ``holds`` allows the multiplicative slack 1 + 1e-6
     for grid under-sampling of the maximum; on apparent violation the
-    angular grid is doubled (up to 2^16) before a violation is reported.
+    angular grid is doubled, never past 2^16, before a violation is reported.
     ``ValueError`` when f(S, P) overflows, or f on the boundary grid.
 
     F and the variety depend only on the pair and ``tol``; a one-entry
@@ -393,16 +388,16 @@ def vn_report(
     The maximum over the grid takes one of two paths, with the same
     ``rhs``, ``argmax``, ``argmax_theta``, ``ratio``, ``holds``, ``m`` and
     ``sample_count`` bit for bit:
-    - the first report on a new pair, right after a pair reported exactly
-      once, solves only the angles that may hold the maximum (64 evenly
-      spread, then the gaps a Lipschitz bound cannot rule out; see
-      ``_pruned_max``), and the variety holds none of them;
+    - the first report on a new pair whose variety has dimension 2 or
+      more, right after a pair reported exactly once, solves only the
+      angles that may hold the maximum (64 evenly spread, then the gaps a
+      Lipschitz bound cannot rule out), and the variety holds none of them;
     - every other report (a repeat on the held pair, a new pair after one
       reported twice or more, the first report in a process or after the
-      record is emptied), and any m of at most 64 or an empty variety, solves
-      the whole grid, which the variety holds: the same ``m`` reads it and
-      a doubled ``m`` extends it.
-    A pair reported once thus pays for about a sixth of its angles, and a
+      record is emptied), and any m of at most 64 or a variety of dimension
+      0 or 1, solves the whole grid, which the variety holds: the same
+      ``m`` reads it and a doubled ``m`` extends it.
+    A pair reported once thus pays for about a fifth of its angles, and a
     run of reports on one pair for each angle once.  The products S^i P^j
     at the polynomial's nonzero terms (i, j) are kept for the last pair and
     support, and the powers of p over the grid for the last m and degree,
@@ -419,7 +414,7 @@ def vn_report(
     while True:
         rhs, arg = _boundary_max(f, variety, cur_m, pruned)
         holds = lhs <= rhs * (1.0 + _HOLDS_SLACK)
-        if holds or cur_m >= _REFINE_CAP:
+        if holds or 2 * cur_m > _MAX_SAMPLES:
             break
         cur_m *= 2
     if rhs > 0:

@@ -355,6 +355,45 @@ class TestVarietyCommand:
         assert sum(fiber_solves) == 256 + 64
 
 
+class TestSampleBound:
+    """Every sample count a command reads is checked against the bound 2^16
+    before anything of that size is allocated: above it, the command exits
+    2 with a message and writes no report, CSV or generated pair."""
+
+    CASES = ["--angles", "--sample", "--m", "--grid-angular", "gen --grid-angular"]
+
+    @staticmethod
+    def _argv(case, count, tmp_path, pair):
+        a = _write(tmp_path / "A.json", [[0.5]])
+        s, p = pair
+        poly = tmp_path / "f.json"
+        poly.write_text(json.dumps({"block_dim": 1, "terms": [
+            {"i": 1, "j": 0, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}]}))
+        return {
+            "--angles": ["variety", a, "--angles", count],
+            "--sample": ["variety", a, "--sample", count, "--csv", str(tmp_path / "b.csv")],
+            "--m": ["vn", s, p, "--poly", str(poly), "--m", count],
+            "--grid-angular": ["check", s, p, "--grid-angular", count],
+            "gen --grid-angular": ["gen", "strict", "--prefix", str(tmp_path / "g"),
+                                   "--grid-angular", count],
+        }[case]
+
+    @pytest.mark.parametrize("count", [str(2**16 + 1), str(10**12)])
+    @pytest.mark.parametrize("case", CASES)
+    def test_count_above_the_bound_exits_two(self, case, count, tmp_path, scalar_pair_files,
+                                             capsys):
+        assert main(self._argv(case, count, tmp_path, scalar_pair_files)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: sample count must be positive and at most 65536, got {count}\n"
+        assert not (tmp_path / "b.csv").exists() and not list(tmp_path.glob("g-*"))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_bound_itself_is_accepted(self, case, tmp_path, scalar_pair_files, capsys):
+        assert main(self._argv(case, str(2**16), tmp_path, scalar_pair_files)) == 0
+        assert _strict_json(capsys.readouterr().out)
+
+
 class TestVnCommand:
     def test_single_report(self, scalar_pair_files, tmp_path, capsys):
         s, p = scalar_pair_files

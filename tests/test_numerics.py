@@ -76,6 +76,12 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(grid_angular=1)
 
+    def test_grid_within_the_sample_bound(self):
+        assert Tolerances(grid_angular=2**16).grid_angular == 2**16
+        for grid in (2**16 + 1, 10**12):
+            with pytest.raises(ValueError, match="at most 65536"):
+                Tolerances(grid_angular=grid)
+
     @pytest.mark.parametrize(
         "field, value",
         [

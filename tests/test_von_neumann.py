@@ -547,9 +547,10 @@ def test_golden_batch():
 
 
 class TestPrunedMaximum:
-    """The first report on a new pair right after a pair reported once
-    solves only the angles that may hold the grid maximum, holds none of
-    them, and reports what the whole grid reports, bit for bit."""
+    """The first report on a new pair whose variety has dimension 2 or more,
+    right after a pair reported once, solves only the angles that may hold
+    the grid maximum, holds none of them, and reports what the whole grid
+    reports, bit for bit."""
 
     PRIMER = _scalar_pair(0.5, 0.25)
 
@@ -572,13 +573,11 @@ class TestPrunedMaximum:
         want, got, solved = self._both(f, pair, m, fiber_solves)
         assert repr(got) == repr(want)
         variety = _held_variety(pair)
-        if m > 64:
+        if m > 64 and variety.dim > 1:
             assert "_grid" not in vars(variety)
-            if got.m == m >= 256:
-                assert solved < m
             if got.m == m == 2048:
                 assert solved < m / 2
-        elif got.m <= 64:  # the whole grid, extended as m doubles
+        elif got.m <= 64 or variety.dim == 1:  # the whole grid, extended as m doubles
             assert variety._grid[0].size == got.m and solved == got.m
 
     def test_ties_keep_the_first_angle(self, fiber_solves):
@@ -592,16 +591,30 @@ class TestPrunedMaximum:
         assert got.argmax_theta == 0.0 and solved == 256
 
     def test_every_doubled_m_is_pruned(self, fiber_solves):
-        # as in _refining_case, with the peak so sharp that the grid doubles
-        # from 65 angles to 520 before a point comes within the slack
+        # as in _refining_case, on the variety s^2 = 0 of dimension 2, with
+        # the peak so sharp that the grid doubles from 65 angles to 520
+        # before a point comes within the slack
         c = np.zeros((1, 2, 2, 2), complex)
         c[0, 0] = np.eye(2)
         c[0, 1] = np.exp(-1j) * np.diag([1.0, 0.5])
         f = MatrixPolynomial.from_coeffs(c)
-        pair = _scalar_pair(0, 0.99999 * np.exp(1j))
+        pair = make_operator_pair(np.zeros((2, 2)), 0.99999 * np.exp(1j) * np.eye(2))
         want, got, solved = self._both(f, pair, 65, fiber_solves)
         assert repr(got) == repr(want)
+        assert _held_variety(pair).dim == 2 and "_grid" not in vars(_held_variety(pair))
         assert got.m == 520 and solved < 65 + 130 + 260 + 520
+
+    def test_dimension_one_holds_the_whole_grid(self, fiber_solves):
+        # a whole grid of 1x1 pencils costs less than the pruned path
+        pair = PRUNED_PAIRS["scalar"]
+        f = random_matrix_polynomial(rng_from_seed(96), 3, 2)
+        vn_report(S_POLY, self.PRIMER)
+        fiber_solves.clear()
+        rep = vn_report(f, pair)
+        assert rep.m == 2048 and sum(fiber_solves) == 2048
+        assert _held_variety(pair)._grid[0].size == 2048
+        fiber_solves.clear()
+        assert repr(vn_report(f, pair)) == repr(rep) and sum(fiber_solves) == 0
 
     @pytest.mark.parametrize("block_dim", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -619,21 +632,42 @@ class TestPrunedMaximum:
         fell_back = block_dim == 2 and case in FALLBACK_CASES
         assert ("_grid" in vars(pruned)) == fell_back
 
+    @staticmethod
+    def _seeded_matrix(rng, n):
+        """A random representation of numerical radius 0.3 to 1."""
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return a * (rng.uniform(0.3, 1.0) / numerical_radius(a))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3),
            st.sampled_from([65, 100, 256, 2048]), st.integers(1, 6))
     def test_seeded_varieties_match_the_full_grid(self, seed, n, block_dim, m, degree):
-        # random representations of numerical radius 0.3 to 1, where the
-        # bound prunes most, and polynomials up to total degree 6
+        # seeded representations, where the bound prunes most, and
+        # polynomials up to total degree 6
         rng = rng_from_seed(seed)
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a *= rng.uniform(0.3, 1.0) / numerical_radius(a)
+        a = self._seeded_matrix(rng, n)
         f = random_matrix_polynomial(rng, degree, block_dim)
         pruned = DeterminantalVariety.from_matrix(a)
         got = von_neumann._boundary_max(f, pruned, m, pruned=True)
         want = von_neumann._boundary_max(f, DeterminantalVariety.from_matrix(a), m)
         assert repr(got) == repr(want)
-        assert "_grid" not in vars(pruned)
+        assert ("_grid" in vars(pruned)) == (n == 1)  # dimension 1 takes the whole grid
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3), st.integers(1, 6))
+    def test_lipschitz_constant_bounds_every_step(self, seed, n, block_dim, degree):
+        # g(theta) = max_j ||f(s_j(theta), e^{i theta})||, computed on a fine
+        # grid, moves by at most L dtheta plus the rounding allowance a step
+        rng = rng_from_seed(seed)
+        variety = DeterminantalVariety.from_matrix(self._seeded_matrix(rng, n))
+        f = random_matrix_polynomial(rng, degree, block_dim)
+        lip, allowance = von_neumann._lipschitz(f, variety)
+        m = 16384
+        _, s = variety._boundary(m)
+        vals = von_neumann._horner(von_neumann._over_p(f, m), s)
+        g = von_neumann._rank(vals, squared=False).max(axis=0)
+        steps = np.abs(np.diff(g, append=g[:1]))
+        assert steps.max() <= lip * (2 * math.pi / m) + allowance
 
     @pytest.mark.parametrize("k", range(2, 7))
     @pytest.mark.parametrize("block_dim", [1, 2, 3])
@@ -774,6 +808,21 @@ def test_refinement_solves_only_the_new_angles(fiber_solves):
     f, pair = _refining_case()
     assert vn_report(f, pair, m=4).m == 16
     assert sum(fiber_solves) == 16  # 4 + 4 + 8, where solving each grid whole takes 28
+
+
+@pytest.mark.parametrize("m, last", [(2048, 2**16), (40000, 40000), (2**16, 2**16)])
+def test_doubling_stops_at_the_sample_bound(m, last, monkeypatch):
+    # a boundary maximum that never reaches lhs: the grid doubles while the
+    # doubled count stays within the bound that sample_count checks
+    seen = []
+
+    def zero(f, variety, m, pruned=False):
+        seen.append(m)
+        return 0.0, GammaPoint(0j, 1 + 0j)
+
+    monkeypatch.setattr(von_neumann, "_boundary_max", zero)
+    rep = vn_report(S_POLY, _scalar_pair(0.5, 0.25), m=m)
+    assert not rep.holds and rep.m == seen[-1] == last
 
 
 @pytest.mark.parametrize("make", [
