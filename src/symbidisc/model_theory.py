@@ -23,7 +23,7 @@ import numpy as np
 
 from .fundamental import FundamentalOperator, solve_fundamental
 from .gamma_pairs import OperatorPair, check_pure
-from .numerics import DEFAULT_TOL, Tolerances, _integer, operator_norm
+from .numerics import DEFAULT_TOL, Tolerances, _count, operator_norm
 
 __all__ = [
     "TruncatedModel",
@@ -34,6 +34,8 @@ __all__ = [
 
 _TAIL_TARGET = 1e-8
 _MAX_LEVEL = 4096
+# Largest power bound of ``dilation_check``: each power adds N k x dim arrays
+_MAX_POWER = 64
 
 
 @dataclass(frozen=True)
@@ -82,11 +84,7 @@ def build_model(
     """
     if not check_pure(pair.P, tol):
         raise ValueError("P is not pure; the truncated model does not apply")
-    n = _integer(n_blocks, "block count") if n_blocks is not None else 8
-    if n < 1:
-        raise ValueError("block count must be positive")
-    if n > _MAX_LEVEL:
-        raise ValueError(f"block count {n} exceeds the level cap {_MAX_LEVEL}")
+    n = _count(n_blocks, "block count", 1, _MAX_LEVEL) if n_blocks is not None else 8
     tail = _tail_norm(pair.P, n)
     while tail > _TAIL_TARGET:
         if n >= _MAX_LEVEL:
@@ -136,15 +134,13 @@ def dilation_check(
     together with the co-isometric extension residuals ||W P* - V* W||
     and ||W S* - T* W|| and the reporting bound
     C * tail, C = (1 + ||S||) (1 + m_max + n_max).  Power bounds that
-    are not integers, or are negative (they would check no power at all),
-    raise ``ValueError``.
+    are not integers, are negative (they would check no power at all) or
+    exceed 64 raise ``ValueError``.
 
     Each compression is (T*^m W)* (V^n W), where V^n W is W moved down n
     blocks, so only N k x dim arrays are formed.
     """
-    m_max, n_max = _integer(m_max, "power bound"), _integer(n_max, "power bound")
-    if m_max < 0 or n_max < 0:
-        raise ValueError("power bounds must be nonnegative")
+    m_max, n_max = (_count(b, "power bound", 0, _MAX_POWER) for b in (m_max, n_max))
     if model.W.shape[1] != pair.dim:
         raise ValueError("model and pair dimensions do not match")
     w = model.W

@@ -54,11 +54,13 @@ __all__ = [
 ]
 
 
-def _integer(x, what: str) -> int:
-    """``x`` as an int; ``ValueError`` naming ``what`` for a bool, a float
-    or a non-number."""
+def _count(x, what: str, lo: int, hi: int) -> int:
+    """``x`` as an int in [lo, hi]; ``ValueError`` naming ``what`` otherwise."""
     if not isinstance(x, numbers.Integral) or isinstance(x, bool):
         raise ValueError(f"{what} must be an integer, got {x!r}")
+    if not lo <= x <= hi:
+        sign = "nonnegative" if lo == 0 else "positive"
+        raise ValueError(f"{what} must be {sign} and at most {hi}, got {x}")
     return int(x)
 
 
@@ -68,10 +70,7 @@ _MAX_SAMPLES = 1 << 16
 
 def sample_count(m) -> int:
     """``m`` as an int; ``ValueError`` unless 1 <= m <= 2^16."""
-    m = _integer(m, "sample count")
-    if not 1 <= m <= _MAX_SAMPLES:
-        raise ValueError(f"sample count must be positive and at most {_MAX_SAMPLES}, got {m}")
-    return m
+    return _count(m, "sample count", 1, _MAX_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -84,15 +83,15 @@ class Tolerances:
     rank decisions, ``residual_tol`` bounds acceptable equation residuals,
     and ``grid_angular`` counts the phases of the membership circle of
     ``check_gamma_contraction``; the numerical radius reads no tolerance.
-    The library no longer reads ``grid_radial``; it stays for outside
-    callers.
+    ``grid_radial`` is a class constant, not a field, that the library
+    does not read.
     """
 
     psd_tol: float = 1e-9
     rank_tol: float = 1e-10
     residual_tol: float = 1e-8
     grid_angular: int = 1024
-    grid_radial: int = 21
+    grid_radial = 21  # unannotated, so no field
 
     def __post_init__(self):
         tols = (self.psd_tol, self.rank_tol, self.residual_tol)

@@ -8,7 +8,7 @@ import pytest
 
 from symbidisc import cli
 from symbidisc.geometry import GammaPoint
-from symbidisc.numerics import DEFAULT_TOL
+from symbidisc.numerics import DEFAULT_TOL, _count
 from symbidisc.von_neumann import VNReport
 
 from symbidisc.cli import (
@@ -356,11 +356,26 @@ class TestVarietyCommand:
 
 
 class TestSampleBound:
-    """Every sample count a command reads is checked against the bound 2^16
-    before anything of that size is allocated: above it, the command exits
-    2 with a message and writes no report, CSV or generated pair."""
+    """Every count a command reads is checked against its upper bound
+    before anything of that size is allocated or run: above it, the
+    command exits 2 with one message and writes no report, CSV or
+    generated pair."""
 
-    CASES = ["--angles", "--sample", "--m", "--grid-angular", "gen --grid-angular"]
+    # case -> (bound, the start of the message above it)
+    BOUNDS = {
+        "--angles": (2**16, "sample count must be positive"),
+        "--sample": (2**16, "sample count must be positive"),
+        "--m": (2**16, "sample count must be positive"),
+        "--grid-angular": (2**16, "sample count must be positive"),
+        "gen --grid-angular": (2**16, "sample count must be positive"),
+        "model --mmax": (64, "power bound must be nonnegative"),
+        "model --nmax": (64, "power bound must be nonnegative"),
+        "model --level": (4096, "block count must be positive"),
+        "gen --dim": (128, "--dim must be positive"),
+        "vn --random": (2**16, "--random must be positive"),
+    }
+    # running K = 2^16 random reports is not cheap: see test_random_bound
+    CHEAP = [case for case in BOUNDS if case != "vn --random"]
 
     @staticmethod
     def _argv(case, count, tmp_path, pair):
@@ -369,29 +384,64 @@ class TestSampleBound:
         poly = tmp_path / "f.json"
         poly.write_text(json.dumps({"block_dim": 1, "terms": [
             {"i": 1, "j": 0, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}}]}))
+        prefix = str(tmp_path / "g")
         return {
             "--angles": ["variety", a, "--angles", count],
             "--sample": ["variety", a, "--sample", count, "--csv", str(tmp_path / "b.csv")],
             "--m": ["vn", s, p, "--poly", str(poly), "--m", count],
             "--grid-angular": ["check", s, p, "--grid-angular", count],
-            "gen --grid-angular": ["gen", "strict", "--prefix", str(tmp_path / "g"),
-                                   "--grid-angular", count],
+            "gen --grid-angular": ["gen", "strict", "--prefix", prefix, "--grid-angular", count],
+            # the level the scalar pair reaches by itself, 16, is too short for
+            # T^64: its residual then exceeds the bound, and the command exits 3
+            "model --mmax": ["model", s, p, "--level", "64", "--mmax", count],
+            "model --nmax": ["model", s, p, "--nmax", count],
+            "model --level": ["model", s, p, "--level", count],
+            "gen --dim": ["gen", "symmetrized", "--prefix", prefix, "--dim", count],
+            "vn --random": ["vn", "--random", count, "--m", "8"],
         }[case]
 
-    @pytest.mark.parametrize("count", [str(2**16 + 1), str(10**12)])
-    @pytest.mark.parametrize("case", CASES)
+    ABOVE = [(case, str(n)) for case, (bound, _) in BOUNDS.items() for n in (bound + 1, 10**12)]
+
+    @pytest.mark.parametrize("case, count", ABOVE, ids=[f"{c}-{n}" for c, n in ABOVE])
     def test_count_above_the_bound_exits_two(self, case, count, tmp_path, scalar_pair_files,
                                              capsys):
+        bound, message = self.BOUNDS[case]
         assert main(self._argv(case, count, tmp_path, scalar_pair_files)) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: sample count must be positive and at most 65536, got {count}\n"
+        assert err == f"error: {message} and at most {bound}, got {count}\n"
         assert not (tmp_path / "b.csv").exists() and not list(tmp_path.glob("g-*"))
 
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", CHEAP)
     def test_the_bound_itself_is_accepted(self, case, tmp_path, scalar_pair_files, capsys):
-        assert main(self._argv(case, str(2**16), tmp_path, scalar_pair_files)) == 0
+        bound = str(self.BOUNDS[case][0])
+        assert main(self._argv(case, bound, tmp_path, scalar_pair_files)) == 0
         assert _strict_json(capsys.readouterr().out)
+
+    def test_random_bound(self):
+        assert cli._MAX_RANDOM == 2**16
+        assert _count(2**16, "--random", 1, cli._MAX_RANDOM) == 2**16
+
+    def test_numpy_integer_is_a_count(self):
+        got = _count(np.int64(7), "count", 1, 8)
+        assert got == 7 and type(got) is int
+
+    @pytest.mark.parametrize("x, message", [
+        (True, "count must be an integer, got True"),
+        (np.bool_(True), f"count must be an integer, got {np.bool_(True)!r}"),
+        (2.0, "count must be an integer, got 2.0"),
+        (10**30, f"count must be positive and at most 8, got {10**30}"),
+        (0, "count must be positive and at most 8, got 0"),
+    ], ids=["true", "numpy-bool", "float", "10^30", "zero"])
+    def test_helper_rejects(self, x, message):
+        with pytest.raises(ValueError) as exc:
+            _count(x, "count", 1, 8)
+        assert str(exc.value) == message
+
+    def test_nonnegative_form(self):
+        assert _count(0, "count", 0, 8) == 0
+        with pytest.raises(ValueError, match=r"^count must be nonnegative and at most 8, got -1$"):
+            _count(-1, "count", 0, 8)
 
 
 class TestVnCommand:
@@ -449,6 +499,20 @@ class TestVnCommand:
         assert main(["vn", "--random", "2", "--m", "64"]) == 3
         report = _strict_json(capsys.readouterr().out)
         assert report["min_ratio"] is None and report["max_ratio"] is None
+
+    @pytest.mark.parametrize("given", [["S", "P"], ["S", "P", "--poly"], ["--poly"], ["S"]],
+                             ids=["pair", "pair-and-poly", "poly", "S"])
+    def test_random_with_files_exits_two(self, scalar_pair_files, tmp_path, capsys, given):
+        # K random reports would say nothing about the files given
+        s, p = scalar_pair_files
+        poly = tmp_path / "f.json"
+        poly.write_text(json.dumps(_POLY))
+        files = {"S": [s], "P": [p], "--poly": ["--poly", str(poly)]}
+        argv = ["vn", *[a for g in given for a in files[g]], "--random", "3", "--m", "8"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --random K reads no S-file, P-file or --poly\n"
 
     def test_random_batch_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -526,7 +590,7 @@ class TestModelCommand:
     def test_level_above_the_cap_exits_two(self, scalar_pair_files, capsys):
         s, p = scalar_pair_files
         assert main(["model", s, p, "--level", "4097"]) == 2
-        assert "level cap" in capsys.readouterr().err
+        assert "block count must be positive and at most 4096, got 4097" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--mmax", "--nmax"])
     def test_negative_power_bound_exits_two(self, scalar_pair_files, capsys, flag):

@@ -215,6 +215,11 @@ class TestTruncatedModel:
         with pytest.raises(ValueError):
             truncated_model_from_F(np.array([[0.5]]), 0)
 
+    def test_block_count_bounds_the_pair_dimension(self):
+        # S and P are dense (n_blocks k)^2 matrices: at most 1024 rows
+        with pytest.raises(ValueError, match="^block count must be positive and at most 512, got 513"):
+            truncated_model_from_F(0.25 * np.eye(2), 513)
+
     @pytest.mark.parametrize("n_blocks", [2.5, 2.0])
     def test_rejects_non_integral_block_count(self, n_blocks):
         with pytest.raises(ValueError, match="block count must be an integer"):

@@ -96,7 +96,7 @@ class TestBuildModel:
 
     def test_rejects_level_above_the_cap(self):
         # raised before the N-step loop that builds W
-        with pytest.raises(ValueError, match="level cap"):
+        with pytest.raises(ValueError, match="^block count must be positive and at most 4096, got 4097"):
             build_model(_scalar_pair(1, 0.25), 4097)
 
     def test_rejects_zero_level(self):
@@ -177,11 +177,11 @@ class TestDilationCheck:
         with pytest.raises(ValueError, match="dimension"):
             dilation_check(model, other)
 
-    @pytest.mark.parametrize("m_max, n_max", [(-1, 3), (3, -1)])
+    @pytest.mark.parametrize("m_max, n_max", [(-1, 3), (3, -1), (65, 3), (3, 10**12)])
     def test_rejects_negative_power_bounds(self, m_max, n_max):
         pair = _scalar_pair(1, 0.25)
         model = build_model(pair, 8)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^power bound must be nonnegative and at most 64"):
             dilation_check(model, pair, m_max, n_max)
 
     @pytest.mark.parametrize("m_max, n_max", [(2.5, 1), (1, 2.5), (1.0, 1)])

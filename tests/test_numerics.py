@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import symbidisc.numerics
 from symbidisc.numerics import (
+    DEFAULT_TOL,
     Tolerances,
     as_matrix,
     circle_pencils,
@@ -61,6 +62,12 @@ class TestTolerances:
         assert tol.residual_tol == 1e-8
         assert tol.grid_angular == 1024
         assert tol.grid_radial == 21
+
+    def test_grid_radial_is_a_class_constant(self):
+        # nothing in the library reads it, so it is no field to set
+        assert DEFAULT_TOL.grid_radial == 21
+        with pytest.raises(TypeError):
+            Tolerances(grid_radial=5)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
