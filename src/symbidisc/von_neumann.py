@@ -191,9 +191,13 @@ def _grid_powers(m: int, deg: int) -> np.ndarray:
 
 
 def _over_p(f: MatrixPolynomial, m: int) -> np.ndarray:
-    """sum_j C[i, j] p^j for each i over the grid of m angles, one
-    contraction against the held powers of p: shape (deg_s + 1, k, k, m)."""
-    return np.tensordot(f.coeffs, _grid_powers(m, f.degrees[1]), axes=(1, 0))
+    """sum_j C[i, j] p^j for each i over the grid of m angles, one matmul
+    against the held powers of p: shape (deg_s + 1, k, k, m).  It is the
+    zgemm that ``np.tensordot(f.coeffs, powers, axes=(1, 0))`` calls, bit
+    for bit, without tensordot's own reshaping."""
+    c = f.coeffs
+    ds1, j, k, _ = c.shape
+    return (c.transpose(0, 2, 3, 1).reshape(-1, j) @ _grid_powers(m, j - 1)).reshape(ds1, k, k, m)
 
 
 def _horner(q: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -210,16 +214,52 @@ def _horner(q: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _sigma_sq_2x2(a: np.ndarray) -> np.ndarray:
     """sigma_max^2 of 2x2 blocks, entries first: a[i, j, ...].
 
-    sigma_max^2 = (||A||_F^2 + sqrt(||A||_F^4 - 4 |det A|^2)) / 2, with the
-    discriminant written as (x - y)^2 + 4 |z|^2 over the entries x, z, y of
-    A A*, a sum of nonnegative terms.  Unscaled: squares of entries near
-    1e+-154 and beyond overflow or underflow, which ``_winner`` detects.
+    sigma_max^2 = (x + y + sqrt(d)) / 2 over the entries x, z, y of A A*,
+    with the discriminant d = (x - y)^2 + 4 (Re(z)^2 + Im(z)^2) =
+    ||A||_F^4 - 4 |det A|^2, a sum of nonnegative terms.  Only real
+    squares, sums and one square root run per block, each correctly
+    rounded; no hypot.
+
+    Unscaled, so ``_winner`` trusts the largest value, top, only in
+    [1e-130, 1e150]:
+    - every term of d is at most (x + y)^2 <= 4 top^2, as |z|^2 <= x y, and
+      every entry's square at most 2 top: below 1e150 nothing overflows.
+      A block that overflows ranks inf or NaN, so it wins and falls out of
+      range;
+    - a square that underflows is off by at most 2^-1075 (gradual
+      underflow).  The three squares of d, one of them taken four times,
+      move d by at most 9 * 2^-1075 and sqrt(d) by at most 5e-162, so
+      sigma_max^2 by 2.5e-162 and sigma_max by at most 1.6e-81, however
+      small it is.  From top = 1e-130 on, that is under 1e-31 of the
+      winner's square and under a thirtieth of the 16 k eps |f|(R) that
+      ``_pruned_max`` allows the norm's rounding.  At 1e-150 it could
+      reach 2.5e-12 of the winner's square and far exceed that share.
+
+    In range the rounding is that of normal numbers.  The computed x and
+    y are within 1.5 eps of theirs, and z within eps (x + y) of its own,
+    as |a00| |a10| + |a01| |a11| <= sqrt(x y).  sqrt(d) is the 2-norm of
+    (x - y, 2 Re z, 2 Im z), so those errors move it by at most
+    2.5 eps (x + y), and its own squares, sums and root by 1.5 eps more.
+    With two sums and x + y <= 2 sigma_max^2, sigma_max^2 is within 8 eps
+    and sigma_max within 5 eps, relative.
     """
-    sq = a.real**2 + a.imag**2
+    sq = np.square(a.real)
+    sq += np.square(a.imag)
     x = sq[0, 0] + sq[0, 1]
     y = sq[1, 0] + sq[1, 1]
-    z = a[0, 0] * np.conj(a[1, 0]) + a[0, 1] * np.conj(a[1, 1])
-    return 0.5 * (x + y + np.hypot(x - y, 2.0 * np.abs(z)))
+    z = a[0, 0] * a[1, 0].conj()
+    z += a[0, 1] * a[1, 1].conj()
+    d = x - y
+    d *= d
+    zz = np.square(z.real)
+    zz += np.square(z.imag)
+    zz *= 4.0
+    d += zz
+    np.sqrt(d, out=d)
+    x += y
+    x += d
+    x *= 0.5
+    return x
 
 
 def _rank(vals: np.ndarray, squared: bool) -> np.ndarray:
@@ -236,14 +276,15 @@ def _winner(rank: np.ndarray, s: np.ndarray, p: np.ndarray, squared: bool):
     """The norm at the largest entry of ``rank`` (n, m), and its point
     (s[j, t], p[t]); angle-major order, so ties resolve to the first angle.
 
-    None if ``squared`` and the winner lies outside [1e-290, 1e290]: it may
-    have lost its rank to overflow or underflow.  ``ValueError`` if the
-    winner is not finite; ``np.argmax`` brings a NaN anywhere to the front.
+    None if ``squared`` and the winner lies outside [1e-130, 1e150], the
+    range in which ``_sigma_sq_2x2`` neither overflows nor loses more than
+    rounding to underflow.  ``ValueError`` if the winner is not finite;
+    ``np.argmax`` brings a NaN anywhere to the front.
     """
     t, j = divmod(int(np.argmax(rank.T)), rank.shape[0])
     top = float(rank[j, t])
     if squared:
-        if not 1e-290 <= top <= 1e290:
+        if not 1e-130 <= top <= 1e150:
             return None
         top = math.sqrt(top)
     if not math.isfinite(top):
@@ -258,9 +299,10 @@ def _boundary_max(
     point; ``ValueError`` when f is not finite there.
 
     f is ``_over_p``, then Horner's rule in s.  2x2 blocks are ranked by
-    sigma_max^2, and the square root is taken at the winner alone; a
-    winner out of range (``_winner``) sends every block to the batched
-    SVD, as other block sizes do.
+    sigma_max^2 (``_sigma_sq_2x2``), and the square root is taken at the
+    winner alone; a winner outside [1e-130, 1e150] or not finite
+    (``_winner``) sends every block to the batched SVD, as other block
+    sizes do.
 
     ``pruned`` solves only the angles that may hold the maximum
     (``_pruned_max``), and holds none, when m > ``_COARSE_POINTS`` and the
@@ -320,7 +362,11 @@ def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
     from the computed largest norm to g at the exact grid angle:
     - the evaluation rounding, entrywise at most 8 D eps |f|(|s|), so in
       norm at most 8 D eps |f|(R);
-    - the rounding of the norm, closed form or SVD, at most 16 k eps |f|(R);
+    - the rounding of the norm, at most 16 k eps |f|(R): the closed form
+      of 2x2 blocks is within 5 eps of the norm, relative, and underflow
+      moves it by less than a thirtieth of that bound in the range
+      ``_winner`` trusts (``_sigma_sq_2x2``); the batched SVD's backward
+      error is of the same order;
     - the eigensolver's backward error, with the pencil's rounding and that
       of s = e^{i theta / 2} lambda at most (40 n + 16) eps ||A|| on a fiber,
       times L_s(R);

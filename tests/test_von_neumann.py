@@ -271,9 +271,15 @@ def _grid_coeffs(case, k, rng):
     }[case]()
 
 
-# The 2x2 blocks of these cases rank outside [1e-290, 1e290] in squares, so
+# Squares of the largest 2x2 norm just inside and just outside
+# [1e-130, 1e150], the range in which _winner trusts the closed form.
+EDGE_SQUARES = {
+    "low_in": 1.01e-130, "low_out": 0.99e-130, "high_in": 0.99e150, "high_out": 1.01e150
+}
+
+# The 2x2 blocks of these cases rank outside [1e-130, 1e150] in squares, so
 # they fall through to the batched SVD.
-FALLBACK_CASES = ("zero", "scaled_up", "scaled_down")
+FALLBACK_CASES = ("zero", "scaled_up", "scaled_down", "low_out", "high_out")
 
 # The three families and the pair kinds of tests/_corpus.py; the scalar pair
 # has a one-point fiber.
@@ -289,12 +295,19 @@ PRUNED_PAIRS = {
 
 @pytest.mark.parametrize("block_dim", [1, 2, 3])
 @pytest.mark.parametrize(
-    "case", ["random", "zero", "constant", "s_only", "p_only", "scaled_up", "scaled_down"]
+    "case",
+    ["random", "zero", "constant", "s_only", "p_only", "scaled_up", "scaled_down", *EDGE_SQUARES],
 )
 def test_boundary_max_matches_the_svd_of_every_value(case, block_dim, monkeypatch):
     rng = rng_from_seed(76)
     variety = lambda_variety(random_symmetrized_pair(rng, 3))
-    f = MatrixPolynomial.from_coeffs(_grid_coeffs(case, block_dim, rng))
+    if case in EDGE_SQUARES:
+        p, s = variety._boundary(64)
+        c = _grid_coeffs("random", block_dim, rng)
+        c *= math.sqrt(EDGE_SQUARES[case]) / boundary_max_oracle(c, p, s)[0]
+    else:
+        c = _grid_coeffs(case, block_dim, rng)
+    f = MatrixPolynomial.from_coeffs(c)
     svds = []
     svd = np.linalg.svd
 
@@ -315,14 +328,21 @@ def test_boundary_max_matches_the_svd_of_every_value(case, block_dim, monkeypatc
 
 
 class TestNorms2x2:
-    """The closed form that ranks 2x2 blocks, unscaled: extreme scales fall
-    through to the SVD (the scaled boundary cases above)."""
+    """The closed form that ranks 2x2 blocks, unscaled: a winner outside
+    [1e-130, 1e150] falls through to the SVD (the scaled and edge boundary
+    cases above)."""
 
     def _check(self, blocks):
         want = np.linalg.svd(blocks, compute_uv=False)[:, 0]
         got = np.sqrt(von_neumann._sigma_sq_2x2(blocks.transpose(1, 2, 0)))
         assert np.all(np.abs(got - want) <= 1e-12 * want)
         assert np.array_equal(got == 0, want == 0)
+
+    @staticmethod
+    def _near_unitary(exp, gap):
+        rng = rng_from_seed(72)
+        q, _ = np.linalg.qr(rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2)))
+        return 10.0**exp * q * (1.0 + gap * rng.normal(size=(200, 1, 2)))
 
     def test_random(self):
         rng = rng_from_seed(70)
@@ -335,13 +355,54 @@ class TestNorms2x2:
         self._check(u[:, :, None] * np.conj(v[:, None, :]))
 
     def test_near_equal_singular_values(self):
-        rng = rng_from_seed(72)
-        q, _ = np.linalg.qr(rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2)))
-        self._check(q * (1.0 + 1e-9 * rng.normal(size=(200, 1, 2))))
+        self._check(self._near_unitary(0, 1e-9))
 
     def test_zero(self):
         got = np.sqrt(von_neumann._sigma_sq_2x2(np.zeros((2, 2, 3), complex)))
         assert np.array_equal(got, np.zeros(3))
+
+    @pytest.mark.parametrize("exp", [-64, -48, -32, -16, 16, 32, 48, 64, 74])
+    def test_scaled_across_the_trusted_range(self, exp):
+        rng = rng_from_seed(73)
+        blocks = 10.0**exp * (rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2)))
+        sq = np.linalg.svd(blocks, compute_uv=False)[:, 0] ** 2
+        assert np.all((1e-130 <= sq) & (sq <= 1e150))
+        self._check(blocks)
+
+    @pytest.mark.parametrize("exp", [76, 77, 78, 100, 150])
+    def test_above_the_range_overflow_ranks_inf(self, exp):
+        # a block either keeps its digits or ranks inf, which wins
+        rng = rng_from_seed(73)
+        blocks = 10.0**exp * (rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2)))
+        want = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = np.sqrt(von_neumann._sigma_sq_2x2(blocks.transpose(1, 2, 0)))
+        assert np.all(np.isinf(got) | (np.abs(got - want) <= 1e-12 * want))
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-6])
+    @pytest.mark.parametrize("exp", [-65, -75, -80, -100, -140])
+    def test_underflow_is_bounded(self, exp, gap):
+        # near-equal singular values put d in the subnormal range below
+        # sigma_max^2 = 1e-130 (exp -65): its squares lose at most 2.5e-162
+        # of sigma_max^2, which at 1e-150 (exp -75) is more than 1e-12 of it
+        blocks = self._near_unitary(exp, gap)
+        want = np.linalg.svd(blocks, compute_uv=False)[:, 0] ** 2
+        with np.errstate(under="ignore"):
+            got = von_neumann._sigma_sq_2x2(blocks.transpose(1, 2, 0))
+        assert np.all(np.abs(got - want) <= 1e-14 * want + 2.5e-162)
+
+
+@pytest.mark.parametrize("block_dim", [1, 2, 3])
+@pytest.mark.parametrize("degrees", [(0, 0), (0, 3), (3, 0), (2, 2), (4, 1)])
+def test_over_p_is_the_tensordot_bit_for_bit(block_dim, degrees):
+    rng = rng_from_seed(78)
+    shape = (degrees[0] + 1, degrees[1] + 1, block_dim, block_dim)
+    f = MatrixPolynomial.from_coeffs(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert f.degrees == degrees
+    for m in (1, 5, 64, 2048):
+        want = np.tensordot(f.coeffs, von_neumann._grid_powers(m, degrees[1]), axes=(1, 0))
+        got = von_neumann._over_p(f, m)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestPairMemo:
