@@ -3,12 +3,16 @@
 All matrices are plain ``numpy.ndarray`` objects with complex128 entries.
 Standard decompositions (Hermitian eigenvalues, SVD) are delegated to
 numpy.  The one nonstandard operation implemented here is
-``numerical_radius``, the level-set iteration of Mengi and Overton; the
-result is attained, so a lower bound.  Its pencils go straight to LAPACK
-``zggev`` (eigenvalues only), whose workspace size is queried once per
-pencil size and kept in a module dict: the same routine, column-major
-data and workspace as ``scipy.linalg.eigvals``, without its per-call
-query, copy and inf/nan rebuild.
+``numerical_radius``: the best of 16 phases, a few guarded Newton steps
+on lambda_max(H_theta) from there (Mitchell, SIAM J. Sci. Comput. 2023),
+and the level-set iteration of Mengi and Overton as the certificate,
+which mostly takes one pencil solve from that start.  Every solve runs on
+A scaled by a power of two; the result is attained, so a lower bound.
+Its pencils go straight to LAPACK ``zggev`` (eigenvalues only), whose
+workspace size is queried once per pencil size and kept in a module
+dict: the same routine, column-major data and workspace as
+``scipy.linalg.eigvals``, without its per-call query, copy and inf/nan
+rebuild.
 
 ``zggev`` is the one routine the package takes from scipy.  It is read
 from scipy's f2py LAPACK wrapper, the extension ``scipy/linalg/_flapack``,
@@ -259,20 +263,79 @@ def _pencil_eigvals(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return z[np.isfinite(z)]
 
 
-def numerical_radius(a) -> float:
-    """Numerical radius by the level-set iteration of Mengi and Overton.
+# The start's 16 phases e^{i pi k / 8}: the first quadrant's four times
+# the quarter turns 1, i, -1 and -i, which multiply exactly
+_START_PHASES = np.concatenate(
+    [u * np.exp(0.125j * math.pi * np.arange(4)) for u in (1, 1j, -1, -1j)]
+)
+# At most this many Newton steps, each at most one start spacing long.  A
+# step below _NEWTON_TOL is the last: Newton converges quadratically, so
+# the phase is then off by about its square and the value by its fourth
+# power, below rounding
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 2.0**-20
+# The relative eigengap below which lambda_max is taken as not smooth
+_GAP_TOL = 64 * np.finfo(float).eps
 
-    With H_theta = (e^{i theta} A + e^{-i theta} A*)/2, the angles where
-    lambda_max(H_theta) = l are arguments of unimodular eigenvalues z of
-    the pencil [[0, I], [-A*, 2l I]] - z [[I, 0], [0, A]].  From the best
-    quarter turn, l rises to the best lambda_max at the cyclic midpoints
-    of the angles of all finite z, until none raises it.  No z is dropped
-    for lying off the circle: a tangency is a double eigenvalue that
-    rounding moves off it.  A is scaled by a power of two (exactly) for
-    the pencil, which is built once in column-major order; each step
-    rewrites only its 2l I diagonal.  The quarter turns give l > 0, so a
-    common null vector of A and A* cannot make the pencil singular.  The
-    result is attained, so a lower bound.
+
+def _lambda_max(b: np.ndarray, w: complex):
+    """lambda_max of G = w B + conj(w) B*, w = e^{i theta}, and the Newton
+    step towards its maximum over theta, or 0.0 where a guard fails.
+
+    With x the unit eigenvector of lambda_1 = lambda_max, G' = i w B +
+    conj(i w) B* and G'' = -G, the derivatives are g' = x* G' x and
+    g'' = -lambda_1 + 2 sum_j |y_j* G' x|^2 / (lambda_1 - lambda_j) over
+    the other eigenpairs (lambda_j, y_j).  The step -g'/g'' is taken only
+    where lambda_1 is simple (an eigengap above 64 eps ||G||) and g'' < 0,
+    and is cut to the start spacing pi / 8.
+    """
+    y = w * b
+    lam, vec = np.linalg.eigh(y + y.conj().T)
+    top = float(lam[-1])
+    gap = top - lam[:-1]
+    if gap.size and not gap[-1] > _GAP_TOL * max(top, -float(lam[0])):
+        return top, 0.0
+    x = vec[:, -1]
+    # G' x in the eigenbasis: its last entry is x* G' x
+    z = vec.conj().T @ (1j * (y @ x - y.conj().T @ x))
+    slope = float(z[-1].real)
+    z = z[:-1]
+    curv = -top + 2.0 * float(((z.real**2 + z.imag**2) / gap).sum())
+    if not curv < 0.0:
+        return top, 0.0
+    return top, min(max(-slope / curv, -math.pi / 8), math.pi / 8)
+
+
+def numerical_radius(a) -> float:
+    """Numerical radius: a Newton start, certified by the level-set
+    iteration of Mengi and Overton.
+
+    A is scaled exactly by the power of two 2^-e that brings its largest
+    real or imaginary part into [1/2, 1), so that no solve below overflows
+    and a tiny A keeps its bits; the result is scaled back by 2^e, and a
+    radius beyond the float range raises ``ValueError``.  With
+    H_theta = (e^{i theta} A + e^{-i theta} A*)/2:
+
+    - *Start.* lambda_max(H_theta) at the 16 phases pi k / 8.  They hold
+      the exact quarter turns, so for A != 0 the best is positive: H_0
+      and H_{pi/2} are not both zero, and H_{theta+pi} = -H_theta.
+    - *Newton.*  From the best phase, guarded Newton steps on
+      lambda_max(H_theta), its second derivative from the eigengap sum
+      (``_lambda_max``).  A step is kept only if the value it reaches is
+      higher.  The level l is the larger of the best start value and the
+      last kept one, so a value attained at some phase.
+    - *Certificate.*  The angles where lambda_max(H_theta) = l are
+      arguments of unimodular eigenvalues z of the pencil
+      [[0, I], [-A*, 2l I]] - z [[I, 0], [0, A]].  l rises to the best
+      lambda_max at the cyclic midpoints of the angles of all finite z,
+      until none raises it.  No z is dropped for lying off the circle: a
+      tangency is a double eigenvalue that rounding moves off it.  The
+      pencil is built once in column-major order; each step rewrites only
+      its 2l I diagonal.  l > 0, so a common null vector of A and A*
+      cannot make the pencil singular.
+
+    From the Newton start the loop mostly takes one pencil solve, which
+    finds no higher midpoint.  The result is attained, so a lower bound.
     """
     a = np.ascontiguousarray(require_square(as_matrix(a)))
     n = a.shape[0]
@@ -287,14 +350,32 @@ def numerical_radius(a) -> float:
     right[diag, diag] = left[diag, n + diag] = 1.0
     right[n:, n:] = b
     left[n:, :n] = -b.conj().T
-    quarter_turns = circle_pencils(a, np.array([1, 1j, -1, -1j]))
-    level = float(0.5 * np.linalg.eigvalsh(quarter_turns)[:, -1].max())
+    start = np.linalg.eigvalsh(circle_pencils(b, _START_PHASES))[:, -1]
+    k = int(np.argmax(start))
+    phase = math.pi * k / 8
+    top, step = _lambda_max(b, _START_PHASES[k])
+    for _ in range(_NEWTON_STEPS):
+        if step == 0.0:
+            break
+        t = phase + step
+        value, next_step = _lambda_max(b, complex(math.cos(t), math.sin(t)))
+        if not value > top:
+            break
+        phase, top = t, value
+        if abs(step) <= _NEWTON_TOL:
+            break
+        step = next_step
+    level = 0.5 * max(top, float(start[k]))
     while True:
-        left[n + diag, n + diag] = np.ldexp(2.0 * level, -exp)
+        left[n + diag, n + diag] = 2.0 * level
         theta = np.sort(np.angle(_pencil_eigvals(left, right)))
         mid = 0.5 * (theta + np.append(theta[1:], theta[:1] + 2.0 * math.pi))
-        lam = np.linalg.eigvalsh(circle_pencils(a, np.exp(1j * mid)))
+        lam = np.linalg.eigvalsh(circle_pencils(b, np.exp(1j * mid)))
         best = float(0.5 * lam[:, -1].max(initial=-math.inf))
         if not best > level:
-            return level
+            break
         level = best
+    try:
+        return math.ldexp(level, exp)
+    except OverflowError:
+        raise ValueError("numerical radius overflows the float range") from None

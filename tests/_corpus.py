@@ -4,6 +4,8 @@
 ``near_unitary_pair`` puts an eigenvalue of P within about 2 delta of the
 unit circle.  Both draw from seeded generators, as the rest of the suite.
 ``nilpotent_matrix`` is a representation of numerical radius exactly one.
+``rotated_pair`` maps a pair by the rotation of Gamma, one of its two
+kinds of automorphism.
 """
 
 import math
@@ -56,3 +58,14 @@ def nilpotent_matrix(k):
     is distinguished, but not by the certified criteria.
     """
     return np.eye(k, k=1, dtype=complex) / math.cos(math.pi / (k + 1))
+
+
+def rotated_pair(pair, w):
+    """(w S, w^2 P) for unimodular w.
+
+    (s, p) -> (w s, w^2 p) maps Gamma onto itself and its distinguished
+    boundary onto itself, so Gamma is a spectral set for the image iff it
+    is one for (S, P).  I - P*P is unchanged, and the fundamental operator
+    of the image is exactly w F.
+    """
+    return make_operator_pair(w * pair.S, w * w * pair.P)

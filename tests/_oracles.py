@@ -5,9 +5,12 @@ no refinement, direct eigenvalue formulas, raw polynomial arithmetic and
 exact rational arithmetic.  The boundary-row oracle reuses the
 library's fiber grid and tag kernel, since it is the reference only for
 how rows are assembled from them.  The scipy-path
-radius oracle is the library's level-set loop with its pencil solved by
-``scipy.linalg.eigvals``: it is the reference only for the direct LAPACK
-call that replaced it.  The full-grid membership sweep is the library's
+radius oracle is the library's radius with its pencil solved by
+``scipy.linalg.eigvals``, and reuses the library's Newton step: it is the
+reference only for the direct LAPACK call that replaced it.  The
+level-set radius oracle is the library's radius as it was before its
+Newton start, the reference for the values and solve counts of the
+start.  The full-grid membership sweep is the library's
 sweep as it was before it skipped phases, the reference for the
 refined one.  The matrix-polynomial evaluation on a pair is the library's
 as it was when each call built its own products S^i P^j, the reference
@@ -28,11 +31,16 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
+from symbidisc import numerics
 from symbidisc.gamma_pairs import PairVerdict, PencilWitness
 from symbidisc.generators import _ginibre
 from symbidisc.geometry import REGION_TAGS, GammaPoint, RegionTag, classify_points
 from symbidisc.numerics import (
+    _NEWTON_STEPS,
+    _NEWTON_TOL,
+    _START_PHASES,
     DEFAULT_TOL,
+    _lambda_max,
     as_matrix,
     circle_pencils,
     phase_grid,
@@ -60,8 +68,9 @@ def nr_grid_oracle(a, m=100000):
 
 
 def numerical_radius_scipy_oracle(a):
-    """``numerical_radius`` as it was when each level step called
-    ``scipy.linalg.eigvals`` on the C-ordered pencil, kept verbatim."""
+    """``numerical_radius`` with each level step's pencil solved by
+    ``scipy.linalg.eigvals`` on a C-ordered pencil: the library's start,
+    Newton steps and level-set loop, kept line for line."""
     a = np.ascontiguousarray(require_square(as_matrix(a)))
     n = a.shape[0]
     if n == 0 or not a.any():
@@ -74,12 +83,59 @@ def numerical_radius_scipy_oracle(a):
     right[diag, diag] = left[diag, n + diag] = 1.0
     right[n:, n:] = b
     left[n:, :n] = -b.conj().T
+    start = np.linalg.eigvalsh(circle_pencils(b, _START_PHASES))[:, -1]
+    k = int(np.argmax(start))
+    phase = math.pi * k / 8
+    top, step = _lambda_max(b, _START_PHASES[k])
+    for _ in range(_NEWTON_STEPS):
+        if step == 0.0:
+            break
+        t = phase + step
+        value, next_step = _lambda_max(b, complex(math.cos(t), math.sin(t)))
+        if not value > top:
+            break
+        phase, top = t, value
+        if abs(step) <= _NEWTON_TOL:
+            break
+        step = next_step
+    level = 0.5 * max(top, float(start[k]))
+    while True:
+        left[n + diag, n + diag] = 2.0 * level
+        z = scipy.linalg.eigvals(left, right, check_finite=False)
+        theta = np.sort(np.angle(z[np.isfinite(z)]))
+        mid = 0.5 * (theta + np.append(theta[1:], theta[:1] + 2.0 * math.pi))
+        lam = np.linalg.eigvalsh(circle_pencils(b, np.exp(1j * mid)))
+        best = float(0.5 * lam[:, -1].max(initial=-math.inf))
+        if not best > level:
+            break
+        level = best
+    return math.ldexp(level, exp)
+
+
+def numerical_radius_level_set_oracle(a):
+    """``numerical_radius`` as it was before its Newton start, kept
+    verbatim: the level-set loop from the best quarter turn, with the
+    quarter turns and midpoints solved on the unscaled A.  The pencil goes
+    through ``symbidisc.numerics._pencil_eigvals``, looked up at each
+    call, so a test can count its solves."""
+    a = np.ascontiguousarray(require_square(as_matrix(a)))
+    n = a.shape[0]
+    if n == 0 or not a.any():
+        return 0.0
+    parts = a.view(float)
+    exp = int(np.frexp(np.abs(parts).max())[1])
+    b = np.ldexp(parts, -exp).view(complex)
+    left = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
+    right = np.zeros_like(left)
+    diag = np.arange(n)
+    right[diag, diag] = left[diag, n + diag] = 1.0
+    right[n:, n:] = b
+    left[n:, :n] = -b.conj().T
     quarter_turns = circle_pencils(a, np.array([1, 1j, -1, -1j]))
     level = float(0.5 * np.linalg.eigvalsh(quarter_turns)[:, -1].max())
     while True:
         left[n + diag, n + diag] = np.ldexp(2.0 * level, -exp)
-        z = scipy.linalg.eigvals(left, right, check_finite=False)
-        theta = np.sort(np.angle(z[np.isfinite(z)]))
+        theta = np.sort(np.angle(numerics._pencil_eigvals(left, right)))
         mid = 0.5 * (theta + np.append(theta[1:], theta[:1] + 2.0 * math.pi))
         lam = np.linalg.eigvalsh(circle_pencils(a, np.exp(1j * mid)))
         best = float(0.5 * lam[:, -1].max(initial=-math.inf))

@@ -1,3 +1,4 @@
+import cmath
 import importlib.machinery
 import json
 import math
@@ -22,7 +23,14 @@ from symbidisc.numerics import (
     spectral_radius,
 )
 
-from _oracles import norm_sweep_oracle, nr_grid_oracle, numerical_radius_scipy_oracle
+from _oracles import (
+    norm_sweep_oracle,
+    nr_grid_oracle,
+    numerical_radius_level_set_oracle,
+    numerical_radius_scipy_oracle,
+)
+
+EPS = np.finfo(float).eps
 
 
 def _rand(rng, n):
@@ -51,6 +59,25 @@ def _closed_forms():
         cases.append((f"unimodular-diagonal-{n}", np.diag(np.exp(2j * np.pi * rng.uniform(size=n))), 1.0))
     # a zero row and column: every H_theta keeps the eigenvalue 0
     cases.append(("padded-imaginary", np.diag([0.0, 0.0, 0.5j]), 0.5))
+    # for the Newton start: a zero eigengap, a maximum at a quarter turn,
+    # two maximising phases, nilpotent Jordan blocks and both ends of the
+    # float range
+    h = _rand(rng, 4)
+    h = h + h.conj().T
+    cases += [
+        ("scalar-identity", (0.3 + 0.4j) * np.eye(4), 0.5),
+        # H_theta = cos(theta) A, largest at theta = 0 or pi
+        ("hermitian", h, float(np.abs(np.linalg.eigvalsh(h)).max())),
+        # lambda_max(H_theta) = |cos theta|, largest at 0 and at pi
+        ("plus-minus-one", np.diag([1.0, -1.0]), 1.0),
+        ("upper-three", np.array([[0.0, 3.0], [0.0, 0.0]]), 1.5),
+    ]
+    for k in range(2, 7):
+        cases.append((f"jordan{k}", np.eye(k, k=1), math.cos(math.pi / (k + 1))))
+    for scale in (1e-300, 1e300):
+        cases.append((f"scalar-identity-{scale:g}", scale * (0.3 + 0.4j) * np.eye(3), scale * 0.5))
+        cases.append((f"plus-minus-one-{scale:g}", np.diag([scale, -scale]), scale))
+        cases.append((f"jordan3-{scale:g}", scale * np.eye(3, k=1), scale * math.sqrt(0.5)))
     return cases
 
 
@@ -206,6 +233,99 @@ def test_direct_zggev_matches_scipy_eigvals_bit_for_bit():
         assert repr(numerical_radius(a)) == repr(numerical_radius_scipy_oracle(a)), a
 
 
+def test_within_8_eps_of_the_level_set_iteration():
+    # the Newton start moves the level the loop begins at, not the
+    # maximum that it certifies
+    for a in _zggev_corpus():
+        want = numerical_radius_level_set_oracle(a)
+        assert abs(numerical_radius(a) - want) <= 8 * EPS * want, a
+
+
+class TestNewtonStart:
+    def test_start_holds_the_exact_quarter_turns(self):
+        phases = symbidisc.numerics._START_PHASES
+        assert phases[::4].tolist() == [1, 1j, -1, -1j]
+        assert np.allclose(phases, np.exp(1j * math.pi * np.arange(16) / 8), rtol=0, atol=4 * EPS)
+
+    def test_zero_eigengap_takes_no_step(self):
+        b = (0.3 + 0.4j) * np.eye(3)
+        assert symbidisc.numerics._lambda_max(b, cmath.exp(0.2j))[1] == 0.0
+
+    def test_local_minimum_takes_no_step(self):
+        # theta = 0 is a local minimum of lambda_max for this matrix; at
+        # theta = 0.05 the slope is about 0.01 and the curvature about 0.2
+        b = np.array([[2.0, 3.0], [-1.0, 0.0]], dtype=complex) / 4
+        assert symbidisc.numerics._lambda_max(b, cmath.exp(0.05j))[1] == 0.0
+
+    def test_step_is_cut_to_the_start_spacing(self):
+        # lambda_max = 2 cos(theta) for B = 1; Newton steps by -tan(theta)
+        _lambda_max = symbidisc.numerics._lambda_max
+        b = np.ones((1, 1), dtype=complex)
+        assert _lambda_max(b, cmath.exp(1.2j))[1] == -math.pi / 8
+        assert abs(_lambda_max(b, cmath.exp(0.1j))[1] + math.tan(0.1)) <= 4 * EPS
+
+    def test_step_matches_finite_differences(self):
+        # -g'/g'' with g' and g'' from central differences of lambda_max,
+        # where lambda_max is well separated and g'' well away from 0
+        rng = np.random.default_rng(24)
+        h = 1e-4
+        checked = 0
+        for n in range(1, 6):
+            for _ in range(20):
+                b = _rand(rng, n) / 4
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+                g = np.linalg.eigvalsh(circle_pencils(b, np.exp(1j * (theta + h * np.arange(-1, 2)))))
+                if n > 1 and g[1, -1] - g[1, -2] < 0.1:
+                    continue
+                slope = (g[2, -1] - g[0, -1]) / (2 * h)
+                curv = (g[2, -1] - 2 * g[1, -1] + g[0, -1]) / h**2
+                if abs(curv) < 0.1:
+                    continue
+                step = symbidisc.numerics._lambda_max(b, cmath.exp(1j * theta))[1]
+                want = min(max(-slope / curv, -math.pi / 8), math.pi / 8) if curv < 0 else 0.0
+                assert abs(step - want) <= 1e-5 * (1 + abs(want)), (n, theta)
+                checked += 1
+        assert checked >= 40
+
+    def test_median_of_at_most_two_solves_and_never_more_than_the_level_set(self, monkeypatch):
+        solve = symbidisc.numerics._pencil_eigvals
+        calls = [0]
+
+        def counting(left, right):
+            calls[0] += 1
+            return solve(left, right)
+
+        monkeypatch.setattr(symbidisc.numerics, "_pencil_eigvals", counting)
+
+        def solves(radius, a):
+            calls[0] = 0
+            radius(a)
+            return calls[0]
+
+        corpus = _zggev_corpus()
+        new = np.array([solves(numerical_radius, a) for a in corpus])
+        old = np.array([solves(numerical_radius_level_set_oracle, a) for a in corpus])
+        assert np.median(new) <= 2
+        assert (new <= old).all(), [corpus[i] for i in np.flatnonzero(new > old)]
+
+
+class TestFloatRange:
+    """Every solve runs on A scaled by a power of two, so no A + A*
+    overflows; only a radius beyond the float range is refused."""
+
+    def test_largest_scalar(self):
+        assert numerical_radius(np.array([[1e308]])) == 1e308
+
+    def test_diagonal_near_the_top(self):
+        # on the unscaled A, A + A* overflowed to inf and zggev failed
+        assert numerical_radius(np.diag([9e307, 0.0])) == 9e307
+
+    def test_radius_beyond_the_range_raises(self):
+        # omega = 2e308 although every entry is finite
+        with pytest.raises(ValueError, match="overflows"):
+            numerical_radius(np.full((2, 2), 1e308))
+
+
 def test_zggev_failure_raises(monkeypatch):
     zggev = symbidisc.numerics._zggev
 
@@ -342,10 +462,10 @@ class TestRotatedEigvalsh:
 
 # numerical_radius of seeded matrices (dimensions 1-6, scales 1e-100 to
 # 1e100, rescaled to radius one, and four structured cases), recorded by
-# repr.  The bits of "nr" come from the level-set iteration: they pass
-# through numpy's batched eigvalsh and scipy's LAPACK generalized
-# eigensolver.  Each stays at or above a 20000-angle grid value minus one
-# ulp.
+# repr.  The bits of "nr" come from the Newton start and the level-set
+# iteration: they pass through numpy's eigh and batched eigvalsh and
+# scipy's LAPACK generalized eigensolver.  Each stays at or above a
+# 20000-angle grid value minus one ulp.
 KERNEL_GOLDEN = json.loads((Path(__file__).parent / "data" / "kernel_golden.json").read_text())
 
 
