@@ -86,9 +86,28 @@ def solve_fundamental(
     pair, or the rank cutoff misfired).
 
     Only with ``contraction_verified=True`` is the numerical radius
-    solved here: the bound nr <= 1 + psd_tol is enforced and its
-    violation raises ``FundamentalBoundError``.  Otherwise ``nr`` is
-    solved on first read.
+    solved here, and ``FundamentalBoundError`` raised when it exceeds the
+    bound that the membership's PSD test implies,
+
+        nr <= 1 + psd_tol (1 + 2 ||C|| + 2 ||B||) / (2 lambda_r),
+
+    C = I - P*P, B = S - S*P and lambda_r the smallest kept eigenvalue of
+    C.  Otherwise ``nr`` is solved on first read.  The bound: for a unit
+    vector y of the defect space take v = W y.  The kept eigenvectors U
+    give U* C U = diag(lambda), so v* C v = 1, v* B v = y* F y, and
+    ||v||^2 <= 1 / lambda_r.  For unimodular w the membership pencil
+    H(w) = 2C - w B - conj(w) B* then gives
+    v* H(w) v = 2 - 2 Re(w y* F y).  The PSD test accepts
+    lambda_min(H(w)) >= -tau with tau = psd_tol (1 + max |eigenvalue|),
+    at most psd_tol (1 + 2 ||C|| + 2 ||B||), so
+    2 - 2 Re(w y* F y) >= -tau ||v||^2 >= -tau / lambda_r at every w the
+    test accepts and every y, which is the bound (the sweep samples the
+    circle, so its members meet it at the sampled phases).  The factor
+    1 / lambda_r matters: B carries the rounding of the stored S and P,
+    and a small kept defect eigenvalue magnifies it in F, so a band
+    nr <= 1 + psd_tol would reject member pairs near the boundary.  The
+    norms are solved only when nr > 1 + psd_tol, since the bound is at
+    least that.
 
     The solution is held per pair object and ``tol``, for the last pair,
     so a second call on it returns the same object, with its ``nr`` if
@@ -98,9 +117,15 @@ def solve_fundamental(
     """
     fund = _held_fundamental(pair, tol)
     if contraction_verified and fund.nr > 1.0 + tol.psd_tol:
-        raise FundamentalBoundError(
-            f"numerical radius {fund.nr:.12f} exceeds 1 on a verified member pair"
-        )
+        dd = fund.defect
+        lam_r = dd.eigenvalues[dd.eigenvalues.size - dd.rank]
+        scale = 1.0 + 2.0 * operator_norm(pair.C) + 2.0 * operator_norm(pair.B)
+        bound = 1.0 + tol.psd_tol * scale / (2.0 * lam_r)
+        if fund.nr > bound:
+            raise FundamentalBoundError(
+                f"numerical radius {fund.nr:.12f} exceeds 1 on a verified member pair, "
+                f"beyond the bound {bound:.12f}"
+            )
     return fund
 
 

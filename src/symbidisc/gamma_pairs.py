@@ -15,9 +15,10 @@ so by the maximum principle the unit circle together with r(S) <= 2
 decides membership.  Positivity is tested on sampled phases of the
 circle: the verdicts are grid verdicts, not continuum proofs.  The
 verdict, margin and witness are those of a solve at every sampled phase,
-bit for bit, but ``check_gamma_contraction`` solves only the phases that
-a Weyl bound on the pencil's smallest eigenvalue cannot exclude from the
-grid minimum, and drops indices on which the pencil vanishes exactly.
+bit for bit, but ``check_gamma_contraction`` solves, in two batches,
+only the phases that the concavity of the pencil's smallest eigenvalue
+in w cannot exclude from the grid minimum, and drops indices on which
+the pencil vanishes exactly.
 
 Each verdict on a pair reads what the others read, solved once: the pair
 holds C = I - P*P, B = S - S*P and r(S) for its lifetime, each from its
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -39,7 +40,6 @@ import numpy as np
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
-    _bisect_circle,
     as_matrix,
     circle_pencils,
     operator_norm,
@@ -235,6 +235,34 @@ def _split(p, tol: Tolerances) -> DefectData:
     return DefectData(d, basis, basis.shape[1], lam, kernel, unitary)
 
 
+# Evenly spread phases that ``check_gamma_contraction`` solves first
+_COARSE_PHASES = 32
+
+
+@lru_cache(maxsize=1)
+def _chord_geometry(m: int) -> tuple[np.ndarray, ...]:
+    """The first batch of an m-phase sweep, min(m, ``_COARSE_PHASES``)
+    evenly spread phases k m // 32, and, for each of the m phases t, the
+    gap (lo, hi) of the batch that holds it, the last gap wrapping round to
+    hi = m: the indices lo and hi mod m, the chord weight tau and the
+    sagitta (``check_gamma_contraction``), all read-only.  With
+    c = pi / m, t lies at the angle alpha = c (2t - lo - hi) from its gap's
+    bisector, and d / 2 = c (hi - lo)."""
+    coarse = np.arange(min(m, _COARSE_PHASES)) * m // min(m, _COARSE_PHASES)
+    ends = np.append(coarse[1:], m)
+    gap = np.repeat(np.arange(coarse.size), ends - coarse)
+    lo, hi = coarse[gap], ends[gap]
+    t = np.arange(m)
+    c = math.pi / m
+    alpha = c * (2 * t - lo - hi)
+    tau = 0.5 * (1.0 + np.tan(alpha) / np.tan(c * (hi - lo)))
+    sagitta = 2.0 * np.sin(c * (t - lo)) * np.sin(c * (hi - t)) / np.cos(alpha)
+    held = (coarse, lo, hi % m, tau, sagitta)
+    for a in held:
+        a.flags.writeable = False
+    return held
+
+
 def check_gamma_contraction(
     pair: OperatorPair, tol: Tolerances = DEFAULT_TOL
 ) -> PairVerdict:
@@ -252,43 +280,69 @@ def check_gamma_contraction(
 
     The verdict, margin and witness are those of a solve at every phase,
     bit for bit, but only phases that may hold the grid minimum are
-    solved.  An index whose row and column vanish exactly in both
-    C = I - P*P and B = S - S*P carries the eigenvalue 0 at every phase,
-    so the pencil is solved on the other indices and 0 joins each
-    phase's minimum.  ``_bisect_circle`` bisects the phases for the grid
-    minimum.  By Weyl, |lambda_min(H(w)) - lambda_min(H(w'))| <=
-    2 ||B|| |w - w'|, so the phases strictly inside a gap whose ends hold
-    la and lb, an arc d apart, lie at or above the bound
-    (la + lb - 2 ||B|| d) / 2.  A gap is marked unless its bound exceeds
-    both the margin so far and -``psd_tol`` by the allowance
-    (64 + 32 n) ulps x (1 + 2 ||C|| + 2 ||B||), n the number of indices
-    left.  Of that, 64 ulps cover the witness tie rule, whose scale is at
-    most 1 + 2 ||C|| + 2 ||B||, and 16 n ulps at each end of the gap cover
-    the rounding of the pencil, of ``eigvalsh`` and of the two norms.
+    solved, in two batched eigensolves.  An index whose row and column
+    vanish exactly in both C = I - P*P and B = S - S*P carries the
+    eigenvalue 0 at every phase, so the pencil is solved on the other
+    indices and 0 joins each phase's minimum.
+
+    *The bound.*  H(w) = 2C - w B - conj(w) B* is real-affine in w, so
+    f(w) = lambda_min(H(w)) is concave on the plane, and by Weyl
+    |f(w) - f(w')| <= 2 ||B|| |w - w'|.  The first batch is
+    min(m, ``_COARSE_PHASES``) evenly spread phases, k m // 32; they cut
+    the circle into gaps (lo, hi) of arc d < pi.  A phase t inside a gap,
+    at the angle alpha from its bisector, lies on the ray through the
+    point z = (1 - tau) w_lo + tau w_hi of the chord, with
+    tau = (1 + tan alpha / tan(d/2)) / 2 and |w_t - z| the sagitta
+    1 - cos(d/2) / cos alpha, computed without cancellation as
+    2 sin(c (t - lo)) sin(c (hi - t)) / cos alpha, c = pi / m.  So
+    f(w_t) >= (1 - tau) f(w_lo) + tau f(w_hi) - 2 ||B|| (sagitta), a
+    bound second order in d (``_chord_geometry``).  The second batch solves
+    every phase whose bound is at most the larger of the first batch's
+    margin and -``psd_tol``, plus the allowance
+    (128 + 32 n) eps (1 + 2 ||C|| + 2 ||B||), n the number of indices
+    left.  In units of eps (1 + 2 ||C|| + 2 ||B||), which bounds ||H||:
+
+    - 64 cover the witness tie rule, whose scale is at most that;
+    - 16 n at each end of the gap, and 16 n at t, cover the rounding of
+      the pencil, of ``eigvalsh`` and of the two norms; the weights of the
+      ends sum to 1, so 32 n in all;
+    - 64 cover the rounding of the bound, of which it needs 40.  The
+      computed phases lie within 12 eps of e^(2 pi i k / m), which moves
+      w_t and z by at most 24 eps, at 2 ||B|| per unit: 24.  tau is off by
+      at most 4 eps, which moves z along a chord of length at most 2: 8;
+      for an unsolved t, |alpha| <= d/2 - pi / m, so tau lies in (0, 1)
+      by far more.  The sagitta, below 1, is formed from exact integer
+      multiples of c to within 5 eps, and the interpolation takes a few
+      roundings of values below ||H||: 8.
+
     Where indices were dropped and the margin lies within the allowance
     of 0, an unsolved phase reads 0 and may meet the tie rule, so every
-    phase before the witness is solved as well.  An unsolved phase thus
-    neither holds the margin, nor comes before the witness within the tie
-    rule, nor fails the PSD test.  The witness is one ``eigh`` of the
-    full pencil at its phase.
+    phase before the witness is solved as well, with one batch more if
+    the second batch moves the witness past unsolved phases.  An unsolved
+    phase thus neither holds the margin, nor comes before the witness
+    within the tie rule, nor fails the PSD test.  The witness is one
+    ``eigh`` of the full pencil at its phase.
     """
     c, b = pair.C, pair.B
     m = tol.grid_angular
-    phases = np.exp(1j * phase_grid(m))
+    theta = phase_grid(m)
     live = np.flatnonzero(c.any(0) | c.any(1) | b.any(0) | b.any(1))
     decoupled = live.size < pair.dim
     c_live, b_live = c[np.ix_(live, live)], b[np.ix_(live, live)]
     norm_c, norm_b = operator_norm(c_live), operator_norm(b_live)
-    slope = 4.0 * math.pi * norm_b / m  # the Weyl bound per grid step
     eps = np.finfo(float).eps
-    allowance = (64 + 32 * live.size) * eps * (1.0 + 2.0 * norm_c + 2.0 * norm_b)
+    allowance = (128 + 32 * live.size) * eps * (1.0 + 2.0 * norm_c + 2.0 * norm_b)
+    phases = np.empty(m, dtype=complex)  # e^(i theta), at solved phases only
     low = np.empty(m)  # lambda_min of the pencil on the live indices
     scale = np.empty(m)
+    done = np.zeros(m, dtype=bool)
 
     def solve(idx: np.ndarray) -> None:
+        phases[idx] = np.exp(1j * theta[idx])
         lam = np.linalg.eigvalsh(circle_pencils(-b_live, phases[idx], c_live))
         low[idx] = lam[:, 0] if live.size else math.inf
         scale[idx] = 1.0 + np.abs(lam).max(axis=1, initial=0.0)
+        done[idx] = True
 
     def ties(solved: np.ndarray) -> tuple[np.ndarray, float, int]:
         # each solved phase's minimum, the margin, and the witness's place
@@ -296,17 +350,25 @@ def check_gamma_contraction(
         margin = float(lmin.min())
         return lmin, margin, int(np.argmax(lmin <= margin + 64 * eps * scale[solved]))
 
-    def refine(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        _, margin, first = ties(lo)
-        bound = 0.5 * (low[lo] + low[hi % m] - slope * (hi - lo))
+    coarse, lo, hi, tau, sagitta = _chord_geometry(m)
+    solve(coarse)
+    solved = coarse
+    lmin, margin, first = ties(solved)
+    marks = np.zeros(m, dtype=bool)
+    if live.size and coarse.size < m:
+        # with no live index every phase reads 0, and the witness is phase 0
+        bound = (1.0 - tau) * low[lo] + tau * low[hi] - 2.0 * norm_b * sagitta
         marks = bound <= max(margin, -tol.psd_tol) + allowance
+    while True:
         if decoupled and margin + allowance >= 0.0:
             # an unsolved phase reads 0 and may tie before the witness
-            marks |= lo < lo[first]
-        return marks
-
-    solved = _bisect_circle(m, solve, refine)
-    lmin, margin, first = ties(solved)
+            marks[: solved[first]] = True
+        marks &= ~done
+        if not marks.any():
+            break
+        solve(np.flatnonzero(marks))
+        solved = np.flatnonzero(done)
+        lmin, margin, first = ties(solved)
     member = bool(np.all(lmin >= -tol.psd_tol * scale[solved])) and (
         pair.s_radius <= 2.0 + tol.psd_tol
     )

@@ -26,9 +26,10 @@ per process, so the routine is the very object that
 whichever of the two is imported first.  A scipy without that file
 gets the routine from ``get_lapack_funcs``.
 
-``_bisect_circle`` is the one bisection of a grid round the circle for
-an extremum, which the membership sweep and the pruned von Neumann
-boundary maximum both run.
+``_bisect_circle`` bisects a grid round the circle for an extremum.  Its
+one client is the pruned von Neumann boundary maximum; the membership
+sweep excludes phases by the concavity of its pencil's smallest
+eigenvalue instead, in two batches (``check_gamma_contraction``).
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ _COARSE_POINTS = 64
 
 def _bisect_circle(m: int, solve, refine) -> np.ndarray:
     """The ascending indices of a grid of m points round the circle that a
-    bisection for an extremum solves.
+    bisection for an extremum solves; ``von_neumann._pruned_max`` runs it.
 
     ``solve(idx)`` solves one batch of indices.  The first batch is
     min(m, ``_COARSE_POINTS``) evenly spread indices, k m // c.  The

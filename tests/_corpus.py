@@ -2,7 +2,8 @@
 
 ``mixed_pair`` plants Gamma-unitary points next to a pure pair, and
 ``near_unitary_pair`` puts an eigenvalue of P within about 2 delta of the
-unit circle.  Both draw from seeded generators, as the rest of the suite.
+unit circle, and ``rotated_near_unitary_pairs`` does so under random
+unitaries.  Both draw from seeded generators, as the rest of the suite.
 ``nilpotent_matrix`` is a representation of numerical radius exactly one.
 ``rotated_pair`` maps a pair by the rotation of Gamma, one of its two
 kinds of automorphism.
@@ -48,6 +49,24 @@ def near_unitary_pair(delta):
     """
     t = np.diag([1.0 - delta, 0.5]).astype(complex)
     return symmetrize_pair(t, t)
+
+
+def rotated_near_unitary_pairs(count, delta=1e-8):
+    """(2T, T^2) for T = Q diag(1 - delta, 0.5, 0.3) Q*, Q from ``count``
+    successive ``random_unitary`` draws of ``np.random.default_rng(7)``.
+
+    Each is the symmetrization of a contraction with itself, so a member.
+    The smallest defect eigenvalue of P, about 4 delta, magnifies the
+    rounding of S - S*P in the fundamental operator: at delta = 1e-8 its
+    numerical radius exceeds 1 by up to 3.9e-9 on the first six draws.
+    """
+    rng = np.random.default_rng(7)
+    pairs = []
+    for _ in range(count):
+        q = random_unitary(rng, 3)
+        t = q @ np.diag([1.0 - delta, 0.5, 0.3]) @ q.conj().T
+        pairs.append(make_operator_pair(2.0 * t, t @ t))
+    return pairs
 
 
 def nilpotent_matrix(k):

@@ -21,6 +21,8 @@ from symbidisc.cli import (
     write_matrix_file,
 )
 
+from _corpus import rotated_near_unitary_pairs
+
 
 def _strict_json(text):
     """``json.loads`` that refuses NaN and +-Infinity, which are not JSON."""
@@ -269,6 +271,17 @@ class TestFundopCommand:
         assert report["rank"] == 1
         assert abs(report["F"]["data"][0][0] - 0.8) <= 1e-10
         assert report["nr"] <= 1 + 1e-9
+
+    def test_near_unitary_members_exit_zero(self, tmp_path, capsys):
+        # check accepts each pair, so fundop must too, though w(F) exceeds
+        # 1 + psd_tol on three of them (the bound of solve_fundamental)
+        for k, pair in enumerate(rotated_near_unitary_pairs(6)):
+            s = _write(tmp_path / f"S{k}.json", pair.S)
+            p = _write(tmp_path / f"P{k}.json", pair.P)
+            assert main(["check", s, p]) == 0
+            assert json.loads(capsys.readouterr().out)["gamma_contraction"] is True
+            assert main(["fundop", s, p]) == 0
+            assert json.loads(capsys.readouterr().out)["gamma_contraction"] is True
 
     def test_radius_above_one_exits_three(self, tmp_path, capsys):
         # the pencil is 2 at both phases +-1 of a two-phase grid and

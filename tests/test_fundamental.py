@@ -22,6 +22,8 @@ from symbidisc.generators import (
 )
 from symbidisc.numerics import Tolerances, numerical_radius, operator_norm
 
+from _corpus import rotated_near_unitary_pairs
+
 COARSE = Tolerances(grid_angular=128)
 
 
@@ -106,6 +108,19 @@ class TestSolveFundamental:
             assert fund.nr <= 1 + 1e-9
             scale = 1 + pair.s_norm * (1 + pair.p_norm)
             assert fund.residual <= 1e-8 * scale
+
+    def test_bound_scales_with_the_smallest_defect_eigenvalue(self):
+        # the six near-unitary draws are members; the defect eigenvalue of
+        # about 4e-8 magnifies the rounding of S - S*P, and three of them
+        # have w(F) above 1 + psd_tol, within the bound of that scale
+        pairs = rotated_near_unitary_pairs(6)
+        over = 0
+        for pair in pairs:
+            assert check_gamma_contraction(pair).is_member
+            fund = solve_fundamental(pair, contraction_verified=True)
+            over += fund.nr > 1 + 1e-9
+            assert fund.nr <= 1 + 1e-8
+        assert over == 3
 
     def test_uniqueness_rank_one_perturbations(self):
         rng = rng_from_seed(43)

@@ -36,7 +36,7 @@ from symbidisc.numerics import (
     operator_norm,
 )
 
-from _corpus import mixed_pair, near_unitary_pair, nilpotent_matrix
+from _corpus import mixed_pair, near_unitary_pair, nilpotent_matrix, rotated_near_unitary_pairs
 from _oracles import (
     membership_sweep_oracle,
     pencil_min_oracle,
@@ -107,8 +107,11 @@ class TestCheckGammaContraction:
         assert abs(np.linalg.norm(w.vector) - 1.0) <= 1e-10
 
     def test_sweep_solves_each_phase_once(self, monkeypatch):
-        # the sweep solves no phase twice and, on the strict dim-3 pair, at
-        # most a quarter of the grid; the witness is one full pencil more
+        # the sweep solves no phase twice, in at most two batches: 32 evenly
+        # spread phases, then those the concavity bound cannot exclude.  On
+        # the strict dim-3 pair that is 76 of the 1024 phases, where the
+        # Weyl bisection took five batches and 146.  The witness is one full
+        # pencil more
         calls = []
 
         def counting(k, w, c=None):
@@ -123,11 +126,12 @@ class TestCheckGammaContraction:
             *sweep, (shape, last) = calls
             w = verdict.witness
             assert shape == (dim, dim) and last.tolist() == [w.alpha]
+            assert 1 <= len(sweep) <= 2 and len(sweep[0][1]) == 32
             swept = np.concatenate([phases for _, phases in sweep])
             assert len(np.unique(swept)) == len(swept)
             assert w.alpha in swept
             if dim == 3:
-                assert len(swept) <= DEFAULT_TOL.grid_angular // 4
+                assert len(swept) == 76
             rho = rho_oracle(w.alpha * pair.S, w.alpha**2 * pair.P)
             quad = np.vdot(w.vector, rho @ w.vector)
             assert abs(quad - w.lambda_min) <= 1e-12
@@ -653,7 +657,7 @@ def _verdict_bits(verdict):
 
 @pytest.mark.parametrize("grid", [2, 3, 100, 1000, 1024, 4096])
 def test_sweep_matches_the_full_grid_oracle(grid):
-    # the refined sweep solves fewer phases, and must not move a bit
+    # the sweep solves fewer phases, and must not move a bit
     tol = Tolerances(grid_angular=grid)
     members = 0
     for pair in _sweep_corpus():
@@ -663,12 +667,73 @@ def test_sweep_matches_the_full_grid_oracle(grid):
     assert 0 < members < len(_sweep_corpus())
 
 
+def test_sweep_solves_before_a_witness_that_its_second_batch_moves(monkeypatch):
+    # A diagonal pencil: an index that vanishes, 0.02 - 2 Re(w b) with
+    # |b| = 0.01 + 64 eps 0.95, whose dip to about -64 eps 1.9 lies at
+    # phase 600 of 1024, and 1 - 0.9 cos(theta), which sets the scale of
+    # the tie rule: 1.1 at phase 0, 1.9 or more from phase 240 on.  The
+    # first batch reads 0 at every phase, so its witness is phase 0.  The
+    # second batch finds the dip, and then phase 0 no longer ties, but the
+    # unsolved phases from 240 on read 0 and tie: the sweep solves every
+    # phase before its new witness at 256 in a third batch, and the witness
+    # is 240
+    def index(c, b):
+        p = np.sqrt(1.0 - c)
+        return b.real / (1.0 - p) + 1j * b.imag / (1.0 + p), p
+
+    eps = np.finfo(float).eps
+    sa, pa = index(0.01, (0.01 + 64 * eps * 0.95) * np.exp(-1200j * np.pi / 1024))
+    sb, pb = index(0.5, 0.45 + 0j)
+    pair = make_operator_pair(np.diag([0.0, sa, sb]), np.diag([1.0, pa, pb]))
+    batches = []
+
+    def counting(k, w, c=None):
+        batches.append(len(w))
+        return circle_pencils(k, w, c)
+
+    monkeypatch.setattr(gamma_pairs, "circle_pencils", counting)
+    got = check_gamma_contraction(pair)
+    assert len(batches) == 4 and got.witness.alpha == np.exp(480j * np.pi / 1024)
+    assert _verdict_bits(got) == _verdict_bits(membership_sweep_oracle(pair))
+
+
+def _scaled(pair, t):
+    return make_operator_pair(t * pair.S, t * t * pair.P)
+
+
+_CONTINUUM_KINDS = {
+    **_SPLIT_KINDS,
+    "rotated_near_unitary": lambda: rotated_near_unitary_pairs(3),
+    "scaled_past_the_boundary": _seeded(lambda rng: _scaled(random_symmetrized_pair(rng, 3), 1.1), 46),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CONTINUUM_KINDS))
+def test_continuum_margin_lies_within_a_sagitta_of_the_grid_margin(kind):
+    # lambda_min of 2C - wB - conj(w) B* is concave in w, so between two
+    # adjacent phases of the 1024-phase grid it lies above their chord less
+    # 2 ||B|| times the sagitta, at most 1 - cos(pi / 1024): a 32768-phase
+    # margin lies at most that, plus the sweep's allowance, below the grid
+    # margin.  Grid margins sit up to 8.0e-6 above the continuum
+    fine = Tolerances(grid_angular=32768)
+    eps = np.finfo(float).eps
+    pairs = [pair for pair in _CONTINUUM_KINDS[kind]() if pair.dim <= 6][:3]
+    assert pairs
+    for pair in pairs:
+        norm_c, norm_b = operator_norm(pair.C), operator_norm(pair.B)
+        sagitta = 2.0 * np.sin(np.pi / 2048) ** 2
+        allowance = (128 + 32 * pair.dim) * eps * (1.0 + 2.0 * norm_c + 2.0 * norm_b)
+        grid = check_gamma_contraction(pair).margin
+        continuum = membership_sweep_oracle(pair, fine).margin
+        assert grid - 2.0 * norm_b * sagitta - allowance <= continuum <= grid + allowance
+
+
 def test_sweep_solves_a_gap_that_may_fail_the_psd_test():
     # A diagonal pencil with eigenvalues -0.5 (constant), 2 - d - 0.5
     # cos(theta - 65 pi / 64), d = 3e-4, and -0.3 - 0.3 cos(theta).  At
     # psd_tol 0.2 a phase fails when the middle one drops below 1.5, which
-    # it does only between two phases of the first pass; the margin -0.6
-    # at phase 0 passes on its scale.  The Weyl bound on that gap lies
+    # it does only between two phases of the first batch; the margin -0.6
+    # at phase 0 passes on its scale.  The concavity bound on that gap lies
     # above the margin, so only the -psd_tol floor sends the sweep there.
     p2 = np.sqrt(1.5e-4)
     b2 = 0.25 * np.exp(-65j * np.pi / 64)
