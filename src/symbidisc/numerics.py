@@ -26,10 +26,13 @@ per process, so the routine is the very object that
 whichever of the two is imported first.  A scipy without that file
 gets the routine from ``get_lapack_funcs``.
 
-``_bisect_circle`` bisects a grid round the circle for an extremum.  Its
-one client is the pruned von Neumann boundary maximum; the membership
-sweep excludes phases by the concavity of its pencil's smallest
-eigenvalue instead, in two batches (``check_gamma_contraction``).
+``circle_pencils`` stacks the unit-circle Hermitian pencils that the
+numerical radius, the membership sweep and a variety's fibers solve.
+The two sweeps for an extremum over a grid of angles solve them in a few
+fixed batches, each with its own bound: the membership sweep excludes
+phases by the concavity of its pencil's smallest eigenvalue
+(``check_gamma_contraction``), and the pruned von Neumann boundary
+maximum excludes angles by a Lipschitz bound (``von_neumann._pruned_max``).
 """
 
 from __future__ import annotations
@@ -146,36 +149,6 @@ def spectral_radius(m: np.ndarray) -> float:
 def phase_grid(m) -> np.ndarray:
     """The m angles 2 pi k / m, k = 0, ..., m - 1, of the unit circle."""
     return 2.0 * math.pi * np.arange(sample_count(m)) / m
-
-
-# Evenly spread points that ``_bisect_circle`` solves first
-_COARSE_POINTS = 64
-
-
-def _bisect_circle(m: int, solve, refine) -> np.ndarray:
-    """The ascending indices of a grid of m points round the circle that a
-    bisection for an extremum solves; ``von_neumann._pruned_max`` runs it.
-
-    ``solve(idx)`` solves one batch of indices.  The first batch is
-    min(m, ``_COARSE_POINTS``) evenly spread indices, k m // c.  The
-    solved indices cut the circle into gaps (lo, hi), hi the next solved
-    index; the last gap wraps round to index 0, written as hi = m.
-    ``refine(lo, hi)`` marks, with one bool per gap, the gaps whose
-    interior may still hold the extremum, and the midpoint (lo + hi) // 2
-    of every marked gap with an interior is solved as the next batch.
-    The rounds end when no marked gap has an interior.
-    """
-    coarse = min(_COARSE_POINTS, m)
-    solved = np.arange(coarse) * m // coarse
-    solve(solved)
-    while True:
-        ends = np.append(solved[1:], m)
-        mids = (solved + ends)[refine(solved, ends) & (ends - solved > 1)] // 2
-        if not mids.size:
-            return solved
-        solve(mids)
-        # the midpoints lie strictly inside gaps, so they are new indices
-        solved = np.sort(np.concatenate((solved, mids)))
 
 
 def circle_pencils(k: np.ndarray, w: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:

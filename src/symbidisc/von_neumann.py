@@ -29,11 +29,9 @@ from .fundamental import solve_fundamental
 from .gamma_pairs import OperatorPair
 from .geometry import GammaPoint
 from .numerics import (
-    _COARSE_POINTS,
     _MAX_SAMPLES,
     DEFAULT_TOL,
     Tolerances,
-    _bisect_circle,
     operator_norm,
     phase_grid,
     sample_count,
@@ -49,6 +47,10 @@ __all__ = [
 ]
 
 _HOLDS_SLACK = 1e-6
+
+# Grids of at most this many angles are solved whole, where one batch of
+# every angle costs less than the three batches of ``_pruned_max``.
+_WHOLE_GRID_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -247,8 +249,10 @@ def _sigma_sq_2x2(a: np.ndarray) -> np.ndarray:
     sq += np.square(a.imag)
     x = sq[0, 0] + sq[0, 1]
     y = sq[1, 0] + sq[1, 1]
-    z = a[0, 0] * a[1, 0].conj()
-    z += a[0, 1] * a[1, 1].conj()
+    # np.multiply, not *: from 16384 entries numpy would reuse the conj
+    # temporary and multiply in place, which rounds differently
+    z = np.multiply(a[0, 0], a[1, 0].conj())
+    z += np.multiply(a[0, 1], a[1, 1].conj())
     d = x - y
     d *= d
     zz = np.square(z.real)
@@ -305,11 +309,11 @@ def _boundary_max(
     sizes do.
 
     ``pruned`` solves only the angles that may hold the maximum
-    (``_pruned_max``), and holds none, when m > ``_COARSE_POINTS`` and the
+    (``_pruned_max``), and holds none, when m > ``_WHOLE_GRID_MAX`` and the
     variety's dimension exceeds 1, where that costs less.  Otherwise, and
     when the pruned maximum gives up, the whole grid is solved and held.
     """
-    if pruned and m > _COARSE_POINTS and variety.dim > 1:
+    if pruned and m > _WHOLE_GRID_MAX and variety.dim > 1:
         found = _pruned_max(f, variety, m)
         if found is not None:
             return found
@@ -331,15 +335,17 @@ def _lipschitz(f: MatrixPolynomial, variety: DeterminantalVariety) -> tuple[floa
     return lip, 2 * (8 * (ds + dp + 1) + 16 * k + 48 * n + 32) * eps * size
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an infinite bound marks its gap
+@np.errstate(over="ignore", invalid="ignore")  # an infinite bound marks its angle
 def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
     """``_boundary_max`` from the angles that may hold the grid maximum,
     bit for bit, and nothing held; None, to fall back to the whole grid,
     when a solved value or the allowance is not finite or ``_winner`` gives
     None.
 
-    ``_bisect_circle`` bisects the angles for the grid maximum, with
-    Shubert's tent bound.  The largest norm at an angle,
+    At most three batches are solved: every 16th angle; then every
+    unsolved 4th angle whose bound can still reach the largest value M
+    solved so far, less the allowance; then every unsolved angle whose
+    bound can still reach it.  The largest norm at an angle,
     g(theta) = max_j ||f(s_j(theta), e^{i theta})||, is L-Lipschitz with
     L = 2 ||A|| L_s(R) + L_p(R) (``_lipschitz``), L_s(r) = sum_ij i ||C_ij|| r^(i-1),
     L_p(r) = sum_ij j ||C_ij|| r^i and R = 2 ||A|| (1 + 64 n eps): every
@@ -347,12 +353,14 @@ def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
     eigenvalues of H(phi) = e^{-i phi} A + e^{i phi} A* move at most
     2 ||A|| |dphi|, theta = 2 phi and s = e^{i theta / 2} lambda, so each
     fiber moves at most 2 ||A|| |dtheta|; and |p^j - p0^j| <= j |dtheta|.
-    Every angle of a gap of width d radians thus lies at or below
-    (v_lo + v_hi + L d) / 2, v the values of g at the ends.  A gap is
-    marked unless its computed bound, raised by the factor
-    1 + (4 D + 16 k + 16) eps for its own rounding and that of ||A|| and
-    ||C_ij||, falls short of the largest value M solved so far less the
-    allowance.
+    An unsolved angle t, between its nearest solved angles lo < t < hi
+    round the circle, thus lies at or below
+    min(v_lo + L h (t - lo), v_hi + L h (hi - t)), h = 2 pi / m and v the
+    values of g at lo and hi; the first batch solves index 0, so every t
+    has a lo, and hi = m stands for index 0.  An angle is solved unless
+    its computed bound, raised by the factor 1 + (4 D + 16 k + 16) eps for
+    its own rounding and that of ||A|| and ||C_ij||, falls short of M less
+    the allowance.
 
     The allowance is 2 e with e = (8 D + 16 k + 48 n + 32) eps N,
     D = deg_s + deg_p + 1, k the block size, n the variety's dimension and
@@ -371,46 +379,48 @@ def _pruned_max(f: MatrixPolynomial, variety: DeterminantalVariety, m: int):
       of s = e^{i theta / 2} lambda at most (40 n + 16) eps ||A|| on a fiber,
       times L_s(R);
     - the rounding of theta and p, at most 16 eps, times L.
-    The tent over computed ends then lies at most e / 2 + e / 2 below the
-    tent over exact ones, and an unsolved angle's computed value at most e
-    above g there: every unsolved angle's computed value lies strictly
-    below M, so none holds the maximum or ties it ahead of the winner under
-    the first-angle rule.
+    Each end's computed value is within e of g there, so the bound over
+    computed ends lies at most e below the bound over exact ones; and the
+    computed value at t is within e of g(t).  So every unsolved angle's
+    computed value lies strictly below M, and none holds the maximum or
+    ties it ahead of the winner under the first-angle rule.
 
     Each angle is solved and evaluated as the whole grid does: the fibers
     by ``_solve_fibers``, one angle independent of the others, and f by
     Horner's rule on the columns of the whole grid's ``_over_p``.  numpy
     rounds a complex product whose operands have only unit dimensions
-    differently, so a round that solves one angle evaluates it twice.
+    differently, so a batch that solves one angle evaluates it twice.
     """
     lip, allowance = _lipschitz(f, variety)
     if not math.isfinite(allowance):
         return None
     (ds, dp), k, n = f.degrees, f.block_dim, variety.dim
     grow = 1.0 + (4 * (ds + dp + 1) + 16 * k + 16) * np.finfo(float).eps
-    squared, q, thetas = k == 2, _over_p(f, m), phase_grid(m)
+    squared, q, thetas, t = k == 2, _over_p(f, m), phase_grid(m), np.arange(m)
     fibers, rank = np.empty((n, m), dtype=complex), np.empty((n, m))
     top = np.empty(m)  # g, the largest norm at an angle
+    done, slope = np.zeros(m, dtype=bool), lip * (2.0 * math.pi / m)
 
-    def solve(idx: np.ndarray) -> None:
+    def solve(idx: np.ndarray) -> bool:
         fibers[:, idx] = _solve_fibers(variety.A, thetas[idx]).T
         cols = np.repeat(idx, 2) if idx.size == 1 else idx
         rank[:, idx] = _rank(_horner(q[..., cols], fibers[:, cols]), squared)[:, : idx.size]
         top[idx] = rank[:, idx].max(axis=0)
         if squared:
             top[idx] = np.sqrt(top[idx])
+        done[idx] = True
+        return bool(np.isfinite(top[idx]).all())
 
-    def refine(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        best = top[lo].max()
-        if not math.isfinite(best):
-            return np.zeros(lo.size, dtype=bool)
-        d = 2.0 * math.pi / m * (hi - lo)
-        return ~(grow * 0.5 * (top[lo] + top[hi % m] + lip * d) < best - allowance)
-
-    solved = _bisect_circle(m, solve, refine)
-    if not np.isfinite(top[solved]).all():
+    if not solve(t[::16]):
         return None
-    return _winner(rank[:, solved], fibers[:, solved], np.exp(1j * thetas[solved]), squared)
+    for step in (4, 1):
+        lo = np.maximum.accumulate(np.where(done, t, 0))
+        hi = np.minimum.accumulate(np.where(done, t, m)[::-1])[::-1]
+        bound = grow * np.minimum(top[lo] + slope * (t - lo), top[hi % m] + slope * (hi - t))
+        idx = t[~done & (t % step == 0) & ~(bound < top[done].max() - allowance)]
+        if idx.size and not solve(idx):
+            return None
+    return _winner(rank[:, done], fibers[:, done], np.exp(1j * thetas[done]), squared)
 
 
 def vn_report(
@@ -436,13 +446,14 @@ def vn_report(
     ``sample_count`` bit for bit:
     - the first report on a new pair whose variety has dimension 2 or
       more, right after a pair reported exactly once, solves only the
-      angles that may hold the maximum (64 evenly spread, then the gaps a
-      Lipschitz bound cannot rule out), and the variety holds none of them;
+      angles that may hold the maximum (every 16th, then in two more
+      batches the angles a Lipschitz bound cannot rule out), and the
+      variety holds none of them;
     - every other report (a repeat on the held pair, a new pair after one
       reported twice or more, the first report in a process or after the
-      record is emptied), and any m of at most 64 or a variety of dimension
-      0 or 1, solves the whole grid, which the variety holds: the same
-      ``m`` reads it and a doubled ``m`` extends it.
+      record is emptied), and any m of at most 256 or a variety of
+      dimension 0 or 1, solves the whole grid, which the variety holds:
+      the same ``m`` reads it and a doubled ``m`` extends it.
     A pair reported once thus pays for about a fifth of its angles, and a
     run of reports on one pair for each angle once.  The products S^i P^j
     at the polynomial's nonzero terms (i, j) are kept for the last pair and

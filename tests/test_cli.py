@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,28 @@ def scalar_pair_files(tmp_path):
     s = _write(tmp_path / "S.json", [[1.0]])
     p = _write(tmp_path / "P.json", [[0.25]])
     return s, p
+
+
+class TestModuleRun:
+    """``python -m symbidisc.cli`` runs the command line, as the console
+    script does."""
+
+    @staticmethod
+    def _run(*argv):
+        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "symbidisc.cli", *argv],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+    def test_member_pair_exits_zero_with_a_report(self, scalar_pair_files):
+        run = self._run("check", *scalar_pair_files)
+        assert run.returncode == 0, run.stderr
+        assert _strict_json(run.stdout)["gamma_contraction"] is True
+
+    def test_missing_file_exits_two(self, tmp_path):
+        run = self._run("check", str(tmp_path / "S.json"), str(tmp_path / "P.json"))
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("error:")
 
 
 class TestMatrixIO:

@@ -122,6 +122,15 @@ class TestSolveFundamental:
             assert fund.nr <= 1 + 1e-8
         assert over == 3
 
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8, 1e-10, 3e-11])
+    def test_rotated_near_unitary_members_solve(self, delta):
+        # the defect eigenvalue of about 4 delta magnifies the rounding of
+        # S - S*P, down to the rank_tol edge at 3e-11; every draw is a
+        # member, and its F must stay within the scaled bound
+        for pair in rotated_near_unitary_pairs(10, delta):
+            assert check_gamma_contraction(pair).is_member
+            solve_fundamental(pair, contraction_verified=True)
+
     def test_uniqueness_rank_one_perturbations(self):
         rng = rng_from_seed(43)
         for _ in range(100):

@@ -388,56 +388,6 @@ def test_phase_grid_does_not_nest_at_three():
     )
 
 
-
-class TestBisectCircle:
-    """``_bisect_circle``: the coarse pass, the gaps, the wrap to index 0 and
-    the midpoint rounds, apart from any solve or bound."""
-
-    @staticmethod
-    def _run(m, refine):
-        batches, gaps = [], []
-
-        def recording(lo, hi):
-            gaps.append((lo.copy(), hi.copy()))
-            return refine(lo, hi)
-
-        solved = symbidisc.numerics._bisect_circle(m, batches.append, recording)
-        return solved, batches, gaps
-
-    @pytest.mark.parametrize("m", [1, 2, 5, 63, 64, 65, 100, 1024])
-    def test_marking_nothing_gives_the_coarse_set(self, m):
-        solved, batches, gaps = self._run(m, lambda lo, hi: np.zeros(lo.size, dtype=bool))
-        coarse = min(m, 64)
-        want = np.arange(coarse) * m // coarse
-        assert solved.tolist() == want.tolist() and len(batches) == 1
-        assert batches[0].tolist() == want.tolist()
-        (lo, hi), = gaps
-        assert lo.tolist() == want.tolist() and hi.tolist() == [*want[1:].tolist(), m]
-
-    @pytest.mark.parametrize("m", [1, 2, 5, 63, 64, 65, 100, 1024])
-    def test_marking_everything_gives_every_index(self, m):
-        solved, batches, gaps = self._run(m, lambda lo, hi: np.ones(lo.size, dtype=bool))
-        assert solved.tolist() == list(range(m))
-        # each index is solved once, and every round sees all solved indices
-        assert sorted(np.concatenate(batches).tolist()) == list(range(m))
-        for (lo, hi), seen in zip(gaps, np.cumsum([b.size for b in batches])):
-            assert lo.size == seen and (np.diff(lo) > 0).all() and hi[-1] == m
-
-    def test_the_last_gap_wraps_round_to_index_zero(self):
-        # at m = 65 the coarse pass solves 0 .. 63, and only the last gap,
-        # (63, 65) with 65 standing for index 0, has an interior
-        solved, batches, gaps = self._run(65, lambda lo, hi: hi == 65)
-        assert gaps[0][0].tolist() == list(range(64))
-        assert (gaps[0][1][-1], batches[1].tolist()) == (65, [64])
-        assert solved.tolist() == list(range(65))
-
-    def test_only_marked_gaps_are_halved(self):
-        # marking the gaps that start at 0 bisects down to index 1
-        solved, batches, _ = self._run(1024, lambda lo, hi: lo == 0)
-        assert [b.tolist() for b in batches[1:]] == [[8], [4], [2], [1]]
-        assert solved.tolist() == sorted({*range(0, 1024, 16), 8, 4, 2, 1})
-
-
 class TestRotatedEigvalsh:
     def test_matches_dense_eigensolve(self):
         rng = np.random.default_rng(18)

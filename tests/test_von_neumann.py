@@ -625,7 +625,7 @@ class TestPrunedMaximum:
         got = vn_report(f, pair, m=m)
         return want, got, sum(fiber_solves)
 
-    @pytest.mark.parametrize("m", [1, 8, 64, 65, 256, 2048])
+    @pytest.mark.parametrize("m", [1, 8, 64, 65, 256, 257, 300, 1000, 2048])
     @pytest.mark.parametrize("block_dim", [1, 2, 3])
     @pytest.mark.parametrize("kind", PRUNED_PAIRS)
     def test_report_is_the_full_grid_report(self, kind, block_dim, m, fiber_solves):
@@ -634,16 +634,41 @@ class TestPrunedMaximum:
         want, got, solved = self._both(f, pair, m, fiber_solves)
         assert repr(got) == repr(want)
         variety = _held_variety(pair)
-        if m > 64 and variety.dim > 1:
+        if m > 256 and variety.dim > 1:
             assert "_grid" not in vars(variety)
-            # one L at R prunes less at small m: a strict pair with 3x3
-            # blocks solves all 256 angles
-            if got.m == m == 256 and (kind, block_dim) != ("strict", 3):
+            # one L at R prunes little at small m: a strict pair with 3x3
+            # blocks solves all of 257 and of 300 angles
+            if got.m == m == 1000:
                 assert solved < m
             if got.m == m == 2048:
                 assert solved < m / 2
-        elif got.m <= 64 or variety.dim == 1:  # the whole grid, extended as m doubles
+        elif got.m <= 256 or variety.dim == 1:  # the whole grid, extended as m doubles
             assert variety._grid[0].size == got.m and solved == got.m
+
+    @pytest.mark.parametrize("m", [257, 1000, 2048, 8192])
+    @pytest.mark.parametrize("block_dim", [1, 2, 3])
+    def test_pruned_report_solves_three_batches(self, block_dim, m, fiber_solves):
+        # every 16th angle, then the 4th and the single angles that the
+        # Lipschitz bound cannot exclude
+        f = random_matrix_polynomial(rng_from_seed(96 + block_dim), 3, block_dim)
+        for kind, pair in PRUNED_PAIRS.items():
+            want, got, _ = self._both(f, pair, m, fiber_solves)
+            if kind == "scalar" or got.m != m:
+                continue
+            assert repr(got) == repr(want)
+            assert len(fiber_solves) <= 3, kind
+            assert fiber_solves[0] == -(-m // 16) and sum(fiber_solves) <= m, kind
+
+    def test_report_does_not_depend_on_call_history(self, fiber_solves):
+        # 2x2 blocks over n m = 5 * 4096 >= 16384 entries, where numpy would
+        # multiply a temporary in place and round the last bit of rhs
+        # differently from a pruned report of fewer angles
+        rng = rng_from_seed(42)
+        pair = random_strict_pair(rng, 5, 0.8)
+        f = random_matrix_polynomial(rng, 3, 2)
+        want, got, solved = self._both(f, pair, 4096, fiber_solves)
+        assert got.m == 4096 and solved < 4096
+        assert repr(got) == repr(want)
 
     def test_ties_keep_the_first_angle(self, fiber_solves):
         # a constant f ties at every boundary point: every angle is solved
@@ -651,23 +676,25 @@ class TestPrunedMaximum:
         c[0, 0] = np.array([[1, 2], [0, 1j]])
         f = MatrixPolynomial.from_coeffs(c)
         pair = PRUNED_PAIRS["strict"]
-        want, got, solved = self._both(f, pair, 256, fiber_solves)
+        want, got, solved = self._both(f, pair, 300, fiber_solves)
         assert repr(got) == repr(want)
-        assert got.argmax_theta == 0.0 and solved == 256
+        assert "_grid" not in vars(_held_variety(pair))
+        assert got.argmax_theta == 0.0 and solved == 300
 
     def test_every_doubled_m_is_pruned(self, fiber_solves):
         # as in _refining_case, on the variety s^2 = 0 of dimension 2, with
-        # the peak so sharp that the grid doubles from 65 angles to 520
+        # the peak so sharp that the grid doubles from 300 angles to 1200
         # before a point comes within the slack
         c = np.zeros((1, 2, 2, 2), complex)
         c[0, 0] = np.eye(2)
         c[0, 1] = np.exp(-1j) * np.diag([1.0, 0.5])
         f = MatrixPolynomial.from_coeffs(c)
-        pair = make_operator_pair(np.zeros((2, 2)), 0.99999 * np.exp(1j) * np.eye(2))
-        want, got, solved = self._both(f, pair, 65, fiber_solves)
+        pair = make_operator_pair(np.zeros((2, 2)), 0.999999 * np.exp(1j) * np.eye(2))
+        want, got, solved = self._both(f, pair, 300, fiber_solves)
         assert repr(got) == repr(want)
         assert _held_variety(pair).dim == 2 and "_grid" not in vars(_held_variety(pair))
-        assert got.m == 520 and solved < 65 + 130 + 260 + 520
+        assert got.m == 1200 and solved < 300 + 600 + 1200
+        assert len(fiber_solves) <= 3 * 3  # three batches at each m
 
     def test_dimension_one_holds_the_whole_grid(self, fiber_solves):
         # a whole grid of 1x1 pencils costs less than the pruned path
@@ -690,8 +717,8 @@ class TestPrunedMaximum:
         a = lambda_variety(random_symmetrized_pair(rng, 3)).A
         f = MatrixPolynomial.from_coeffs(_grid_coeffs(case, block_dim, rng))
         pruned = DeterminantalVariety.from_matrix(a)
-        got = von_neumann._boundary_max(f, pruned, 256, pruned=True)
-        want = von_neumann._boundary_max(f, DeterminantalVariety.from_matrix(a), 256)
+        got = von_neumann._boundary_max(f, pruned, 300, pruned=True)
+        want = von_neumann._boundary_max(f, DeterminantalVariety.from_matrix(a), 300)
         assert repr(got) == repr(want)
         # an out-of-range 2x2 winner falls back to the whole grid, held
         fell_back = block_dim == 2 and case in FALLBACK_CASES
@@ -705,7 +732,7 @@ class TestPrunedMaximum:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3),
-           st.sampled_from([65, 100, 256, 2048]), st.integers(1, 6))
+           st.sampled_from([257, 300, 1000, 2048]), st.integers(1, 6))
     def test_seeded_varieties_match_the_full_grid(self, seed, n, block_dim, m, degree):
         # seeded representations, where the bound prunes most, and
         # polynomials up to total degree 6
