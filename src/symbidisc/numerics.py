@@ -9,22 +9,20 @@ and the level-set iteration of Mengi and Overton as the certificate,
 which mostly takes one pencil solve from that start.  Every solve runs on
 A scaled by a power of two; the result is attained, so a lower bound.
 Its pencils go straight to LAPACK ``zggev`` (eigenvalues only), whose
-workspace size is queried once per pencil size and kept in a module
-dict: the same routine, column-major data and workspace as
-``scipy.linalg.eigvals``, without its per-call query, copy and inf/nan
-rebuild.
+workspace size is queried once per pencil size: the same routine,
+column-major data and workspace as ``scipy.linalg.eigvals``, without its
+per-call input checks, query and inf/nan rebuild.
 
-``zggev`` is the one routine the package takes from scipy.  It is read
-from scipy's f2py LAPACK wrapper, the extension ``scipy/linalg/_flapack``,
-loaded by file without running ``scipy/linalg/__init__.py``: importing
-that package would nearly double the resident memory and the start-up
-time of every process that imports symbidisc.  The loaded module is
-taken out of ``sys.modules`` again, so a later ``import scipy.linalg``
-imports its ``_flapack`` as usual; an f2py module is initialised once
-per process, so the routine is the very object that
-``scipy.linalg.get_lapack_funcs("ggev", dtype=complex)`` returns,
-whichever of the two is imported first.  A scipy without that file
-gets the routine from ``get_lapack_funcs``.
+``zggev`` is called through ctypes from the LAPACK that numpy itself
+links (the ILP64 OpenBLAS of numpy's wheels, found through the
+``numpy.linalg._umath_linalg`` extension), with buffers and arguments
+held per pencil size and thread.  A process thus loads one OpenBLAS and
+no scipy: scipy's wrapper would bring its own OpenBLAS, and importing
+``scipy.linalg`` would nearly double the resident memory and the
+start-up time of every process that imports symbidisc.  Only where
+numpy's LAPACK exports no ILP64 ``zggev`` (lapack_lite, Accelerate and
+LP64-only builds) is the routine taken from
+``scipy.linalg.get_lapack_funcs("ggev", dtype=complex)``.
 
 ``circle_pencils`` stacks the unit-circle Hermitian pencils that the
 numerical radius, the membership sweep and a variety's fibers solve.
@@ -37,15 +35,14 @@ maximum excludes angles by a Lipschitz bound (``von_neumann._pruned_max``).
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import ctypes
 import math
 import numbers
-import os
-import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "Tolerances",
@@ -185,37 +182,113 @@ def require_commuting(
     return norm_a, norm_b, defect
 
 
-def _lapack_zggev():
-    """scipy's f2py ``zggev``, from ``scipy.linalg._flapack`` loaded by file
-    (or already imported) without importing ``scipy.linalg``; from
-    ``scipy.linalg.get_lapack_funcs`` when no such file exists."""
-    name = "scipy.linalg._flapack"
-    flapack = sys.modules.get(name)
-    if flapack is None:
-        linalg = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg")
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(linalg, "_flapack" + suffix)
-            if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(name, path)
-                flapack = importlib.util.module_from_spec(
-                    importlib.util.spec_from_file_location(name, path, loader=loader)
-                )
-                loader.exec_module(flapack)
-                # registered without its package, which would then lack
-                # the attribute ``_flapack``
-                sys.modules.pop(name, None)
-                break
-        else:
-            import scipy.linalg
-
-            return scipy.linalg.get_lapack_funcs("ggev", dtype=complex)
-    return flapack.zggev
+# zggev's names in the ILP64 LAPACK that numpy.linalg links: scipy-openblas
+# builds prefix it with scipy_, other ILP64 builds only add the suffix
+_ZGGEV_SYMBOLS = ("scipy_zggev_64_", "zggev_64_")
 
 
-# LAPACK zggev, and its workspace size by pencil size: the lwork = -1
-# query that scipy.linalg.eigvals runs on every call, run once per size
-_zggev = _lapack_zggev()
-_ZGGEV_LWORK: dict[int, int] = {}
+def _numpy_lapack_zggev():
+    """Fortran ``zggev`` with 64-bit integers from the LAPACK that numpy's
+    ``_umath_linalg`` extension links, or None where it exports neither
+    name (lapack_lite, Accelerate and LP64-only builds)."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in _ZGGEV_SYMBOLS:
+        zggev = getattr(lib, name, None)
+        if zggev is not None:
+            # 17 pointers, then gfortran's lengths of the two flag strings
+            zggev.argtypes = [ctypes.c_void_p] * 17 + [ctypes.c_size_t] * 2
+            zggev.restype = None
+            return zggev
+    return None
+
+
+class _ZggevSpace:
+    """The arrays and foreign-call arguments of ``zggev`` on n x n pencils.
+
+    zggev overwrites A and B, so a call copies the pencil into the
+    column-major ``a`` and ``b`` held here.  The workspace has the size
+    of the lwork = -1 query that ``scipy.linalg.eigvals`` runs, with both
+    vector flags set.  ``args`` points into these arrays, which this
+    object keeps alive.
+    """
+
+    def __init__(self, zggev, n: int):
+        # the integers zggev reads or writes: n, 1, lwork and info
+        self.ints = np.array([n, 1, -1, 0], dtype=np.int64)
+        self.a = np.empty((n, n), dtype=complex, order="F")
+        self.b = np.empty_like(self.a)
+        self.alpha = np.empty(n, dtype=complex)
+        self.beta = np.empty(n, dtype=complex)
+        self.rwork = np.empty(8 * n)
+        self.work = np.empty(1, dtype=complex)
+        zggev(*self._args(b"V"))
+        if self.ints[3] != 0:
+            raise np.linalg.LinAlgError(f"zggev workspace query failed with info = {self.ints[3]}")
+        self.ints[2] = int(self.work[0].real)
+        self.work = np.empty(self.ints[2], dtype=complex)
+        self.args = self._args(b"N")
+
+    def _args(self, job: bytes) -> tuple:
+        n, one, lwork, info = (ctypes.c_void_p(self.ints.ctypes.data + 8 * k) for k in range(4))
+        a, b, alpha, beta, work, rwork = (
+            ctypes.c_void_p(x.ctypes.data)
+            for x in (self.a, self.b, self.alpha, self.beta, self.work, self.rwork)
+        )
+        # VL and VR are not referenced: the query returns first, and the
+        # solve computes no vectors; only their leading dimensions are checked
+        ld_v = n if job == b"V" else one
+        job = ctypes.c_char_p(job)
+        return (job, job, n, a, n, b, n, alpha, beta, None, ld_v, None, ld_v,
+                work, lwork, rwork, info, 1, 1)
+
+
+class _NumpyZggev(threading.local):
+    """``(left, right) -> (alpha, beta, info)`` by numpy's own LAPACK, with
+    one ``_ZggevSpace`` per pencil size and thread: a call is two copies
+    and one foreign call.  alpha and beta are the space's own arrays,
+    which the thread's next call of the same size overwrites."""
+
+    def __init__(self, zggev):
+        self.zggev = zggev
+        self.spaces: dict[int, _ZggevSpace] = {}
+
+    def __call__(self, left: np.ndarray, right: np.ndarray):
+        n = left.shape[0]
+        space = self.spaces.get(n)
+        if space is None:
+            space = self.spaces[n] = _ZggevSpace(self.zggev, n)
+        np.copyto(space.a, left)
+        np.copyto(space.b, right)
+        self.zggev(*space.args)
+        return space.alpha, space.beta, int(space.ints[3])
+
+
+class _ScipyZggev:
+    """``(left, right) -> (alpha, beta, info)`` by scipy's f2py ``zggev``,
+    for numpy builds whose LAPACK exports no ILP64 zggev.  Its workspace
+    size is queried once per pencil size."""
+
+    def __init__(self):
+        import scipy.linalg
+
+        self.zggev = scipy.linalg.get_lapack_funcs("ggev", dtype=complex)
+        self.lwork: dict[int, int] = {}
+
+    def __call__(self, left: np.ndarray, right: np.ndarray):
+        size = left.shape[0]
+        lwork = self.lwork.get(size)
+        if lwork is None:
+            lwork = self.lwork[size] = int(self.zggev(left, right, lwork=-1)[-2][0].real)
+        alpha, beta, _, _, _, info = self.zggev(left, right, 0, 0, lwork)
+        return alpha, beta, info
+
+
+def _load_zggev():
+    zggev = _numpy_lapack_zggev()
+    return _ScipyZggev() if zggev is None else _NumpyZggev(zggev)
+
+
+_zggev = _load_zggev()
 
 
 def _pencil_eigvals(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -225,11 +298,7 @@ def _pencil_eigvals(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     reports failure.  Eigenvalues with beta = 0, or whose quotient is not
     finite, are dropped.
     """
-    size = left.shape[0]
-    lwork = _ZGGEV_LWORK.get(size)
-    if lwork is None:
-        lwork = _ZGGEV_LWORK[size] = int(_zggev(left, right, lwork=-1)[-2][0].real)
-    alpha, beta, _, _, _, info = _zggev(left, right, 0, 0, lwork)
+    alpha, beta, info = _zggev(left, right)
     if info != 0:
         raise np.linalg.LinAlgError(f"zggev failed with info = {info}")
     finite = beta != 0

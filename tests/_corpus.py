@@ -5,8 +5,8 @@
 unit circle, and ``rotated_near_unitary_pairs`` does so under random
 unitaries.  Both draw from seeded generators, as the rest of the suite.
 ``nilpotent_matrix`` is a representation of numerical radius exactly one.
-``rotated_pair`` maps a pair by the rotation of Gamma, one of its two
-kinds of automorphism.
+``rotated_pair`` and ``automorphism`` map a pair by the two kinds of
+automorphism of Gamma, rotations and Moebius maps.
 """
 
 import math
@@ -88,3 +88,23 @@ def rotated_pair(pair, w):
     of the image is exactly w F.
     """
     return make_operator_pair(w * pair.S, w * w * pair.P)
+
+
+def automorphism(pair, a):
+    """tau_m(S, P) for the Moebius map m(z) = (z - a) / (1 - conj(a) z), |a| < 1.
+
+    tau_m(z1 + z2, z1 z2) = (m(z1) + m(z2), m(z1) m(z2)) maps Gamma onto
+    itself and its distinguished boundary onto itself (Jarnicki and Pflug,
+    Arch. Math. 83, 2004).  With D = I - conj(a) S + conj(a)^2 P, the
+    image is S' = ((1 + |a|^2) S - 2a - 2 conj(a) P) D^-1 and
+    P' = (P - a S + a^2) D^-1; D is invertible when (S, P) is a member.
+    """
+    s, p = pair.S, pair.P
+    eye = np.eye(pair.dim)
+    ac = np.conj(a)
+    d = eye - ac * s + ac * ac * p
+    num_s = (1 + abs(a) ** 2) * s - 2 * a * eye - 2 * ac * p
+    num_p = p - a * s + a * a * eye
+    # X D^-1 as the solution of D^T Y^T = X^T
+    s2, p2 = (np.linalg.solve(d.T, x.T).T for x in (num_s, num_p))
+    return make_operator_pair(s2, p2)

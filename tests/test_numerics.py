@@ -1,9 +1,10 @@
 import cmath
-import importlib.machinery
+import ctypes
 import json
 import math
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -326,13 +327,22 @@ class TestFloatRange:
             numerical_radius(np.full((2, 2), 1e308))
 
 
+_NUMPY_ZGGEV = symbidisc.numerics._numpy_lapack_zggev()
+needs_numpy_zggev = pytest.mark.skipif(
+    _NUMPY_ZGGEV is None, reason="numpy's LAPACK exports no ILP64 zggev"
+)
+# INFO's place among zggev's arguments
+_ZGGEV_INFO = 16
+
+
+@needs_numpy_zggev
 def test_zggev_failure_raises(monkeypatch):
-    zggev = symbidisc.numerics._zggev
+    def failing(*args):
+        _NUMPY_ZGGEV(*args)
+        if args[0].value == b"N":  # the solve, not the workspace query
+            ctypes.c_int64.from_address(args[_ZGGEV_INFO].value).value = 1
 
-    def failing(a, b, *args, **kwargs):
-        return zggev(a, b, *args, **kwargs)[:-1] + (1,)
-
-    monkeypatch.setattr(symbidisc.numerics, "_zggev", failing)
+    monkeypatch.setattr(symbidisc.numerics, "_zggev", symbidisc.numerics._NumpyZggev(failing))
     with pytest.raises(np.linalg.LinAlgError, match="zggev"):
         numerical_radius(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -348,31 +358,53 @@ def _fresh_interpreter(code: str) -> None:
 
 
 class TestZggevLoad:
-    """``_zggev`` comes from scipy's LAPACK wrapper without ``scipy.linalg``."""
+    """``_zggev`` calls the zggev of numpy's own LAPACK; scipy's wrapper
+    only where numpy's LAPACK exports none."""
 
+    @needs_numpy_zggev
     def test_import_leaves_scipy_linalg_out(self):
+        # one radius runs zggev, and scipy is never loaded
         _fresh_interpreter(
-            "import symbidisc, symbidisc.cli; "
-            "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules)"
+            "import symbidisc.cli; from symbidisc.numerics import numerical_radius; "
+            "assert numerical_radius([[0, 1], [0, 0]]) == 0.5; "
+            "assert 'scipy' not in sys.modules, sorted(sys.modules)"
         )
 
-    @pytest.mark.parametrize(
-        "first, second", [("symbidisc.numerics", "scipy.linalg"), ("scipy.linalg", "symbidisc.numerics")]
-    )
-    def test_same_routine_in_either_import_order(self, first, second):
-        # and scipy.linalg holds its _flapack as it does on its own
-        _fresh_interpreter(
-            f"import {first}, {second}, symbidisc.numerics, scipy.linalg; "
-            "assert symbidisc.numerics._zggev is scipy.linalg.get_lapack_funcs('ggev', dtype=complex); "
-            "assert scipy.linalg._flapack is sys.modules['scipy.linalg._flapack']"
-        )
+    @needs_numpy_zggev
+    def test_forced_fallback_gives_the_same_radii(self, monkeypatch):
+        corpus = _zggev_corpus()
+        want = [repr(numerical_radius(a)) for a in corpus]
+        monkeypatch.setattr(symbidisc.numerics, "_numpy_lapack_zggev", lambda: None)
+        zggev = symbidisc.numerics._load_zggev()
+        assert isinstance(zggev, symbidisc.numerics._ScipyZggev)
+        monkeypatch.setattr(symbidisc.numerics, "_zggev", zggev)
+        assert [repr(numerical_radius(a)) for a in corpus] == want
 
-    @pytest.mark.parametrize("suffixes", [None, []], ids=["by-file", "get_lapack_funcs"])
-    def test_each_path_gives_the_imported_routine(self, suffixes, monkeypatch):
-        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-        if suffixes is not None:
-            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", suffixes)
-        assert symbidisc.numerics._lapack_zggev() is symbidisc.numerics._zggev
+    def test_concurrent_threads_give_the_one_thread_radii(self):
+        # each thread holds its own pencil buffers; more threads than
+        # cores, switching often, and each in its own order
+        corpus = _zggev_corpus()
+        want = [repr(numerical_radius(a)) for a in corpus]
+        got = {}
+
+        def run(k):
+            order = np.random.default_rng(k).permutation(len(corpus))
+            got[k] = {int(i): repr(numerical_radius(corpus[i])) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == [0, 1, 2, 3]
+        for radii in got.values():
+            assert [radii[i] for i in range(len(corpus))] == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -414,8 +446,8 @@ class TestRotatedEigvalsh:
 # 1e100, rescaled to radius one, and four structured cases), recorded by
 # repr.  The bits of "nr" come from the Newton start and the level-set
 # iteration: they pass through numpy's eigh and batched eigvalsh and
-# scipy's LAPACK generalized eigensolver.  Each stays at or above a
-# 20000-angle grid value minus one ulp.
+# the LAPACK generalized eigensolver zggev that numpy links.  Each stays
+# at or above a 20000-angle grid value minus one ulp.
 KERNEL_GOLDEN = json.loads((Path(__file__).parent / "data" / "kernel_golden.json").read_text())
 
 

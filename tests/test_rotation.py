@@ -1,11 +1,13 @@
-"""The rotation (w S, w^2 P) of seeded member pairs: in exact arithmetic
-its fundamental operator is w F, and its verdicts are those of (S, P)."""
+"""The automorphisms of Gamma on seeded member pairs.  Under the rotation
+(w S, w^2 P) the fundamental operator is w F in exact arithmetic, and the
+verdicts are those of (S, P); under a Moebius map tau_m the membership
+verdict is that of (S, P)."""
 
 import numpy as np
 import pytest
 
 from symbidisc.fundamental import solve_fundamental
-from symbidisc.gamma_pairs import check_gamma_contraction
+from symbidisc.gamma_pairs import check_gamma_contraction, make_operator_pair
 from symbidisc.generators import (
     random_model_pair,
     random_strict_pair,
@@ -16,7 +18,7 @@ from symbidisc.numerics import DEFAULT_TOL, operator_norm
 from symbidisc.varieties import classify_distinguished
 from symbidisc.von_neumann import lambda_variety
 
-from _corpus import mixed_pair, rotated_pair
+from _corpus import automorphism, mixed_pair, rotated_pair
 
 EPS = np.finfo(float).eps
 
@@ -83,3 +85,29 @@ def test_distinguished_status_is_unchanged(rotations):
             classify_distinguished(lambda_variety(rot)).status
             == classify_distinguished(lambda_variety(pair)).status
         )
+
+
+@pytest.mark.parametrize("a", [0.5, 0.5j, -0.3 + 0.4j], ids=["0.5", "0.5i", "-0.3+0.4i"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_moebius_image_keeps_membership(family, a):
+    rng = rng_from_seed(32)
+    make = FAMILIES[family]
+    for _ in range(20):
+        pair = make(rng)
+        image = automorphism(pair, a)
+        assert check_gamma_contraction(image).is_member == check_gamma_contraction(pair).is_member, (
+            pair.S,
+            pair.P,
+        )
+
+
+def test_moebius_map_on_diagonal_pairs_is_tau_m():
+    # on diagonal pairs tau_m acts point by point: (z1 + z2, z1 z2) goes
+    # to (m(z1) + m(z2), m(z1) m(z2))
+    rng = rng_from_seed(33)
+    for a in (0.5, 0.5j, -0.3 + 0.4j):
+        z = np.sqrt(rng.uniform(size=(2, 4))) * np.exp(2j * np.pi * rng.uniform(size=(2, 4)))
+        pair = automorphism(make_operator_pair(np.diag(z.sum(axis=0)), np.diag(z.prod(axis=0))), a)
+        m = (z - a) / (1 - np.conj(a) * z)
+        assert np.allclose(np.diag(pair.S), m.sum(axis=0), rtol=0, atol=64 * EPS)
+        assert np.allclose(np.diag(pair.P), m.prod(axis=0), rtol=0, atol=64 * EPS)
